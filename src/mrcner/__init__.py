@@ -8,8 +8,8 @@ protocol.
 
 from .corpus import BioLabel, EntitySpan, Sentence, bio_to_spans, parse_conll, repair_bio, spans_to_bio
 from .query import QuerySpec, QueryStrategy, build_query, render_query
-from .mrc_data import MrcExample, SeqConfig, Triple, Vocab, build_vocab, make_example
-from .encoder import EncoderConfig, HiddenMatrix
+from .mrc_data import MrcExample, SeqConfig, Triple, Vocab, example_from_triple, triple_from_sentence
+from .encoder import EncoderConfig
 from .heads import LossReport, SpanHeadParams, SpanLogits, span_loss
 from .decode import IndexSets, decode_example, extract_indexes, nearest_match
 from .metrics import EvalReport, RunStats, SignificanceResult, aggregate, score, t_test
@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BioLabel", "EntitySpan", "Sentence", "bio_to_spans", "parse_conll", "repair_bio",
     "spans_to_bio", "QuerySpec", "QueryStrategy", "build_query", "render_query",
-    "MrcExample", "SeqConfig", "Triple", "Vocab", "build_vocab", "make_example",
-    "EncoderConfig", "HiddenMatrix", "LossReport", "SpanHeadParams", "SpanLogits",
+    "MrcExample", "SeqConfig", "Triple", "Vocab", "example_from_triple",
+    "triple_from_sentence", "EncoderConfig", "LossReport", "SpanHeadParams", "SpanLogits",
     "span_loss", "IndexSets", "decode_example", "extract_indexes", "nearest_match",
     "EvalReport", "RunStats", "SignificanceResult", "aggregate", "score", "t_test",
     "TrainConfig", "train",

@@ -2,6 +2,7 @@
 
 The baseline sees no query (its input is just [CLS] context [SEP]); the
 identical encoder and training loop isolate the framing difference.
+BioHeadParams implements the head protocol of `model.py` (mode "bio-baseline").
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import EntitySpan, repair_bio, bio_to_spans, spans_to_bio
-from .heads import cross_entropy
-from .encoder import truncated_normal
+from .heads import HeadError, cross_entropy
+from .encoder import init_tensors
 from .mrc_data import MrcExample, project_predictions
 
 BIO_CLASSES = ("B", "I", "O")
@@ -23,11 +24,29 @@ CLASS_IDS = {tag: i for i, tag in enumerate(BIO_CLASSES)}
 class BioHeadParams:
     w_bio: np.ndarray  # (d, 3)
     b_bio: np.ndarray  # (3,)
+    variant: None = None
 
+    mode = "bio-baseline"
+    TENSORS = ("w_bio", "b_bio")
 
-def init_bio_head(model_dim: int, seed: int) -> BioHeadParams:
-    rng = np.random.default_rng(seed)
-    return BioHeadParams(truncated_normal(rng, (model_dim, 3)), np.zeros(3))
+    def __post_init__(self) -> None:
+        if self.variant is not None:
+            raise HeadError(f"the BIO head has no variant, got {self.variant!r}")
+
+    @classmethod
+    def shapes(cls, model_dim: int, variant: str | None) -> dict[str, tuple[int, ...]]:
+        return {"w_bio": (model_dim, 3), "b_bio": (3,)}
+
+    @classmethod
+    def init(cls, model_dim: int, variant: str | None, seed: int) -> "BioHeadParams":
+        """`variant` belongs to the span head and is ignored here."""
+        return cls(**init_tensors(np.random.default_rng(seed), cls.shapes(model_dim, None)))
+
+    def loss_and_grads(self, h_ctx: np.ndarray, example: MrcExample):
+        return bio_head_grads(h_ctx, self, bio_targets(example))
+
+    def decode(self, h_ctx: np.ndarray, example: MrcExample) -> list[EntitySpan]:
+        return bio_decode(bio_logits(h_ctx, self), example)
 
 
 def bio_logits(h_ctx: np.ndarray, params: BioHeadParams) -> np.ndarray:

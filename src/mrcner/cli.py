@@ -24,6 +24,14 @@ from .train import TrainConfig, check_mode, gold_span_index, train
 log = logging.getLogger("mrcner")
 
 
+class CliError(ValueError):
+    """Unusable command input; keyword details join the JSON diagnostic."""
+
+    def __init__(self, message: str, **details) -> None:
+        super().__init__(message)
+        self.details = details
+
+
 def file_sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -76,6 +84,11 @@ def cmd_convert(args) -> int:
     triples = [
         triple_from_sentence(s, query_for(s), entity_type=args.entity_type) for s in sentences
     ]
+    found = report.entity_spans
+    answers = sum(len(t.answers) for t in triples)
+    if found and not answers:
+        raise CliError(f"the corpus has no spans of type {args.entity_type!r}",
+                       found_entity_types=sorted(found))
     write_triples(triples, args.out)
     if args.sentences_out:
         with open(args.sentences_out, "w", encoding="utf-8") as fh:
@@ -87,6 +100,8 @@ def cmd_convert(args) -> int:
         "tokens": report.tokens,
         "repaired_labels": report.repaired_labels,
         "triples": len(triples),
+        "answers": answers,
+        "filtered_spans": sum(found.values()) - answers,
         "entity_type": args.entity_type,
         "strategy": strategy.name,
     }
@@ -129,7 +144,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     mdl = model_mod.load_checkpoint(args.checkpoint)
     triples = read_triples(args.triples)
-    check_mode(triples, mdl.mode, "input")
+    check_mode(triples, mdl.head.mode, "input")
     with open(args.out, "w", encoding="utf-8") as fh:
         for t in triples:
             example = example_from_triple(t, mdl.vocab, mdl.seq_cfg)
@@ -153,6 +168,8 @@ def read_predictions(path) -> dict:
                 continue
             rec = json.loads(line)
             key = (rec["origin"]["doc_id"], rec["origin"]["sent_id"], rec["entity_type"])
+            if key in predicted:
+                raise CliError(f"{path}: duplicate prediction sentence key {key!r}")
             predicted[key] = [(s["start"], s["end"]) for s in rec["spans"]]
     return predicted
 
@@ -294,6 +311,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - single CLI error boundary
         diagnostic = {"error": type(exc).__name__, "message": str(exc)}
+        diagnostic.update(getattr(exc, "details", {}))
         print(json.dumps(diagnostic, ensure_ascii=False), file=sys.stderr)
         log.debug("command failed", exc_info=True)
         return 1

@@ -15,11 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import EntitySpan
-from .heads import SpanLogits
 from .mrc_data import MrcExample, project_predictions
 
 END_DRIVEN = "end"
 START_DRIVEN = "start"
+
+
+@dataclass
+class SpanLogits:
+    l_start: np.ndarray  # (N, 2), context rows only
+    l_end: np.ndarray    # (N, 2)
 
 
 @dataclass
@@ -70,9 +75,7 @@ def nearest_match(sets: IndexSets, scan: str = END_DRIVEN) -> list[tuple[int, in
     return pairs
 
 
-def decode_example(
-    example: MrcExample, logits: SpanLogits, scan: str = END_DRIVEN
-) -> list[EntitySpan]:
+def decode_example(example: MrcExample, logits: SpanLogits) -> list[EntitySpan]:
     """extract_indexes + nearest_match + projection back to sentence spans."""
-    pairs = nearest_match(extract_indexes(logits.l_start, logits.l_end), scan)
+    pairs = nearest_match(extract_indexes(logits.l_start, logits.l_end))
     return project_predictions(example, pairs)

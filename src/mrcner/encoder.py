@@ -1,9 +1,9 @@
 """A small trainable transformer encoder in plain numpy, float64 throughout.
 
-forward() produces the per-token representation matrix for one example plus
-an activation tape; backward() consumes the tape and an upstream gradient
-and returns exact reverse-mode gradients for every parameter. Blocks are
-pre-norm (attention, then GELU feed-forward), with a final layer norm.
+forward() returns the hidden rows of one example's real (unpadded) tokens
+plus an activation tape; backward() takes the tape and an upstream gradient
+of those rows and returns exact reverse-mode gradients for every parameter.
+Blocks are pre-norm (attention, then GELU feed-forward), with a final layer norm.
 
 Token, position, and segment embeddings are summed at the input; padding is
 handled by running the real (unpadded) prefix only, which is equivalent to
@@ -54,29 +54,6 @@ class EncoderConfig:
     def head_dim(self) -> int:
         return self.model_dim // self.heads
 
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "layers": self.layers,
-            "model_dim": self.model_dim,
-            "heads": self.heads,
-            "ffn_dim": self.ffn_dim,
-            "max_positions": self.max_positions,
-            "dropout": self.dropout,
-        }
-
-
-@dataclass
-class HiddenMatrix:
-    """Per-token output representations; pad rows are defined (zero) but unused."""
-
-    values: np.ndarray
-    context_range: tuple[int, int]
-
-    def context_rows(self) -> np.ndarray:
-        first, last = self.context_range
-        return self.values[first : last + 1]
-
 
 def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
     """Normal(0, std) resampled until every draw lies within two deviations."""
@@ -88,32 +65,37 @@ def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.n
     return out
 
 
-def init_encoder_params(cfg: EncoderConfig, seed: int) -> dict[str, np.ndarray]:
-    """BERT-style init: truncated normal (std 0.02) matrices, zero biases,
-    unit layer-norm gains."""
-    rng = np.random.default_rng(seed)
+def init_tensors(rng: np.random.Generator, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """BERT-style init in the order of `shapes`: truncated normal (std 0.02)
+    matrices, unit layer-norm gains (names ending in `_g`), zero biases."""
+    out: dict[str, np.ndarray] = {}
+    for name, shape in shapes.items():
+        if len(shape) == 2:
+            out[name] = truncated_normal(rng, shape)
+        else:
+            out[name] = np.ones(shape) if name.endswith("_g") else np.zeros(shape)
+    return out
+
+
+def param_shapes(cfg: EncoderConfig) -> dict[str, tuple]:
+    """Every encoder tensor's shape, in checkpoint order."""
     d, f = cfg.model_dim, cfg.ffn_dim
-    p: dict[str, np.ndarray] = {}
-    p["tok_emb"] = truncated_normal(rng, (cfg.vocab_size, d))
-    p["emb_bias"] = np.zeros(d)
-    p["pos_emb"] = truncated_normal(rng, (cfg.max_positions, d))
-    p["seg_emb"] = truncated_normal(rng, (2, d))
+    shapes = {"tok_emb": (cfg.vocab_size, d), "emb_bias": (d,),
+              "pos_emb": (cfg.max_positions, d), "seg_emb": (2, d)}
     for l in range(cfg.layers):
         pre = f"layer{l}."
-        for name in ("wq", "wk", "wv", "wo"):
-            p[pre + name] = truncated_normal(rng, (d, d))
-            p[pre + name.replace("w", "b")] = np.zeros(d)
-        p[pre + "ln1_g"] = np.ones(d)
-        p[pre + "ln1_b"] = np.zeros(d)
-        p[pre + "ffn_w1"] = truncated_normal(rng, (d, f))
-        p[pre + "ffn_b1"] = np.zeros(f)
-        p[pre + "ffn_w2"] = truncated_normal(rng, (f, d))
-        p[pre + "ffn_b2"] = np.zeros(d)
-        p[pre + "ln2_g"] = np.ones(d)
-        p[pre + "ln2_b"] = np.zeros(d)
-    p["final_ln_g"] = np.ones(d)
-    p["final_ln_b"] = np.zeros(d)
-    return p
+        for name in ("q", "k", "v", "o"):
+            shapes[pre + "w" + name] = (d, d)
+            shapes[pre + "b" + name] = (d,)
+        shapes.update({pre + "ln1_g": (d,), pre + "ln1_b": (d,), pre + "ffn_w1": (d, f),
+                       pre + "ffn_b1": (f,), pre + "ffn_w2": (f, d), pre + "ffn_b2": (d,),
+                       pre + "ln2_g": (d,), pre + "ln2_b": (d,)})
+    shapes.update(final_ln_g=(d,), final_ln_b=(d,))
+    return shapes
+
+
+def init_encoder_params(cfg: EncoderConfig, seed: int) -> dict[str, np.ndarray]:
+    return init_tensors(np.random.default_rng(seed), param_shapes(cfg))
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -181,8 +163,9 @@ def forward(
     example,
     train_mode: bool = False,
     dropout_seed: int | None = None,
-) -> tuple[HiddenMatrix, dict[str, Any]]:
-    """Run the encoder on one example; returns (H, tape).
+) -> tuple[np.ndarray, dict[str, Any]]:
+    """Run the encoder on one example; returns (H, tape), H being the
+    (n_real, model_dim) rows of the unpadded tokens.
 
     Dropout fires only in train_mode, driven by dropout_seed; the drawn
     masks are recorded on the tape so backward matches exactly.
@@ -253,10 +236,7 @@ def forward(
     h, tape["xhatf"], tape["istdf"] = layer_norm(x, params["final_ln_g"], params["final_ln_b"])
     if not np.isfinite(h).all():
         raise EncoderError("non-finite activation after final layer norm")
-
-    values = np.zeros((len(example.input_ids), cfg.model_dim))
-    values[:n] = h
-    return HiddenMatrix(values, tuple(example.context_range)), tape
+    return h, tape
 
 
 def backward(
@@ -266,14 +246,14 @@ def backward(
     grad_h: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Exact gradients of a scalar loss with upstream gradient grad_h (with
-    respect to the full H matrix, pad rows included) for every parameter."""
+    respect to the (n_real, model_dim) H of forward) for every parameter."""
     n = tape["n"]
-    if grad_h.shape[1] != cfg.model_dim:
-        raise EncoderError(f"grad width {grad_h.shape[1]} != model_dim {cfg.model_dim}")
+    if grad_h.shape != (n, cfg.model_dim):
+        raise EncoderError(f"grad shape {grad_h.shape} != H shape {(n, cfg.model_dim)}")
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
 
     dx, grads["final_ln_g"], grads["final_ln_b"] = layer_norm_backward(
-        grad_h[:n], tape["xhatf"], tape["istdf"], params["final_ln_g"]
+        grad_h, tape["xhatf"], tape["istdf"], params["final_ln_g"]
     )
 
     scale = 1.0 / math.sqrt(cfg.head_dim)

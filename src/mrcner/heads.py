@@ -5,6 +5,8 @@ Each context token gets two binary classifications: "is a start index" and
 consumes the softmaxed start logits alongside the hidden row, the ablation
 one sees the hidden row alone. Total loss is the mean of the two per-head
 token-averaged cross-entropies.
+
+SpanHeadParams implements the head protocol of `model.py` (mode "mrc").
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import softmax, softmax_backward, truncated_normal
+from .corpus import EntitySpan
+from .decode import SpanLogits, decode_example
+from .encoder import init_tensors, softmax, softmax_backward
 
 CONDITIONED = "conditioned"
 ABLATION = "ablation"
@@ -31,6 +35,9 @@ class SpanHeadParams:
     b_end: np.ndarray    # (2,)
     variant: str
 
+    mode = "mrc"
+    TENSORS = ("w_start", "b_start", "w_end", "b_end")
+
     def __post_init__(self) -> None:
         if self.variant not in (CONDITIONED, ABLATION):
             raise HeadError(f"unknown head variant {self.variant!r}")
@@ -42,11 +49,23 @@ class SpanHeadParams:
                 f"got {self.w_end.shape[0]}"
             )
 
+    @classmethod
+    def shapes(cls, model_dim: int, variant: str | None) -> dict[str, tuple[int, ...]]:
+        end_dim = model_dim + 2 if variant == CONDITIONED else model_dim
+        return dict(zip(cls.TENSORS, [(model_dim, 2), (2,), (end_dim, 2), (2,)]))
 
-@dataclass
-class SpanLogits:
-    l_start: np.ndarray  # (N, 2), context rows only
-    l_end: np.ndarray    # (N, 2)
+    @classmethod
+    def init(cls, model_dim: int, variant: str, seed: int) -> "SpanHeadParams":
+        tensors = init_tensors(np.random.default_rng(seed), cls.shapes(model_dim, variant))
+        return cls(**tensors, variant=variant)
+
+    def loss_and_grads(self, h_ctx: np.ndarray, example) -> tuple[float, np.ndarray, dict]:
+        report, _, dh_ctx, grads = span_head_grads(h_ctx, self, example.y_start, example.y_end)
+        return report.loss, dh_ctx, grads
+
+    def decode(self, h_ctx: np.ndarray, example) -> list[EntitySpan]:
+        l_start = start_logits(h_ctx, self)
+        return decode_example(example, SpanLogits(l_start, end_logits(h_ctx, self, l_start)))
 
 
 @dataclass
@@ -55,18 +74,6 @@ class LossReport:
     loss_end: float
     loss: float
     token_count: int
-
-
-def init_span_head(model_dim: int, variant: str, seed: int) -> SpanHeadParams:
-    rng = np.random.default_rng(seed)
-    end_dim = model_dim + 2 if variant == CONDITIONED else model_dim
-    return SpanHeadParams(
-        w_start=truncated_normal(rng, (model_dim, 2)),
-        b_start=np.zeros(2),
-        w_end=truncated_normal(rng, (end_dim, 2)),
-        b_end=np.zeros(2),
-        variant=variant,
-    )
 
 
 def start_logits(h_ctx: np.ndarray, params: SpanHeadParams) -> np.ndarray:

@@ -1,5 +1,13 @@
 """Full model state (encoder + task head + vocabulary) and its checkpoint file.
 
+The task head is looked up by mode in HEADS: `heads.SpanHeadParams` ("mrc")
+or `baseline.BioHeadParams` ("bio-baseline"). Both implement one protocol:
+class attributes `mode`, `variant` (None for BIO) and `TENSORS` (tensor names
+in checkpoint order); `shapes(model_dim, variant)` and
+`init(model_dim, variant, seed)`; `loss_and_grads(h_ctx, example)` returning
+(loss, dh_ctx, grads by tensor name); and `decode(h_ctx, example)` returning
+entity spans. h_ctx is the encoder output at the example's context rows.
+
 Checkpoints are a single JSON document holding the configs and every tensor
 as a flat float list, so they are human-inspectable and byte-stable for a
 fixed seed.
@@ -8,18 +16,19 @@ fixed seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import baseline, decode, encoder, heads
-from .encoder import EncoderConfig, HiddenMatrix
+from . import baseline, encoder, heads
+from .encoder import EncoderConfig
 from .mrc_data import MrcExample, SeqConfig, Vocab
 
 CHECKPOINT_VERSION = 1
 
-MODE_MRC = "mrc"
-MODE_BIO = "bio-baseline"
+HEADS = {cls.mode: cls for cls in (heads.SpanHeadParams, baseline.BioHeadParams)}
+MODE_MRC = heads.SpanHeadParams.mode
+MODE_BIO = baseline.BioHeadParams.mode
 
 
 class ModelError(ValueError):
@@ -28,13 +37,17 @@ class ModelError(ValueError):
 
 @dataclass
 class ModelState:
-    mode: str
-    head_variant: str | None
     encoder_cfg: EncoderConfig
     seq_cfg: SeqConfig
     vocab: Vocab
     enc_params: dict[str, np.ndarray]
     head: heads.SpanHeadParams | baseline.BioHeadParams
+
+
+def _head_class(mode: str):
+    if mode not in HEADS:
+        raise ModelError(f"unknown mode {mode!r}")
+    return HEADS[mode]
 
 
 def new_model(
@@ -45,43 +58,21 @@ def new_model(
     vocab: Vocab,
     seed: int,
 ) -> ModelState:
-    if mode not in (MODE_MRC, MODE_BIO):
-        raise ModelError(f"unknown mode {mode!r}")
+    head_cls = _head_class(mode)
     enc_params = encoder.init_encoder_params(encoder_cfg, seed)
-    if mode == MODE_MRC:
-        head = heads.init_span_head(encoder_cfg.model_dim, head_variant, seed + 1)
-    else:
-        head = baseline.init_bio_head(encoder_cfg.model_dim, seed + 1)
-        head_variant = None
-    return ModelState(mode, head_variant, encoder_cfg, seq_cfg, vocab, enc_params, head)
-
-
-def head_param_items(model: ModelState) -> list[tuple[str, np.ndarray]]:
-    if model.mode == MODE_MRC:
-        h = model.head
-        return [
-            ("head.w_start", h.w_start),
-            ("head.b_start", h.b_start),
-            ("head.w_end", h.w_end),
-            ("head.b_end", h.b_end),
-        ]
-    return [("head.w_bio", model.head.w_bio), ("head.b_bio", model.head.b_bio)]
+    head = head_cls.init(encoder_cfg.model_dim, head_variant, seed + 1)
+    return ModelState(encoder_cfg, seq_cfg, vocab, enc_params, head)
 
 
 def param_items(model: ModelState) -> list[tuple[str, np.ndarray]]:
     """All trainable tensors in a fixed, deterministic order."""
-    return list(model.enc_params.items()) + head_param_items(model)
+    head = [(f"head.{name}", getattr(model.head, name)) for name in model.head.TENSORS]
+    return list(model.enc_params.items()) + head
 
 
-def encode_example(
-    model: ModelState,
-    example: MrcExample,
-    train_mode: bool = False,
-    dropout_seed: int | None = None,
-) -> tuple[HiddenMatrix, dict]:
-    return encoder.forward(
-        model.enc_params, model.encoder_cfg, example, train_mode, dropout_seed
-    )
+def _context(example: MrcExample) -> slice:
+    first, last = example.context_range
+    return slice(first, last + 1)
 
 
 def example_loss_and_grads(
@@ -91,43 +82,31 @@ def example_loss_and_grads(
     dropout_seed: int | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Forward + full backward for one example; grads keyed like param_items."""
-    hidden, tape = encode_example(model, example, train_mode, dropout_seed)
-    h_ctx = hidden.context_rows()
-    if model.mode == MODE_MRC:
-        report, _, dh_ctx, head_grads = heads.span_head_grads(
-            h_ctx, model.head, example.y_start, example.y_end
-        )
-        loss = report.loss
-    else:
-        loss, dh_ctx, head_grads = baseline.bio_head_grads(
-            h_ctx, model.head, baseline.bio_targets(example)
-        )
-    grad_h = np.zeros_like(hidden.values)
-    first, last = example.context_range
-    grad_h[first : last + 1] = dh_ctx
+    hidden, tape = encoder.forward(
+        model.enc_params, model.encoder_cfg, example, train_mode, dropout_seed
+    )
+    ctx = _context(example)
+    loss, dh_ctx, head_grads = model.head.loss_and_grads(hidden[ctx], example)
+    grad_h = np.zeros_like(hidden)
+    grad_h[ctx] = dh_ctx
     grads = encoder.backward(model.enc_params, model.encoder_cfg, tape, grad_h)
     for name, g in head_grads.items():
         grads[f"head.{name}"] = g
     return loss, grads
 
 
-def predict_example(model: ModelState, example: MrcExample, scan: str = decode.END_DRIVEN):
-    """Decode one example into entity spans under the model's mode."""
-    hidden, _ = encode_example(model, example, train_mode=False)
-    h_ctx = hidden.context_rows()
-    if model.mode == MODE_MRC:
-        l_start = heads.start_logits(h_ctx, model.head)
-        l_end = heads.end_logits(h_ctx, model.head, l_start)
-        return decode.decode_example(example, heads.SpanLogits(l_start, l_end), scan)
-    return baseline.bio_decode(baseline.bio_logits(h_ctx, model.head), example)
+def predict_example(model: ModelState, example: MrcExample):
+    """Decode one example into entity spans with the model's head."""
+    hidden, _ = encoder.forward(model.enc_params, model.encoder_cfg, example, False)
+    return model.head.decode(hidden[_context(example)], example)
 
 
 def save_checkpoint(model: ModelState, path) -> None:
     doc = {
         "format_version": CHECKPOINT_VERSION,
-        "mode": model.mode,
-        "head_variant": model.head_variant,
-        "encoder_config": model.encoder_cfg.to_dict(),
+        "mode": model.head.mode,
+        "head_variant": model.head.variant,
+        "encoder_config": asdict(model.encoder_cfg),
         "seq_config": {"seq_len": model.seq_cfg.seq_len, "order": model.seq_cfg.order},
         "vocab": model.vocab.id_to_token,
         "params": {
@@ -141,35 +120,45 @@ def save_checkpoint(model: ModelState, path) -> None:
 
 
 def load_checkpoint(path) -> ModelState:
+    """Read a checkpoint, checking its tensors against the shapes its configs
+    and vocabulary imply."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise ModelError(f"unsupported checkpoint version {doc.get('format_version')!r}")
 
-    def tensor(name: str) -> np.ndarray:
-        entry = doc["params"][name]
-        return np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-
+    head_cls = _head_class(doc["mode"])
+    variant = doc["head_variant"]
     encoder_cfg = EncoderConfig(**doc["encoder_config"])
     seq_cfg = SeqConfig(**doc["seq_config"])
+    if seq_cfg.seq_len > encoder_cfg.max_positions:
+        raise ModelError(f"seq_config.seq_len {seq_cfg.seq_len} exceeds "
+                         f"encoder_config.max_positions {encoder_cfg.max_positions}")
     vocab = Vocab(list(doc["vocab"]))
-    enc_params = {
-        name: tensor(name) for name in doc["params"] if not name.startswith("head.")
-    }
-    mode = doc["mode"]
-    if mode == MODE_MRC:
-        head = heads.SpanHeadParams(
-            w_start=tensor("head.w_start"),
-            b_start=tensor("head.b_start"),
-            w_end=tensor("head.w_end"),
-            b_end=tensor("head.b_end"),
-            variant=doc["head_variant"],
+    if vocab.size != encoder_cfg.vocab_size:
+        raise ModelError(f"checkpoint vocabulary has {vocab.size} tokens but "
+                         f"encoder_config.vocab_size is {encoder_cfg.vocab_size}")
+    shapes = encoder.param_shapes(encoder_cfg)
+    for name, shape in head_cls.shapes(encoder_cfg.model_dim, variant).items():
+        shapes[f"head.{name}"] = shape
+    if set(doc["params"]) != set(shapes):
+        raise ModelError(
+            f"checkpoint tensors differ from the model's: missing "
+            f"{sorted(set(shapes) - set(doc['params']))}, unexpected "
+            f"{sorted(set(doc['params']) - set(shapes))}"
         )
-    elif mode == MODE_BIO:
-        head = baseline.BioHeadParams(tensor("head.w_bio"), tensor("head.b_bio"))
-    else:
-        raise ModelError(f"unknown mode {mode!r} in checkpoint")
-    return ModelState(mode, doc["head_variant"], encoder_cfg, seq_cfg, vocab, enc_params, head)
+    params = {}
+    for name, shape in shapes.items():
+        entry = doc["params"][name]
+        data = np.asarray(entry["data"], dtype=np.float64)
+        if tuple(entry["shape"]) != shape or data.size != np.prod(shape):
+            raise ModelError(
+                f"checkpoint tensor {name} has shape {tuple(entry['shape'])} and "
+                f"{data.size} values, expected shape {shape}"
+            )
+        params[name] = data.reshape(shape)
+    head = head_cls(**{n: params.pop(f"head.{n}") for n in head_cls.TENSORS}, variant=variant)
+    return ModelState(encoder_cfg, seq_cfg, vocab, params, head)
 
 
 def copy_params(model: ModelState) -> dict[str, np.ndarray]:

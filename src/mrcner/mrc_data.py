@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import EntitySpan, Sentence
+from .corpus import EntitySpan, Sentence, bio_to_spans
 from .query import QuerySpec
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
@@ -62,20 +62,6 @@ class Vocab:
             if n >= min_count and tok not in SPECIALS
         ]
         return cls(list(SPECIALS) + kept)
-
-
-def build_vocab(
-    sentences: Iterable[Sentence],
-    queries: Iterable[QuerySpec] = (),
-    min_count: int = 1,
-) -> Vocab:
-    """Count tokens from sentences plus query texts and threshold by min_count."""
-    counts: Counter = Counter()
-    for sent in sentences:
-        counts.update(sent.tokens)
-    for spec in queries:
-        counts.update(spec.tokens)
-    return Vocab.from_counts(counts, min_count)
 
 
 @dataclass(frozen=True)
@@ -133,7 +119,7 @@ def triple_from_sentence(
     the target entity type (the query's type, or `entity_type` for the
     query-free baseline)."""
     etype = query.entity_type if query is not None else entity_type
-    spans = sentence.spans()
+    spans = bio_to_spans(sentence.labels)  # no surfaces: a triple keeps only offsets
     if etype is not None:
         spans = [s for s in spans if s.entity_type == etype]
         entity_type = etype
@@ -239,10 +225,6 @@ def example_from_triple(triple: Triple, vocab: Vocab, cfg: SeqConfig) -> MrcExam
         context_tokens=ctx_tokens,
         n_dropped_spans=dropped,
     )
-
-
-def make_example(sentence: Sentence, query: QuerySpec | None, vocab: Vocab, cfg: SeqConfig) -> MrcExample:
-    return example_from_triple(triple_from_sentence(sentence, query), vocab, cfg)
 
 
 def project_predictions(

@@ -120,7 +120,3 @@ def build_query(
         seed=seed,
     )
 
-
-def query_token_count(spec: QuerySpec) -> int:
-    """Length of the query in whitespace tokens (multi-word entities count fully)."""
-    return len(spec.tokens)

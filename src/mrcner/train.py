@@ -20,7 +20,7 @@ from . import model as model_mod
 from .encoder import EncoderConfig
 from .metrics import EvalReport, score
 from .mrc_data import MrcExample, SeqConfig, Triple, Vocab, example_from_triple
-from .model import MODE_BIO, MODE_MRC, ModelState
+from .model import MODE_MRC, ModelState
 
 log = logging.getLogger(__name__)
 
@@ -150,21 +150,22 @@ def build_vocab_from_triples(triples: Sequence[Triple], min_count: int) -> Vocab
 def check_mode(triples: Sequence[Triple], mode: str, what: str) -> None:
     """MRC triples carry a query; baseline triples carry none."""
     for t in triples:
-        has_query = t.query is not None
-        if mode == MODE_MRC and not has_query:
+        if (t.query is not None) != (mode == MODE_MRC):
             raise TrainingError(
-                f"mode mismatch: {what} triple {t.doc_id}/{t.sent_id} has no query "
-                f"but mode is {mode}"
-            )
-        if mode == MODE_BIO and has_query:
-            raise TrainingError(
-                f"mode mismatch: {what} triple {t.doc_id}/{t.sent_id} carries a query "
-                f"but mode is {mode}"
+                f"mode mismatch: {what} triple {t.doc_id}/{t.sent_id} "
+                f"{'carries a' if t.query is not None else 'has no'} query but mode is {mode}"
             )
 
 
 def gold_span_index(triples: Sequence[Triple]) -> dict[tuple[str, int, str], list[tuple[int, int]]]:
-    return {(t.doc_id, t.sent_id, t.entity_type): list(t.answers) for t in triples}
+    """Gold answers keyed by (doc_id, sent_id, entity_type); a repeated key raises."""
+    index: dict[tuple[str, int, str], list[tuple[int, int]]] = {}
+    for t in triples:
+        key = (t.doc_id, t.sent_id, t.entity_type)
+        if key in index:
+            raise TrainingError(f"duplicate gold sentence key {key!r}")
+        index[key] = list(t.answers)
+    return index
 
 
 def evaluate_model(model: ModelState, examples: Sequence[MrcExample],
@@ -200,10 +201,8 @@ def train(
     # lost to truncation still count against recall.
     dev_gold = gold_span_index(dev_triples)
 
-    variant = config.head_variant if config.mode == MODE_MRC else None
-    mdl = model_mod.new_model(
-        config.mode, variant, config.encoder_config(vocab.size), seq_cfg, vocab, config.seed
-    )
+    mdl = model_mod.new_model(config.mode, config.head_variant,
+                              config.encoder_config(vocab.size), seq_cfg, vocab, config.seed)
     names = [n for n, _ in model_mod.param_items(mdl)]
     shapes = [a.shape for _, a in model_mod.param_items(mdl)]
     optimizer = Adam(names, shapes, config)

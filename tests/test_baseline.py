@@ -10,7 +10,6 @@ from mrcner.baseline import (
     bio_head_grads,
     bio_logits,
     bio_targets,
-    init_bio_head,
 )
 from mrcner.heads import cross_entropy
 from mrcner.mrc_data import SeqConfig, Triple, Vocab, example_from_triple
@@ -60,7 +59,7 @@ class TestBioHead:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
         h = rng.normal(size=(5, D))
-        params = init_bio_head(D, seed=2)
+        params = BioHeadParams.init(D, None, seed=2)
         params.w_bio = rng.normal(size=(D, 3))
         params.b_bio = rng.normal(size=3)
         targets = np.array([0, 2, 1, 2, 0])

@@ -108,7 +108,7 @@ class TestForward:
         emb = (params["tok_emb"][ids] + params["emb_bias"]
                + params["pos_emb"][:n] + params["seg_emb"][segs])
         expected, _, _ = layer_norm(emb, params["final_ln_g"], params["final_ln_b"])
-        assert np.allclose(hidden.values[:n], expected, atol=1e-12)
+        assert np.allclose(hidden, expected, atol=1e-12)
 
     def test_pad_content_cannot_reach_context_rows(self):
         cfg = tiny_config()
@@ -122,7 +122,7 @@ class TestForward:
         tampered.input_ids[n + 3] = 9
         h2, _ = forward(params, cfg, tampered)
         first, last = example.context_range
-        assert np.array_equal(h1.values[first : last + 1], h2.values[first : last + 1])
+        assert np.array_equal(h1[first : last + 1], h2[first : last + 1])
 
     def test_matches_straight_line_reference(self):
         cfg = tiny_config()
@@ -132,7 +132,7 @@ class TestForward:
         expected = reference_forward(params, cfg, example)
         n = int(example.attention_mask.sum())
         assert n == 16 - 2  # nearly full window
-        err = np.abs(hidden.values[:n] - expected) / np.maximum(np.abs(expected), 1e-12)
+        err = np.abs(hidden - expected) / np.maximum(np.abs(expected), 1e-12)
         assert err.max() <= 1e-10
 
     def test_id_out_of_range_raises(self):
@@ -148,9 +148,9 @@ class TestForward:
         example = build_example()
         h1, t1 = forward(params, cfg, example, train_mode=True, dropout_seed=77)
         h2, t2 = forward(params, cfg, example, train_mode=True, dropout_seed=77)
-        assert np.array_equal(h1.values, h2.values)
-        g1 = backward(params, cfg, t1, np.ones_like(h1.values))
-        g2 = backward(params, cfg, t2, np.ones_like(h2.values))
+        assert np.array_equal(h1, h2)
+        g1 = backward(params, cfg, t1, np.ones_like(h1))
+        g2 = backward(params, cfg, t2, np.ones_like(h2))
         for name in g1:
             assert np.array_equal(g1[name], g2[name])
 
@@ -160,7 +160,7 @@ class TestForward:
         example = build_example()
         h1, _ = forward(params, cfg, example, train_mode=False, dropout_seed=1)
         h2, _ = forward(params, cfg, example, train_mode=False, dropout_seed=2)
-        assert np.array_equal(h1.values, h2.values)
+        assert np.array_equal(h1, h2)
 
 
 class TestBackward:
@@ -169,7 +169,7 @@ class TestBackward:
         params = init_encoder_params(cfg, seed=5)
         example = build_example()
         hidden, tape = forward(params, cfg, example)
-        grads = backward(params, cfg, tape, np.zeros_like(hidden.values))
+        grads = backward(params, cfg, tape, np.zeros_like(hidden))
         for name, g in grads.items():
             assert not g.any(), name
 
@@ -178,11 +178,11 @@ class TestBackward:
         params = init_encoder_params(cfg, seed=9)
         example = build_example(n_ctx=4, seq_len=12, query="w0 w1")
         rng = np.random.default_rng(17)
-        weights = rng.normal(size=(len(example.input_ids), cfg.model_dim))
+        weights = rng.normal(size=(int(example.attention_mask.sum()), cfg.model_dim))
 
         def scalar_loss():
             hidden, _ = forward(params, cfg, example)
-            return float((hidden.values * weights).sum())
+            return float((hidden * weights).sum())
 
         hidden, tape = forward(params, cfg, example)
         grads = backward(params, cfg, tape, weights)

@@ -11,7 +11,6 @@ from mrcner.heads import (
     SpanHeadParams,
     cross_entropy,
     end_logits,
-    init_span_head,
     span_head_grads,
     span_loss,
     start_logits,
@@ -37,7 +36,7 @@ def zero_head(variant=CONDITIONED):
 
 def random_head(variant, seed=0):
     rng = np.random.default_rng(seed)
-    head = init_span_head(D, variant, seed)
+    head = SpanHeadParams.init(D, variant, seed)
     head.w_start = rng.normal(size=head.w_start.shape)
     head.b_start = rng.normal(size=2)
     head.w_end = rng.normal(size=head.w_end.shape)

@@ -13,13 +13,12 @@ from mrcner.mrc_data import (
     SeqConfig,
     Triple,
     Vocab,
-    build_vocab,
     example_from_triple,
-    make_example,
     project_predictions,
     triple_from_sentence,
 )
 from mrcner.query import QueryStrategy, build_query
+from mrcner.train import build_vocab_from_triples
 
 from mrcner.corpus import parse_conll
 
@@ -30,38 +29,40 @@ def chem_query():
 
 class TestVocab:
     def test_min_count_one(self, meloxicam_sentence):
-        vocab = build_vocab([meloxicam_sentence], min_count=1)
+        vocab = build_vocab_from_triples([triple_from_sentence(meloxicam_sentence, None)], 1)
         assert vocab.size == 4 + 6
         assert vocab.encode("Meloxicam") >= 4
         assert vocab.encode("unseen") == UNK_ID
 
     def test_count_threshold(self):
         sents = parse_conll(["a\tO", "b\tO", "a\tO"])
-        assert build_vocab(sents, min_count=1).size == 6
-        assert build_vocab(sents, min_count=2).size == 5
+        triples = [triple_from_sentence(s, None) for s in sents]
+        assert build_vocab_from_triples(triples, 1).size == 6
+        assert build_vocab_from_triples(triples, 2).size == 5
 
     def test_empty_corpus_keeps_specials(self):
-        assert build_vocab([]).size == 4
+        assert build_vocab_from_triples([], 1).size == 4
 
     def test_ids_ordered_by_count_then_token(self):
         sents = parse_conll(["b\tO", "a\tO", "b\tO", "c\tO"])
-        vocab = build_vocab(sents)
+        vocab = build_vocab_from_triples([triple_from_sentence(s, None) for s in sents], 1)
         assert vocab.id_to_token[4:] == ["b", "a", "c"]
 
     def test_query_tokens_included(self, meloxicam_sentence):
-        vocab = build_vocab([meloxicam_sentence], [chem_query()])
-        assert vocab.encode("detect") >= 4
+        triple = triple_from_sentence(meloxicam_sentence, chem_query())
+        assert build_vocab_from_triples([triple], 1).encode("detect") >= 4
 
     def test_json_round_trip(self, meloxicam_sentence):
-        vocab = build_vocab([meloxicam_sentence])
+        vocab = build_vocab_from_triples([triple_from_sentence(meloxicam_sentence, None)], 1)
         clone = Vocab(list(vocab.id_to_token))
         assert clone.token_to_id == vocab.token_to_id
 
 
 class TestMakeExample:
     def test_meloxicam_layout_and_targets(self, meloxicam_sentence):
-        vocab = build_vocab([meloxicam_sentence], [chem_query()])
-        ex = make_example(meloxicam_sentence, chem_query(), vocab, SeqConfig(32))
+        triple = triple_from_sentence(meloxicam_sentence, chem_query())
+        vocab = build_vocab_from_triples([triple], 1)
+        ex = example_from_triple(triple, vocab, SeqConfig(32))
         assert len(ex.input_ids) == 32
         assert ex.input_ids[0] == CLS_ID
         assert ex.context_range == (1, 6)
@@ -76,7 +77,8 @@ class TestMakeExample:
 
     def test_no_entities_means_zero_targets(self):
         sent = parse_conll(["liver\tO", "toxicity\tO"])[0]
-        ex = make_example(sent, chem_query(), build_vocab([sent]), SeqConfig(32))
+        vocab = build_vocab_from_triples([triple_from_sentence(sent, None)], 1)
+        ex = example_from_triple(triple_from_sentence(sent, chem_query()), vocab, SeqConfig(32))
         assert not ex.y_start.any() and not ex.y_end.any()
 
     def test_two_span_target_placement(self):
@@ -87,8 +89,9 @@ class TestMakeExample:
         assert int(ex.y_start.sum()) == int(ex.y_end.sum()) == len(ex.gold_spans)
 
     def test_mask_discipline(self, meloxicam_sentence):
-        vocab = build_vocab([meloxicam_sentence], [chem_query()])
-        ex = make_example(meloxicam_sentence, chem_query(), vocab, SeqConfig(32))
+        triple = triple_from_sentence(meloxicam_sentence, chem_query())
+        vocab = build_vocab_from_triples([triple], 1)
+        ex = example_from_triple(triple, vocab, SeqConfig(32))
         assert ((ex.input_ids == PAD_ID) == (ex.attention_mask == 0)).all()
         first, last = ex.context_range
         assert len(ex.y_start) == last - first + 1
@@ -108,9 +111,10 @@ class TestMakeExample:
             example_from_triple(triple, Vocab(["[PAD]", "[UNK]", "[CLS]", "[SEP]"]), SeqConfig(16))
 
     def test_order_flag_shifts_context_only(self, meloxicam_sentence):
-        vocab = build_vocab([meloxicam_sentence], [chem_query()])
-        cf = make_example(meloxicam_sentence, chem_query(), vocab, SeqConfig(32, "context-first"))
-        qf = make_example(meloxicam_sentence, chem_query(), vocab, SeqConfig(32, "query-first"))
+        triple = triple_from_sentence(meloxicam_sentence, chem_query())
+        vocab = build_vocab_from_triples([triple], 1)
+        cf = example_from_triple(triple, vocab, SeqConfig(32, "context-first"))
+        qf = example_from_triple(triple, vocab, SeqConfig(32, "query-first"))
         assert sorted(cf.input_ids.tolist()) == sorted(qf.input_ids.tolist())
         assert (cf.y_start == qf.y_start).all() and (cf.y_end == qf.y_end).all()
         assert qf.context_range == (8, 13)
@@ -119,26 +123,30 @@ class TestMakeExample:
         assert (ids_cf == ids_qf).all()
 
     def test_baseline_layout_has_no_query_segment(self, meloxicam_sentence):
-        vocab = build_vocab([meloxicam_sentence])
-        ex = make_example(meloxicam_sentence, None, vocab, SeqConfig(16))
+        triple = triple_from_sentence(meloxicam_sentence, None)
+        vocab = build_vocab_from_triples([triple], 1)
+        ex = example_from_triple(triple, vocab, SeqConfig(16))
         assert int(ex.attention_mask.sum()) == 8  # [CLS] + 6 + [SEP]
         assert not ex.segment_ids.any()
 
 
 class TestProjection:
     def test_identity_projection(self, meloxicam_sentence):
-        vocab = build_vocab([meloxicam_sentence], [chem_query()])
-        ex = make_example(meloxicam_sentence, chem_query(), vocab, SeqConfig(32))
+        triple = triple_from_sentence(meloxicam_sentence, chem_query())
+        vocab = build_vocab_from_triples([triple], 1)
+        ex = example_from_triple(triple, vocab, SeqConfig(32))
         assert project_predictions(ex, [(0, 0)]) == [EntitySpan(0, 0, "CHEMICAL", "Meloxicam")]
 
     def test_empty_projection(self, meloxicam_sentence):
-        vocab = build_vocab([meloxicam_sentence])
-        ex = make_example(meloxicam_sentence, chem_query(), vocab, SeqConfig(32))
+        vocab = build_vocab_from_triples([triple_from_sentence(meloxicam_sentence, None)], 1)
+        triple = triple_from_sentence(meloxicam_sentence, chem_query())
+        ex = example_from_triple(triple, vocab, SeqConfig(32))
         assert project_predictions(ex, []) == []
 
     def test_out_of_range_raises(self, meloxicam_sentence):
-        vocab = build_vocab([meloxicam_sentence])
-        ex = make_example(meloxicam_sentence, chem_query(), vocab, SeqConfig(32))
+        vocab = build_vocab_from_triples([triple_from_sentence(meloxicam_sentence, None)], 1)
+        triple = triple_from_sentence(meloxicam_sentence, chem_query())
+        ex = example_from_triple(triple, vocab, SeqConfig(32))
         with pytest.raises(MrcDataError):
             project_predictions(ex, [(5, 6)])
 

@@ -4,7 +4,6 @@ from mrcner.query import (
     QueryError,
     QueryStrategy,
     build_query,
-    query_token_count,
     render_query,
     type_word,
 )
@@ -78,23 +77,23 @@ class TestBuildQuery:
 class TestTokenCount:
     def test_query_zero_has_six_tokens(self):
         spec = build_query("CHEMICAL", QueryStrategy("zero"), INVENTORY, seed=0)
-        assert query_token_count(spec) == 6
+        assert len(spec.tokens) == 6
 
     def test_query_none_is_one_token(self):
         spec = build_query("CHEMICAL", QueryStrategy("none"), INVENTORY, seed=0)
-        assert query_token_count(spec) == 1
+        assert len(spec.tokens) == 1
 
     def test_query_three_single_word_entities(self):
         # Template: 6 fixed words + "like" + 3 entities + 2 "or" + "?" = 12.
         # (Counted with the whitespace oracle on the published example string.)
         spec = build_query("CHEMICAL", QueryStrategy("sample", 3), INVENTORY, seed=0)
         assert all(" " not in e for e in spec.sampled_entities)
-        assert query_token_count(spec) == 12
+        assert len(spec.tokens) == 12
 
     def test_multiword_entities_raise_the_count(self):
         inv = {"DISEASE": ["breast cancer"]}
         spec = build_query("DISEASE", QueryStrategy("sample", 1), inv, seed=0)
-        assert query_token_count(spec) == 9  # 8-token single-entity frame + 1 extra word
+        assert len(spec.tokens) == 9  # 8-token single-entity frame + 1 extra word
 
 
 class TestStrategyParsing:

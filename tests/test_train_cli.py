@@ -4,11 +4,19 @@ import numpy as np
 import pytest
 
 from mrcner import model as model_mod
-from mrcner.cli import main
+from mrcner.cli import CliError, main, read_predictions
 from mrcner.corpus import entity_inventory
-from mrcner.mrc_data import read_triples, triple_from_sentence, write_triples
+from mrcner.encoder import EncoderConfig
+from mrcner.model import ModelError
+from mrcner.mrc_data import SeqConfig, read_triples, triple_from_sentence, write_triples
 from mrcner.query import QueryStrategy, build_query
-from mrcner.train import TrainConfig, TrainingError, build_vocab_from_triples, train
+from mrcner.train import (
+    TrainConfig,
+    TrainingError,
+    build_vocab_from_triples,
+    gold_span_index,
+    train,
+)
 from helpers import MELOXICAM_CONLL, corpus_to_conll, make_separable_corpus
 
 
@@ -98,7 +106,82 @@ class TestCheckpoint:
         ):
             assert np.array_equal(arr, arr2), name
         assert loaded.vocab.id_to_token == mdl.vocab.id_to_token
-        assert loaded.mode == mdl.mode and loaded.head_variant == mdl.head_variant
+        assert loaded.head.mode == mdl.head.mode and loaded.head.variant == mdl.head.variant
+
+    @staticmethod
+    def saved_tiny_model(tmp_path, mode="mrc"):
+        vocab = build_vocab_from_triples(synth_triples(3), min_count=1)
+        cfg = EncoderConfig(vocab_size=vocab.size, layers=1, model_dim=8, heads=2,
+                            ffn_dim=16, max_positions=32)
+        mdl = model_mod.new_model(mode, "conditioned", cfg, SeqConfig(32), vocab, seed=1)
+        path = tmp_path / "tiny.json"
+        model_mod.save_checkpoint(mdl, path)
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("mode", ["mrc", "bio-baseline"])
+    def test_round_trip_keeps_head(self, tmp_path, mode):
+        path, _ = self.saved_tiny_model(tmp_path, mode)
+        loaded = model_mod.load_checkpoint(path)
+        assert loaded.head.mode == mode
+        assert loaded.head.variant == ("conditioned" if mode == "mrc" else None)
+
+    def corrupt_and_load(self, tmp_path, edit):
+        path, doc = self.saved_tiny_model(tmp_path)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return model_mod.load_checkpoint(path)
+
+    @staticmethod
+    def resize(doc, name, rows):
+        """Give a 2-D tensor `rows` rows, keeping its data consistent with its shape."""
+        entry = doc["params"][name]
+        width = entry["shape"][1]
+        entry["shape"] = [rows, width]
+        entry["data"] = (entry["data"] + [0.0] * rows * width)[: rows * width]
+
+    def test_tok_emb_smaller_than_vocab_rejected(self, tmp_path):
+        def edit(doc):
+            self.resize(doc, "tok_emb", doc["params"]["tok_emb"]["shape"][0] - 5)
+        with pytest.raises(ModelError, match="tok_emb"):
+            self.corrupt_and_load(tmp_path, edit)
+
+    def test_vocab_size_mismatch_rejected(self, tmp_path):
+        def edit(doc):
+            doc["vocab"] = doc["vocab"][:-1]
+        with pytest.raises(ModelError, match="vocab_size"):
+            self.corrupt_and_load(tmp_path, edit)
+
+    def test_extra_tensor_rejected(self, tmp_path):
+        def edit(doc):
+            doc["params"]["layer9.wq"] = doc["params"]["layer0.wq"]
+        with pytest.raises(ModelError, match="layer9.wq"):
+            self.corrupt_and_load(tmp_path, edit)
+
+    def test_missing_head_tensor_rejected(self, tmp_path):
+        def edit(doc):
+            del doc["params"]["head.b_end"]
+        with pytest.raises(ModelError, match="head.b_end"):
+            self.corrupt_and_load(tmp_path, edit)
+
+    def test_pos_emb_rows_must_match_max_positions(self, tmp_path):
+        with pytest.raises(ModelError, match="pos_emb"):
+            self.corrupt_and_load(tmp_path, lambda doc: self.resize(doc, "pos_emb", 31))
+
+    def test_head_width_must_match_model_dim(self, tmp_path):
+        with pytest.raises(ModelError, match="head.w_start"):
+            self.corrupt_and_load(tmp_path, lambda doc: self.resize(doc, "head.w_start", 9))
+
+    def test_data_length_must_match_stored_shape(self, tmp_path):
+        def edit(doc):
+            doc["params"]["layer0.wq"]["data"].pop()
+        with pytest.raises(ModelError, match="layer0.wq"):
+            self.corrupt_and_load(tmp_path, edit)
+
+    def test_seq_len_beyond_max_positions_rejected(self, tmp_path):
+        def edit(doc):
+            doc["seq_config"]["seq_len"] = 64
+        with pytest.raises(ModelError, match="max_positions"):
+            self.corrupt_and_load(tmp_path, edit)
 
     def test_checkpoint_bytes_stable(self, tmp_path):
         triples = synth_triples(5)
@@ -131,6 +214,47 @@ class TestCli:
         assert summary["sentences"] == 1 and summary["repaired_labels"] == 0
         sentence = json.loads(sentences_out.read_text())
         assert sentence["spans"][0]["surface"] == "Meloxicam"
+
+    @pytest.mark.parametrize("args", [("--query-strategy", "q0"), ("--query-strategy", "none"),
+                                      ("--mode", "bio-baseline")])
+    def test_convert_entity_type_mismatch_fails(self, tmp_path, capsys, args):
+        corpus = tmp_path / "c.conll"
+        corpus.write_text("Meloxicam\tB-Chemical\nliver\tB-Disease\ntoxicity\tI-Disease\n")
+        out = tmp_path / "t.jsonl"
+        assert run_cli("convert", "--input", corpus, "--entity-type", "CHEMICAL",
+                       *args, "--out", out) == 1
+        diagnostic = json.loads(capsys.readouterr().err)
+        assert diagnostic["found_entity_types"] == ["Chemical", "Disease"]
+        assert "'CHEMICAL'" in diagnostic["message"]
+        assert not out.exists()
+
+    def test_convert_summary_counts_answers_and_filtered_spans(self, tmp_path, capsys):
+        corpus = tmp_path / "c.conll"
+        corpus.write_text("a\tB-CHEMICAL\nb\tB-Disease\nc\tB-CHEMICAL\n\nd\tB-Disease\n")
+        assert run_cli("convert", "--input", corpus, "--entity-type", "CHEMICAL",
+                       "--query-strategy", "q0", "--out", tmp_path / "t.jsonl") == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["answers"] == 2 and summary["filtered_spans"] == 2
+
+    def test_duplicate_gold_keys_rejected(self, tmp_path, capsys):
+        triples = synth_triples(2)
+        with pytest.raises(TrainingError, match=r"\('synth', 0, 'CHEMICAL'\)"):
+            gold_span_index(triples + triples)
+        gold = tmp_path / "gold.jsonl"
+        write_triples(triples + triples, gold)
+        preds = tmp_path / "empty.jsonl"
+        preds.write_text("")
+        assert run_cli("evaluate", "--gold", gold, "--predictions", preds,
+                       "--out", tmp_path / "m.json") == 1
+        assert "duplicate" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_duplicate_prediction_keys_rejected(self, tmp_path):
+        record = json.dumps({"origin": {"doc_id": "d", "sent_id": 3}, "entity_type": "C",
+                             "spans": []})
+        preds = tmp_path / "p.jsonl"
+        preds.write_text(record + "\n" + record + "\n")
+        with pytest.raises(CliError, match=r"\('d', 3, 'C'\)"):
+            read_predictions(preds)
 
     def test_convert_empty_file(self, tmp_path):
         corpus = tmp_path / "empty.conll"

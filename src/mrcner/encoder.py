@@ -2,7 +2,8 @@
 
 forward() returns the hidden rows of one example's real (unpadded) tokens
 plus an activation tape; backward() takes the tape and an upstream gradient
-of those rows and returns exact reverse-mode gradients for every parameter.
+of those rows and adds exact reverse-mode gradients for every parameter into
+the gradient arrays it is given (or into zeroed ones).
 Blocks are pre-norm (attention, then GELU feed-forward), with a final layer norm.
 
 Token, position, and segment embeddings are summed at the input; padding is
@@ -244,17 +245,29 @@ def backward(
     cfg: EncoderConfig,
     tape: dict[str, Any],
     grad_h: np.ndarray,
+    grads: dict[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """Exact gradients of a scalar loss with upstream gradient grad_h (with
-    respect to the (n_real, model_dim) H of forward) for every parameter."""
+    respect to the (n_real, model_dim) H of forward) for every parameter,
+    added into `grads` (zeroed arrays shaped like `params` when None), which
+    is returned.
+
+    Each array receives one addition per call, so accumulating a batch into
+    one buffer sums examples in the same order as summing per-example
+    gradients would. Embedding gradients touch only the rows of the ids seen:
+    repeated ids are first summed within the example, then added to their rows.
+    """
     n = tape["n"]
     if grad_h.shape != (n, cfg.model_dim):
         raise EncoderError(f"grad shape {grad_h.shape} != H shape {(n, cfg.model_dim)}")
-    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+    if grads is None:
+        grads = {name: np.zeros_like(arr) for name, arr in params.items()}
 
-    dx, grads["final_ln_g"], grads["final_ln_b"] = layer_norm_backward(
+    dx, dgain, dbias = layer_norm_backward(
         grad_h, tape["xhatf"], tape["istdf"], params["final_ln_g"]
     )
+    grads["final_ln_g"] += dgain
+    grads["final_ln_b"] += dbias
 
     scale = 1.0 / math.sqrt(cfg.head_dim)
     for l in reversed(range(cfg.layers)):
@@ -270,9 +283,11 @@ def backward(
         db = df1 @ params[pre + "ffn_w1"].T
         grads[pre + "ffn_w1"] += rec["b"].T @ df1
         grads[pre + "ffn_b1"] += df1.sum(axis=0)
-        dx_mid, grads[pre + "ln2_g"], grads[pre + "ln2_b"] = layer_norm_backward(
+        dx_mid, dgain, dbias = layer_norm_backward(
             db, rec["xhat2"], rec["istd2"], params[pre + "ln2_g"]
         )
+        grads[pre + "ln2_g"] += dgain
+        grads[pre + "ln2_b"] += dbias
         dx = dx + dx_mid
 
         # residual: x_mid = x_in + dropout(attn(ln1(x_in)))
@@ -292,15 +307,28 @@ def backward(
             grads[pre + name] += rec["a"].T @ flat
             grads[pre + name.replace("w", "b")] += flat.sum(axis=0)
             da += flat @ params[pre + name].T
-        dx_in, grads[pre + "ln1_g"], grads[pre + "ln1_b"] = layer_norm_backward(
+        dx_in, dgain, dbias = layer_norm_backward(
             da, rec["xhat1"], rec["istd1"], params[pre + "ln1_g"]
         )
+        grads[pre + "ln1_g"] += dgain
+        grads[pre + "ln1_b"] += dbias
         dx = dx + dx_in
 
     if tape["dropout"]:
         dx = dx * tape["emb_drop"]
     grads["emb_bias"] += dx.sum(axis=0)
     grads["pos_emb"][:n] += dx
-    np.add.at(grads["tok_emb"], tape["ids"], dx)
-    np.add.at(grads["seg_emb"], tape["segs"], dx)
+    _add_rows(grads["tok_emb"], tape["ids"], dx)
+    _add_rows(grads["seg_emb"], tape["segs"], dx)
     return grads
+
+
+def _add_rows(grad: np.ndarray, ids: np.ndarray, dx: np.ndarray) -> None:
+    """grad[i] += the sum of the rows of dx whose id is i, for each id seen.
+
+    Summing per id first makes a repeated id add (a + b) to its row, as a
+    per-example gradient summed into a batch would, not (row + a) + b."""
+    unique, inverse = np.unique(ids, return_inverse=True)
+    per_id = np.zeros((unique.size, dx.shape[1]))
+    np.add.at(per_id, inverse, dx)
+    grad[unique] += per_id

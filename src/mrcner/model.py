@@ -8,6 +8,16 @@ in checkpoint order); `shapes(model_dim, variant)` and
 (loss, dh_ctx, grads by tensor name); and `decode(h_ctx, example)` returning
 entity spans. h_ctx is the encoder output at the example's context rows.
 
+Parameters live in one store: `ModelState.flat` is a single contiguous
+float64 vector holding every trainable tensor in checkpoint order (the
+encoder's, then the head's as `head.<name>`), and `enc_params` and the head's
+tensors are named views into it, laid out by `flat_store`. Gradients use the
+same layout: `example_loss_and_grads` and `encoder.backward` add one
+example's gradients into the views they are given (embedding gradients only
+into the rows the example's ids touch), so training sums a batch in one
+vector that it zeroes once per batch. Adam (`train.Adam`) stays dense over
+that vector, and a parameter snapshot is one vector copy.
+
 Checkpoints are a single JSON document holding the configs and every tensor
 as a flat float list, so they are human-inspectable and byte-stable for a
 fixed seed.
@@ -16,6 +26,7 @@ fixed seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -40,14 +51,47 @@ class ModelState:
     encoder_cfg: EncoderConfig
     seq_cfg: SeqConfig
     vocab: Vocab
+    flat: np.ndarray
     enc_params: dict[str, np.ndarray]
     head: heads.SpanHeadParams | baseline.BioHeadParams
+
+    def zero_grads(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """A zeroed gradient vector laid out like `flat`, with its views keyed
+        like param_items."""
+        return flat_store({name: arr.shape for name, arr in param_items(self)})
 
 
 def _head_class(mode: str):
     if mode not in HEADS:
         raise ModelError(f"unknown mode {mode!r}")
     return HEADS[mode]
+
+
+def flat_store(shapes: dict[str, tuple]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """One zeroed contiguous float64 vector holding a tensor per name of
+    `shapes`, in that order, and a view of it per name."""
+    flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+    views, offset = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    return flat, views
+
+
+def model_shapes(encoder_cfg: EncoderConfig, head_cls, variant: str | None) -> dict[str, tuple]:
+    """Every trainable tensor's shape in checkpoint order, head tensors as `head.<name>`."""
+    shapes = encoder.param_shapes(encoder_cfg)
+    for name, shape in head_cls.shapes(encoder_cfg.model_dim, variant).items():
+        shapes[f"head.{name}"] = shape
+    return shapes
+
+
+def _assemble(encoder_cfg, seq_cfg, vocab, head_cls, variant, flat, views) -> ModelState:
+    """A model over a filled store; the head takes the `head.*` views."""
+    enc_params = dict(views)
+    head = head_cls(**{n: enc_params.pop(f"head.{n}") for n in head_cls.TENSORS}, variant=variant)
+    return ModelState(encoder_cfg, seq_cfg, vocab, flat, enc_params, head)
 
 
 def new_model(
@@ -59,9 +103,13 @@ def new_model(
     seed: int,
 ) -> ModelState:
     head_cls = _head_class(mode)
-    enc_params = encoder.init_encoder_params(encoder_cfg, seed)
+    initial = encoder.init_encoder_params(encoder_cfg, seed)
     head = head_cls.init(encoder_cfg.model_dim, head_variant, seed + 1)
-    return ModelState(encoder_cfg, seq_cfg, vocab, enc_params, head)
+    initial.update((f"head.{n}", getattr(head, n)) for n in head.TENSORS)
+    flat, views = flat_store(model_shapes(encoder_cfg, head_cls, head.variant))
+    for name, view in views.items():
+        view[...] = initial[name]
+    return _assemble(encoder_cfg, seq_cfg, vocab, head_cls, head.variant, flat, views)
 
 
 def param_items(model: ModelState) -> list[tuple[str, np.ndarray]]:
@@ -80,8 +128,13 @@ def example_loss_and_grads(
     example: MrcExample,
     train_mode: bool = True,
     dropout_seed: int | None = None,
+    grads: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Forward + full backward for one example; grads keyed like param_items."""
+    """Forward + full backward for one example. Its gradients are added into
+    `grads` (views keyed like param_items, e.g. from `model.zero_grads()`),
+    or into zeroed ones when none are given; returns (loss, grads)."""
+    if grads is None:
+        grads = model.zero_grads()[1]
     hidden, tape = encoder.forward(
         model.enc_params, model.encoder_cfg, example, train_mode, dropout_seed
     )
@@ -89,9 +142,9 @@ def example_loss_and_grads(
     loss, dh_ctx, head_grads = model.head.loss_and_grads(hidden[ctx], example)
     grad_h = np.zeros_like(hidden)
     grad_h[ctx] = dh_ctx
-    grads = encoder.backward(model.enc_params, model.encoder_cfg, tape, grad_h)
+    encoder.backward(model.enc_params, model.encoder_cfg, tape, grad_h, grads)
     for name, g in head_grads.items():
-        grads[f"head.{name}"] = g
+        grads[f"head.{name}"] += g
     return loss, grads
 
 
@@ -121,7 +174,7 @@ def save_checkpoint(model: ModelState, path) -> None:
 
 def load_checkpoint(path) -> ModelState:
     """Read a checkpoint, checking its tensors against the shapes its configs
-    and vocabulary imply."""
+    and vocabulary imply, straight into a new parameter store."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format_version") != CHECKPOINT_VERSION:
@@ -138,33 +191,31 @@ def load_checkpoint(path) -> ModelState:
     if vocab.size != encoder_cfg.vocab_size:
         raise ModelError(f"checkpoint vocabulary has {vocab.size} tokens but "
                          f"encoder_config.vocab_size is {encoder_cfg.vocab_size}")
-    shapes = encoder.param_shapes(encoder_cfg)
-    for name, shape in head_cls.shapes(encoder_cfg.model_dim, variant).items():
-        shapes[f"head.{name}"] = shape
+    shapes = model_shapes(encoder_cfg, head_cls, variant)
     if set(doc["params"]) != set(shapes):
         raise ModelError(
             f"checkpoint tensors differ from the model's: missing "
             f"{sorted(set(shapes) - set(doc['params']))}, unexpected "
             f"{sorted(set(doc['params']) - set(shapes))}"
         )
-    params = {}
-    for name, shape in shapes.items():
+    flat, views = flat_store(shapes)
+    for name, view in views.items():
         entry = doc["params"][name]
-        data = np.asarray(entry["data"], dtype=np.float64)
-        if tuple(entry["shape"]) != shape or data.size != np.prod(shape):
+        data = entry["data"]
+        if not isinstance(data, list):
+            raise ModelError(f"checkpoint tensor {name} holds no list of values")
+        if tuple(entry["shape"]) != view.shape or len(data) != view.size:
             raise ModelError(
                 f"checkpoint tensor {name} has shape {tuple(entry['shape'])} and "
-                f"{data.size} values, expected shape {shape}"
+                f"{len(data)} values, expected shape {view.shape}"
             )
-        params[name] = data.reshape(shape)
-    head = head_cls(**{n: params.pop(f"head.{n}") for n in head_cls.TENSORS}, variant=variant)
-    return ModelState(encoder_cfg, seq_cfg, vocab, params, head)
+        view.reshape(-1)[:] = data
+    return _assemble(encoder_cfg, seq_cfg, vocab, head_cls, variant, flat, views)
 
 
-def copy_params(model: ModelState) -> dict[str, np.ndarray]:
-    return {name: arr.copy() for name, arr in param_items(model)}
+def copy_params(model: ModelState) -> np.ndarray:
+    return model.flat.copy()
 
 
-def restore_params(model: ModelState, snapshot: dict[str, np.ndarray]) -> None:
-    for name, arr in param_items(model):
-        arr[...] = snapshot[name]
+def restore_params(model: ModelState, snapshot: np.ndarray) -> None:
+    model.flat[...] = snapshot

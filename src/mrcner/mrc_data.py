@@ -101,8 +101,10 @@ class Triple:
 
     @classmethod
     def from_json(cls, line: str) -> "Triple":
+        """Parse one triple; its answers must be sorted, non-overlapping spans
+        inside its own context, or MrcDataError names the first bad one."""
         rec = json.loads(line)
-        return cls(
+        triple = cls(
             context=list(rec["context"]),
             query=rec["query"],
             answers=[(a["start"], a["end"]) for a in rec["answers"]],
@@ -110,6 +112,17 @@ class Triple:
             doc_id=rec["origin"]["doc_id"],
             sent_id=rec["origin"]["sent_id"],
         )
+        previous_end = -1
+        for start, end in triple.answers:
+            if not (isinstance(start, int) and isinstance(end, int)
+                    and previous_end < start <= end < len(triple.context)):
+                raise MrcDataError(
+                    f"triple {triple.doc_id}/{triple.sent_id}: answer ({start!r}, {end!r}) is "
+                    f"not an integer span inside its {len(triple.context)}-token context after "
+                    f"the answer ending at {previous_end} (answers are sorted and do not overlap)"
+                )
+            previous_end = end
+        return triple
 
 
 def triple_from_sentence(

@@ -1,9 +1,11 @@
 """Mini-batch training with Adam (linear warmup, then constant rate).
 
 Batches act as gradient-accumulation groups: each example runs forward and
-backward on its own, gradients are summed in a fixed order and averaged, so
-results are deterministic for a given seed. The checkpoint kept is the one
-with the best dev F1 (ties resolved to the earliest epoch).
+backward on its own and adds its gradients, in a fixed order, into one
+gradient vector laid out like the model's parameter vector; the sum is
+averaged and Adam steps the whole vector, so results are deterministic for a
+given seed. The checkpoint kept is the one with the best dev F1 (ties
+resolved to the earliest epoch).
 """
 
 from __future__ import annotations
@@ -110,15 +112,21 @@ class RunManifest:
 
 
 class Adam:
-    """Per-tensor Adam with linear warmup to a constant learning rate."""
+    """Dense Adam over one flat parameter vector, with linear warmup to a
+    constant learning rate. Every element's moments decay on every step,
+    whether or not its gradient is zero (no lazy, row-sparse variant)."""
 
-    def __init__(self, names: Sequence[str], shapes, cfg: TrainConfig):
+    def __init__(self, size: int, cfg: TrainConfig):
         self.cfg = cfg
         self.step_count = 0
-        self.m = {n: np.zeros(s) for n, s in zip(names, shapes)}
-        self.v = {n: np.zeros(s) for n, s in zip(names, shapes)}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._a = np.empty(size)
+        self._b = np.empty(size)
 
-    def step(self, params: Sequence[tuple[str, np.ndarray]], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """params -= lr * (m / b1c) / (sqrt(v / b2c) + eps), in place, with the
+        operations in that order."""
         self.step_count += 1
         c = self.cfg
         lr = c.learning_rate
@@ -126,15 +134,18 @@ class Adam:
             lr *= min(1.0, self.step_count / c.warmup_steps)
         b1c = 1.0 - c.beta1**self.step_count
         b2c = 1.0 - c.beta2**self.step_count
-        for name, arr in params:
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * g * g
-            arr -= lr * (m / b1c) / (np.sqrt(v / b2c) + c.adam_eps)
+        a, b, m, v = self._a, self._b, self.m, self.v
+        m *= c.beta1
+        m += np.multiply(1.0 - c.beta1, grads, out=a)
+        v *= c.beta2
+        np.multiply(1.0 - c.beta2, grads, out=a)
+        v += np.multiply(a, grads, out=a)
+        np.divide(m, b1c, out=a)
+        np.multiply(lr, a, out=a)
+        np.divide(v, b2c, out=b)
+        np.sqrt(b, out=b)
+        b += c.adam_eps
+        params -= np.divide(a, b, out=a)
 
 
 def build_vocab_from_triples(triples: Sequence[Triple], min_count: int) -> Vocab:
@@ -203,9 +214,8 @@ def train(
 
     mdl = model_mod.new_model(config.mode, config.head_variant,
                               config.encoder_config(vocab.size), seq_cfg, vocab, config.seed)
-    names = [n for n, _ in model_mod.param_items(mdl)]
-    shapes = [a.shape for _, a in model_mod.param_items(mdl)]
-    optimizer = Adam(names, shapes, config)
+    optimizer = Adam(mdl.flat.size, config)
+    grad_flat, grads = mdl.zero_grads()
 
     hashes = dataset_hashes or {}
     manifest = RunManifest(
@@ -240,12 +250,12 @@ def train(
         epoch_loss = 0.0
         for batch_start in range(0, len(order), config.batch_size):
             batch = order[batch_start : batch_start + config.batch_size]
-            summed: dict[str, np.ndarray] | None = None
+            grad_flat.fill(0.0)
             for j in batch:
                 ex = train_examples[int(j)]
                 seed = (config.seed * 1_000_003 + epoch * 997 + int(j)) % (2**31)
-                loss, grads = model_mod.example_loss_and_grads(
-                    mdl, ex, train_mode=True, dropout_seed=seed
+                loss, _ = model_mod.example_loss_and_grads(
+                    mdl, ex, train_mode=True, dropout_seed=seed, grads=grads
                 )
                 if not np.isfinite(loss):
                     raise TrainingError(
@@ -253,14 +263,8 @@ def train(
                         f"{ex.origin[0]}/{ex.origin[1]}"
                     )
                 epoch_loss += loss
-                if summed is None:
-                    summed = grads
-                else:
-                    for name in summed:
-                        summed[name] += grads[name]
-            for name in summed:
-                summed[name] /= len(batch)
-            optimizer.step(model_mod.param_items(mdl), summed)
+            grad_flat /= len(batch)
+            optimizer.step(mdl.flat, grad_flat)
         mean_loss = epoch_loss / len(train_examples)
         manifest.loss_curve.append(mean_loss)
 

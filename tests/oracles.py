@@ -10,6 +10,10 @@ two agreed to ~1e-17 on every row.
 
 import math
 
+import numpy as np
+
+from mrcner import model as model_mod
+
 
 def spans_by_run_scan(tags):
     """Brute-force run scanner: tags is a list of (tag, entity_type) pairs
@@ -95,6 +99,41 @@ def relative_error(a, b, floor=1e-7):
     still blow far past every tolerance used here.
     """
     return abs(a - b) / max(abs(a), abs(b), floor)
+
+
+def dense_reference_training(mdl, batches, cfg):
+    """Training arithmetic without the flat parameter store, as the reference
+    for bit identity. Each example gets its own dense gradient dict (fresh
+    zeros), the dicts are summed in batch order and averaged, and Adam
+    updates one tensor at a time. `batches` lists (example, dropout_seed)
+    pairs per batch; `mdl` is updated in place. Returns Adam's (m, v) by
+    tensor name."""
+    m = {name: np.zeros_like(arr) for name, arr in model_mod.param_items(mdl)}
+    v = {name: np.zeros_like(arr) for name, arr in model_mod.param_items(mdl)}
+    for step, batch in enumerate(batches, start=1):
+        summed = None
+        for example, seed in batch:
+            _, grads = model_mod.example_loss_and_grads(mdl, example, True, seed)
+            if summed is None:
+                summed = grads
+            else:
+                for name in summed:
+                    summed[name] += grads[name]
+        for name in summed:
+            summed[name] /= len(batch)
+        lr = cfg.learning_rate
+        if cfg.warmup_steps > 0:
+            lr *= min(1.0, step / cfg.warmup_steps)
+        b1c = 1.0 - cfg.beta1**step
+        b2c = 1.0 - cfg.beta2**step
+        for name, arr in model_mod.param_items(mdl):
+            g = summed[name]
+            m[name] *= cfg.beta1
+            m[name] += (1.0 - cfg.beta1) * g
+            v[name] *= cfg.beta2
+            v[name] += (1.0 - cfg.beta2) * g * g
+            arr -= lr * (m[name] / b1c) / (np.sqrt(v[name] / b2c) + cfg.adam_eps)
+    return m, v
 
 
 # Exact harmonic mean of the reference result row (P=94.37, R=94.00,

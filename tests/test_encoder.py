@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -211,3 +213,32 @@ class TestBackward:
         _, tape = forward(params, cfg, example)
         with pytest.raises(EncoderError):
             backward(params, cfg, tape, np.zeros((4, cfg.model_dim + 1)))
+
+    def test_backward_adds_into_given_buffers(self):
+        cfg = tiny_config()
+        params = init_encoder_params(cfg, seed=6)
+        example = build_example(n_ctx=10)  # the query repeats context words w0 and w1
+        hidden, tape = forward(params, cfg, example)
+        upstream = np.random.default_rng(8).normal(size=hidden.shape)
+        fresh = backward(params, cfg, tape, upstream)
+
+        n = hidden.shape[0]
+        ids = example.input_ids[:n]
+        absent = np.setdiff1d(np.arange(cfg.vocab_size), ids)
+        assert absent.size and (np.bincount(ids) > 1).any()
+        rng = np.random.default_rng(9)
+        before = {name: rng.normal(size=arr.shape) for name, arr in params.items()}
+        # -0.0 + 0.0 is +0.0, so adding a dense zero row would show in the bytes.
+        before["tok_emb"][absent] = -0.0
+        buffers = {name: arr.copy() for name, arr in before.items()}
+        assert backward(params, cfg, tape, upstream, buffers) is buffers
+
+        for name in params:
+            assert np.array_equal(buffers[name], before[name] + fresh[name]), name
+        assert buffers["tok_emb"][absent].tobytes() == before["tok_emb"][absent].tobytes()
+        # Without dropout the pos_emb gradient is the input gradient row by row,
+        # so a repeated token's row is the sum of the rows at its positions.
+        dx = fresh["pos_emb"][:n]
+        for token in np.unique(ids):
+            rows = dx[ids == token]
+            assert np.array_equal(fresh["tok_emb"][token], functools.reduce(operator.add, rows))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -172,6 +173,19 @@ class TestTripleJson:
         triple = triple_from_sentence(meloxicam_sentence, None, entity_type="CHEMICAL")
         assert json.loads(triple.to_json())["query"] is None
         assert triple.entity_type == "CHEMICAL"
+
+    @pytest.mark.parametrize("answers, refused", [
+        ([(1, 2), (2, 3), (7, 9)], "(2, 3)"),  # overlaps (1, 2); (7, 9) is past the end
+        ([(7, 9)], "(7, 9)"),
+        ([(3, 4), (0, 1)], "(0, 1)"),
+        ([(2, 1)], "(2, 1)"),
+        ([(-1, 0)], "(-1, 0)"),
+        ([(0, 4.0)], "(0, 4.0)"),
+    ])
+    def test_answers_checked_against_own_context(self, answers, refused):
+        triple = Triple([f"t{i}" for i in range(5)], "q", answers, "C", "d", 4)
+        with pytest.raises(MrcDataError, match=re.escape(f"d/4: answer {refused}")):
+            Triple.from_json(triple.to_json())
 
     def test_other_type_spans_excluded(self):
         sent = parse_conll(["aspirin\tB-CHEMICAL", "headache\tB-DISEASE"])[0]

@@ -2,8 +2,9 @@
 
 No span is lost or invented between the corpus file and the F1 number:
 the answers in the triples are exactly the corpus's spans of the target
-type, gold scored against itself is perfect, and a sentence key that
-appears twice is refused instead of overwritten.
+type, gold scored against itself is perfect, a sentence key that appears
+twice is refused instead of overwritten, and truncating a context to the
+sequence budget counts every answer it drops.
 """
 
 import io
@@ -15,7 +16,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from mrcner.cli import main
-from mrcner.mrc_data import read_triples
+from mrcner.mrc_data import SPECIALS, SeqConfig, Triple, Vocab, example_from_triple, read_triples
 
 TARGET = "CHEMICAL"
 # A bare B/I label takes the --entity-type given to convert.
@@ -100,3 +101,37 @@ def test_convert_then_evaluate_loses_no_span(sentences, convert_args):
             rc, diagnostic, _ = run("evaluate", "--gold", gold, "--predictions", predicted,
                                  "--out", metrics)
             assert rc == 1 and "duplicate" in diagnostic["message"]
+
+
+@st.composite
+def on_disk_triple(draw):
+    """A triple as `Triple.from_json` accepts it: sorted, non-overlapping
+    answers inside the context, with or without a query."""
+    n = draw(st.integers(1, 24))
+    answers, cursor = [], 0
+    for gap, length in draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), max_size=8)):
+        start = cursor + gap
+        end = start + length - 1
+        if end >= n:
+            break
+        answers.append((start, end))
+        cursor = end + 1
+    query = draw(st.one_of(st.none(), st.integers(1, 6).map(lambda k: " ".join(["q"] * k))))
+    triple = Triple([f"t{i}" for i in range(n)], query, answers, TARGET, "d", 0)
+    return Triple.from_json(triple.to_json())
+
+
+@settings(max_examples=60, deadline=None)
+@given(on_disk_triple())
+def test_truncation_drops_are_counted_exactly(triple):
+    vocab = Vocab(list(SPECIALS))
+    overhead = 3 + len(triple.query.split()) if triple.query is not None else 2
+    # Every seq_len that leaves room for context, up to well past the whole of it.
+    for seq_len in range(max(4, overhead + 1), overhead + len(triple.context) + 3):
+        ex = example_from_triple(triple, vocab, SeqConfig(seq_len))
+        assert ex.n_context == min(len(triple.context), seq_len - overhead)
+        kept = [(s.start, s.end) for s in ex.gold_spans]
+        assert len(triple.answers) == len(kept) + ex.n_dropped_spans
+        assert kept == [(s, e) for s, e in triple.answers if e < ex.n_context]
+        assert all(0 <= s <= e < ex.n_context for s, e in kept)
+        assert int(ex.y_start.sum()) == int(ex.y_end.sum()) == len(kept)

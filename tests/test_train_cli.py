@@ -8,7 +8,7 @@ from mrcner.cli import CliError, main, read_predictions
 from mrcner.corpus import entity_inventory
 from mrcner.encoder import EncoderConfig
 from mrcner.model import ModelError
-from mrcner.mrc_data import SeqConfig, read_triples, triple_from_sentence, write_triples
+from mrcner.mrc_data import SeqConfig, Triple, read_triples, triple_from_sentence, write_triples
 from mrcner.query import QueryStrategy, build_query
 from mrcner.train import (
     TrainConfig,
@@ -247,6 +247,16 @@ class TestCli:
         assert run_cli("evaluate", "--gold", gold, "--predictions", preds,
                        "--out", tmp_path / "m.json") == 1
         assert "duplicate" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_triples_outside_their_context_rejected(self, tmp_path, capsys):
+        bad = Triple([f"t{i}" for i in range(5)], "q", [(1, 2), (2, 3), (7, 9)], "C", "d", 0)
+        triples = tmp_path / "bad.jsonl"
+        write_triples([bad], triples)
+        assert run_cli("train", "--train", triples, "--out", tmp_path / "m.ckpt") == 1
+        diagnostic = json.loads(capsys.readouterr().err)
+        assert diagnostic["error"] == "MrcDataError"
+        assert "d/0: answer (2, 3)" in diagnostic["message"]
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_duplicate_prediction_keys_rejected(self, tmp_path):
         record = json.dumps({"origin": {"doc_id": "d", "sent_id": 3}, "entity_type": "C",

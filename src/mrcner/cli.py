@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 
 from . import model as model_mod
 from .corpus import Sentence, entity_inventory, parse_conll_with_report, sentence_to_json
@@ -42,7 +43,7 @@ def file_sha256(path) -> str:
 
 def write_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False, separators=(",", ":"), sort_keys=True)
+        fh.write(json.dumps(payload, ensure_ascii=False, separators=(",", ":"), sort_keys=True))
         fh.write("\n")
 
 
@@ -55,8 +56,13 @@ def cmd_convert(args) -> int:
 
     inventory: dict[str, list[str]] = {}
     if args.mode == MODE_MRC and strategy.kind == "sample":
+        # The inventory ignores doc_id, so the input's own sentences serve
+        # wherever the input is part of the pool.
         pool: list[Sentence] = []
         for path in args.inventory_from or [args.input]:
+            if os.path.samefile(path, args.input):
+                pool.extend(sentences)
+                continue
             with open(path, encoding="utf-8") as fh:
                 pool.extend(
                     parse_conll_with_report(fh, args.column_sep,
@@ -131,7 +137,7 @@ def cmd_train(args) -> int:
     mdl, manifest = train(config, train_triples, dev_triples, dataset_hashes=hashes)
     model_mod.save_checkpoint(mdl, args.out)
     manifest_path = args.manifest or (str(args.out) + ".manifest.json")
-    write_json(manifest_path, manifest.to_dict())
+    write_json(manifest_path, asdict(manifest))
     if manifest.final_metrics:
         print(
             "best dev F1: "
@@ -170,7 +176,13 @@ def read_predictions(path) -> dict:
             key = (rec["origin"]["doc_id"], rec["origin"]["sent_id"], rec["entity_type"])
             if key in predicted:
                 raise CliError(f"{path}: duplicate prediction sentence key {key!r}")
-            predicted[key] = [(s["start"], s["end"]) for s in rec["spans"]]
+            spans = [(s["start"], s["end"]) for s in rec["spans"]]
+            for start, end in spans:
+                # bool is an int subclass, but JSON true/false is no index
+                if not (type(start) is int and type(end) is int and 0 <= start <= end):
+                    raise CliError(f"{path}: sentence {key!r} has span ({start!r}, {end!r}); "
+                                   "a span needs integers with 0 <= start <= end")
+            predicted[key] = spans
     return predicted
 
 
@@ -273,9 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heads", type=int, default=None)
     p.add_argument("--ffn-dim", dest="ffn_dim", type=int, default=None)
     p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--query-strategy", dest="query_strategy", default=None,
-                   help="recorded in the manifest for reproducibility")
-    p.add_argument("--query-seed", dest="query_seed", type=int, default=None)
     p.add_argument("--early-stop-f1", dest="early_stop_f1", type=float, default=None)
     p.set_defaults(func=cmd_train)
 

@@ -112,19 +112,18 @@ def parse_label(raw: str, index: int, default_entity_type: str = DEFAULT_ENTITY_
 
 
 def repair_bio(
-    labels: Sequence[str | BioLabel],
-    default_entity_type: str = DEFAULT_ENTITY_TYPE,
+    labels: Sequence[str], default_entity_type: str = DEFAULT_ENTITY_TYPE
 ) -> tuple[list[BioLabel], int]:
     """Make a label sequence BIO-valid; returns (labels, number of changes).
 
     Any I whose predecessor (after repair) is not a B or I of the same type
-    becomes a B of its own type. Raw strings are parsed first; an unknown
+    becomes a B of its own type. Each raw label is parsed first; an unknown
     tag raises naming the offending token index.
     """
     out: list[BioLabel] = []
     repairs = 0
     for i, raw in enumerate(labels):
-        lab = raw if isinstance(raw, BioLabel) else parse_label(raw, i, default_entity_type)
+        lab = parse_label(raw, i, default_entity_type)
         if lab.tag == "I":
             prev = out[i - 1] if i > 0 else None
             if prev is None or prev.tag == "O" or prev.entity_type != lab.entity_type:

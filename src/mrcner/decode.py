@@ -3,22 +3,19 @@
 A token index enters I_start (I_end) when class 1 wins the argmax of its
 start (end) logit row; ties go to class 0 so untrained heads stay silent.
 Ends are then processed in ascending order and each end claims the largest
-unconsumed start at or before it; starts at or before the last emitted end
-are unavailable, which keeps the output flat. A start-driven variant is
-available behind a flag for comparison.
+start at or before it; starts at or before the last emitted end are
+unavailable, which keeps the output flat and uses each start at most once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import EntitySpan
 from .mrc_data import MrcExample, project_predictions
-
-END_DRIVEN = "end"
-START_DRIVEN = "start"
 
 
 @dataclass
@@ -39,39 +36,16 @@ def extract_indexes(l_start: np.ndarray, l_end: np.ndarray) -> IndexSets:
     return IndexSets(starts, ends)
 
 
-def nearest_match(sets: IndexSets, scan: str = END_DRIVEN) -> list[tuple[int, int]]:
+def nearest_match(sets: IndexSets) -> list[tuple[int, int]]:
     """Pair start and end indexes into flat (start, end) spans."""
     starts = sorted(set(sets.starts))
-    ends = sorted(set(sets.ends))
     pairs: list[tuple[int, int]] = []
-    if scan == END_DRIVEN:
-        used = [False] * len(starts)
-        last_end = -1
-        for e in ends:
-            best = -1
-            for i, s in enumerate(starts):
-                if s > e:
-                    break
-                if not used[i] and s > last_end:
-                    best = i
-            if best >= 0:
-                used[best] = True
-                pairs.append((starts[best], e))
-                last_end = e
-    elif scan == START_DRIVEN:
-        used = [False] * len(ends)
-        last_end = -1
-        for s in starts:
-            if s <= last_end:
-                continue
-            for j, e in enumerate(ends):
-                if not used[j] and e >= s:
-                    used[j] = True
-                    pairs.append((s, e))
-                    last_end = e
-                    break
-    else:
-        raise ValueError(f"unknown scan order {scan!r}")
+    last_end = -1
+    for e in sorted(set(sets.ends)):
+        i = bisect_right(starts, e) - 1
+        if i >= 0 and starts[i] > last_end:
+            pairs.append((starts[i], e))
+            last_end = e
     return pairs
 
 

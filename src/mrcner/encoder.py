@@ -193,12 +193,11 @@ def forward(
     if use_dropout:
         tape["emb_drop"] = dropout_mask(x.shape)
         x = x * tape["emb_drop"]
-    tape["x0"] = x
 
     scale = 1.0 / math.sqrt(cfg.head_dim)
     for l in range(cfg.layers):
         pre = f"layer{l}."
-        rec: dict[str, Any] = {"x_in": x}
+        rec: dict[str, Any] = {}
 
         a, rec["xhat1"], rec["istd1"] = layer_norm(x, params[pre + "ln1_g"], params[pre + "ln1_b"])
         rec["a"] = a
@@ -216,7 +215,6 @@ def forward(
             o = o * rec["attn_drop"]
         x = x + o
 
-        rec["x_mid"] = x
         b, rec["xhat2"], rec["istd2"] = layer_norm(x, params[pre + "ln2_g"], params[pre + "ln2_b"])
         rec["b"] = b
         f1 = b @ params[pre + "ffn_w1"] + params[pre + "ffn_b1"]
@@ -233,7 +231,6 @@ def forward(
             raise EncoderError(f"non-finite activation after layer {l}")
         tape["layers"].append(rec)
 
-    tape["x_final"] = x
     h, tape["xhatf"], tape["istdf"] = layer_norm(x, params["final_ln_g"], params["final_ln_b"])
     if not np.isfinite(h).all():
         raise EncoderError("non-finite activation after final layer norm")

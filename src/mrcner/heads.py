@@ -24,7 +24,7 @@ ABLATION = "ablation"
 
 
 class HeadError(ValueError):
-    """Variant/shape mismatches or empty loss masks."""
+    """Variant/shape mismatches or a loss over zero rows."""
 
 
 @dataclass
@@ -73,7 +73,6 @@ class LossReport:
     loss_start: float
     loss_end: float
     loss: float
-    token_count: int
 
 
 def start_logits(h_ctx: np.ndarray, params: SpanHeadParams) -> np.ndarray:
@@ -94,28 +93,20 @@ def end_logits(
     return h_ctx @ params.w_end + params.b_end
 
 
-def cross_entropy(
-    logits: np.ndarray, targets: np.ndarray, mask: np.ndarray | None = None
-) -> tuple[float, np.ndarray]:
-    """Token-mean cross-entropy and its gradient w.r.t. the logits.
+def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Row-mean cross-entropy and its gradient w.r.t. the logits.
 
-    The gradient is (softmax - onehot) / token_count at unmasked rows.
+    The gradient is (softmax - onehot) / row count.
     """
-    n, n_classes = logits.shape
-    if mask is None:
-        mask = np.ones(n, dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-    count = int(mask.sum())
-    if count == 0:
-        raise HeadError("cross entropy over zero unmasked tokens")
+    n = logits.shape[0]
+    if n == 0:
+        raise HeadError("cross entropy over zero rows")
     z = logits - logits.max(axis=1, keepdims=True)
     neg_log_prob = np.log(np.exp(z).sum(axis=1, keepdims=True)) - z
-    loss = float(neg_log_prob[np.arange(n), targets][mask].sum() / count)
+    loss = float(neg_log_prob[np.arange(n), targets].sum() / n)
     dlogits = softmax(logits, axis=1)
     dlogits[np.arange(n), targets] -= 1.0
-    dlogits[~mask] = 0.0
-    return loss, dlogits / count
+    return loss, dlogits / n
 
 
 def span_loss(
@@ -123,14 +114,12 @@ def span_loss(
     l_end: np.ndarray,
     y_start: np.ndarray,
     y_end: np.ndarray,
-    mask: np.ndarray | None = None,
 ) -> tuple[LossReport, np.ndarray, np.ndarray]:
     """Two-part loss (start CE + end CE, halved) with gradients of the
     combined loss w.r.t. both logit matrices."""
-    loss_s, dls = cross_entropy(l_start, np.asarray(y_start), mask)
-    loss_e, dle = cross_entropy(l_end, np.asarray(y_end), mask)
-    count = int(np.sum(mask)) if mask is not None else len(y_start)
-    report = LossReport(loss_s, loss_e, (loss_s + loss_e) / 2.0, count)
+    loss_s, dls = cross_entropy(l_start, np.asarray(y_start))
+    loss_e, dle = cross_entropy(l_end, np.asarray(y_end))
+    report = LossReport(loss_s, loss_e, (loss_s + loss_e) / 2.0)
     return report, dls / 2.0, dle / 2.0
 
 
@@ -139,7 +128,6 @@ def span_head_grads(
     params: SpanHeadParams,
     y_start: np.ndarray,
     y_end: np.ndarray,
-    mask: np.ndarray | None = None,
 ) -> tuple[LossReport, SpanLogits, np.ndarray, dict[str, np.ndarray]]:
     """Full head forward/backward for one example.
 
@@ -149,7 +137,7 @@ def span_head_grads(
     """
     l_start = start_logits(h_ctx, params)
     l_end = end_logits(h_ctx, params, l_start)
-    report, dls, dle = span_loss(l_start, l_end, y_start, y_end, mask)
+    report, dls, dle = span_loss(l_start, l_end, y_start, y_end)
 
     grads: dict[str, np.ndarray] = {"b_end": dle.sum(axis=0)}
     if params.variant == CONDITIONED:

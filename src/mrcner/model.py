@@ -168,7 +168,7 @@ def save_checkpoint(model: ModelState, path) -> None:
         },
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, ensure_ascii=False, separators=(",", ":"))
+        fh.write(json.dumps(doc, ensure_ascii=False, separators=(",", ":")))
         fh.write("\n")
 
 

@@ -5,7 +5,8 @@ backward on its own and adds its gradients, in a fixed order, into one
 gradient vector laid out like the model's parameter vector; the sum is
 averaged and Adam steps the whole vector, so results are deterministic for a
 given seed. The checkpoint kept is the one with the best dev F1 (ties
-resolved to the earliest epoch).
+resolved to the earliest epoch), and that epoch's dev report is the
+manifest's final metrics.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 13
-    query_strategy: str = "q3"
-    query_seed: int = 13
     head_variant: str = "conditioned"
     mode: str = MODE_MRC
     min_count: int = 1
@@ -66,9 +65,6 @@ class TrainConfig:
                 raise TrainingError(f"config field {name} must be positive")
         if self.epochs < 0 or self.warmup_steps < 0:
             raise TrainingError("epochs and warmup_steps must be non-negative")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
@@ -106,9 +102,6 @@ class RunManifest:
     best_epoch: int = -1
     final_metrics: dict = field(default_factory=dict)
     wall_clock_sec: float = 0.0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 class Adam:
@@ -219,7 +212,7 @@ def train(
 
     hashes = dataset_hashes or {}
     manifest = RunManifest(
-        config=config.to_dict(),
+        config=asdict(config),
         dataset_hashes=hashes,
         inputs_hash="+".join(v for _, v in sorted(hashes.items())),
         n_train=len(train_examples),
@@ -229,21 +222,22 @@ def train(
     )
 
     best_f1 = -1.0
+    best_report: EvalReport | None = None
     best_snapshot = model_mod.copy_params(mdl)
     shuffle_rng = np.random.default_rng(config.seed)
 
-    def eval_dev(epoch: int) -> float:
+    def eval_dev(epoch: int) -> EvalReport | None:
         if not dev_examples:
-            return 0.0
+            return None
         report = evaluate_model(mdl, dev_examples, dev_gold)
         manifest.dev_f1_curve.append(report.f1)
         log.info("epoch %d dev P/R/F1 = %.4f/%.4f/%.4f",
                  epoch, report.precision, report.recall, report.f1)
-        return report.f1
+        return report
 
     if config.epochs == 0:
-        f1 = eval_dev(0)
-        best_f1, manifest.best_epoch = f1, 0
+        best_report = eval_dev(0)
+        manifest.best_epoch = 0
 
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(train_examples))
@@ -268,10 +262,11 @@ def train(
         mean_loss = epoch_loss / len(train_examples)
         manifest.loss_curve.append(mean_loss)
 
-        f1 = eval_dev(epoch)
+        report = eval_dev(epoch)
+        f1 = report.f1 if report is not None else 0.0
         # Without dev data there is nothing to select on; keep the latest.
-        if f1 > best_f1 or not dev_examples:
-            best_f1 = f1
+        if f1 > best_f1 or report is None:
+            best_f1, best_report = f1, report
             manifest.best_epoch = epoch
             best_snapshot = model_mod.copy_params(mdl)
         log.info("epoch %d mean loss %.6f", epoch, mean_loss)
@@ -279,9 +274,10 @@ def train(
             log.info("early stop: dev F1 %.4f reached target", f1)
             break
 
+    # The restored parameters are the best epoch's, bit for bit, so its dev
+    # report is what evaluating them again would give.
     model_mod.restore_params(mdl, best_snapshot)
-    if dev_examples:
-        final = evaluate_model(mdl, dev_examples, dev_gold)
-        manifest.final_metrics = final.to_dict()
+    if best_report is not None:
+        manifest.final_metrics = best_report.to_dict()
     manifest.wall_clock_sec = time.monotonic() - started
     return mdl, manifest

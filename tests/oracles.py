@@ -53,23 +53,6 @@ def nearest_match_literal(starts, ends):
     return accepted
 
 
-def nearest_match_start_literal(starts, ends):
-    """Start-driven mirror of the rule: walk starts ascending, pair each with
-    the smallest unconsumed end at or after it, drop overlapping pairs."""
-    remaining = sorted(set(ends))
-    accepted = []
-    for s in sorted(set(starts)):
-        candidates = [e for e in remaining if e >= s]
-        if not candidates:
-            continue
-        e = min(candidates)
-        if any(not (e < s2 or e2 < s) for s2, e2 in accepted):
-            continue
-        remaining.remove(e)
-        accepted.append((s, e))
-    return accepted
-
-
 def ce_scalar(logit_row, target):
     """Plain-math cross-entropy of one row against a class index."""
     m = max(logit_row)

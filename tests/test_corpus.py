@@ -98,7 +98,7 @@ class TestRepair:
     def test_idempotent(self):
         for raw in (["I-C", "I-C", "O", "I-C"], ["O", "O"], ["B-C", "I-C", "I-C"]):
             once, _ = repair_bio(raw)
-            twice, n = repair_bio(once)
+            twice, n = repair_bio([lab.to_raw() for lab in once])
             assert twice == once
             assert n == 0
 

@@ -4,10 +4,10 @@ import random
 import numpy as np
 
 from mrcner.corpus import EntitySpan
-from mrcner.decode import END_DRIVEN, START_DRIVEN, IndexSets, decode_example, extract_indexes, nearest_match
+from mrcner.decode import IndexSets, decode_example, extract_indexes, nearest_match
 from mrcner.heads import SpanLogits
 from mrcner.mrc_data import SeqConfig, Triple, Vocab, example_from_triple
-from oracles import nearest_match_literal, nearest_match_start_literal
+from oracles import nearest_match_literal
 
 
 def saturated_logits(y_bits, margin=8.0):
@@ -71,12 +71,11 @@ class TestNearestMatch:
         for _ in range(500):
             starts = sorted(rng.sample(range(20), rng.randint(0, 8)))
             ends = sorted(rng.sample(range(20), rng.randint(0, 8)))
-            for scan in (END_DRIVEN, START_DRIVEN):
-                pairs = nearest_match(IndexSets(starts, ends), scan)
-                assert all(s <= e for s, e in pairs)
-                assert pairs == sorted(pairs)
-                for (s1, e1), (s2, e2) in zip(pairs, pairs[1:]):
-                    assert e1 < s2
+            pairs = nearest_match(IndexSets(starts, ends))
+            assert all(s <= e for s, e in pairs)
+            assert pairs == sorted(pairs)
+            for (s1, e1), (s2, e2) in zip(pairs, pairs[1:]):
+                assert e1 < s2
 
     def test_idempotent_pairing(self):
         rng = random.Random(5)
@@ -86,21 +85,6 @@ class TestNearestMatch:
             pairs = nearest_match(IndexSets(starts, ends))
             again = nearest_match(IndexSets([s for s, _ in pairs], [e for _, e in pairs]))
             assert again == pairs
-
-    def test_start_driven_flag_matches_its_own_oracle(self):
-        differing = 0
-        for starts_bits in itertools.product([0, 1], repeat=6):
-            starts = [i for i in range(6) if starts_bits[i]]
-            for ends_bits in itertools.product([0, 1], repeat=6):
-                ends = [j for j in range(6) if ends_bits[j]]
-                start_driven = nearest_match(IndexSets(starts, ends), START_DRIVEN)
-                assert start_driven == nearest_match_start_literal(starts, ends)
-                if start_driven != nearest_match(IndexSets(starts, ends)):
-                    differing += 1
-        # The two scan orders are genuinely different rules; make the extent
-        # of disagreement visible rather than hiding it.
-        assert differing > 0
-        print(f"\nscan orders disagree on {differing} of 4096 index-set pairs")
 
 
 def tiny_example(tokens, answers):

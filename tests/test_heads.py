@@ -154,10 +154,10 @@ class TestSpanLoss:
             report, _, _ = span_loss(ls, le, y, y)
             assert report.loss >= 0.0
 
-    def test_empty_mask_raises(self):
-        with pytest.raises(HeadError):
-            span_loss(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2, dtype=int),
-                      np.zeros(2, dtype=int), mask=np.zeros(2, dtype=bool))
+    def test_zero_rows_raise(self):
+        with pytest.raises(HeadError, match="zero rows"):
+            span_loss(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0, dtype=int),
+                      np.zeros(0, dtype=int))
 
     def test_logit_gradients_match_finite_differences(self):
         rng = np.random.default_rng(10)

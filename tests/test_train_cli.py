@@ -1,19 +1,30 @@
+import argparse
 import json
+import shutil
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 from mrcner import model as model_mod
-from mrcner.cli import CliError, main, read_predictions
+from mrcner.cli import CliError, build_parser, main, read_predictions
 from mrcner.corpus import entity_inventory
 from mrcner.encoder import EncoderConfig
 from mrcner.model import ModelError
-from mrcner.mrc_data import SeqConfig, Triple, read_triples, triple_from_sentence, write_triples
+from mrcner.mrc_data import (
+    SeqConfig,
+    Triple,
+    example_from_triple,
+    read_triples,
+    triple_from_sentence,
+    write_triples,
+)
 from mrcner.query import QueryStrategy, build_query
 from mrcner.train import (
     TrainConfig,
     TrainingError,
     build_vocab_from_triples,
+    evaluate_model,
     gold_span_index,
     train,
 )
@@ -36,7 +47,7 @@ def quick_config(**overrides):
 
 
 def manifest_without_clock(manifest):
-    data = manifest.to_dict()
+    data = asdict(manifest)
     data.pop("wall_clock_sec")
     return data
 
@@ -86,6 +97,22 @@ class TestTraining:
     def test_unknown_config_field_rejected(self):
         with pytest.raises(TrainingError, match="unknown config"):
             TrainConfig.from_dict({"learning_rat": 0.1})
+
+    @pytest.mark.parametrize("epochs, early_stop_f1", [(10, None), (10, 0.7), (0, None)],
+                             ids=["best-before-last", "early-stop", "no-epochs"])
+    def test_final_metrics_match_a_fresh_dev_evaluation(self, epochs, early_stop_f1):
+        train_t, dev_t = synth_triples(20, seed=3), synth_triples(6, seed=8)
+        cfg = quick_config(epochs=epochs, early_stop_f1=early_stop_f1, model_dim=16, heads=2,
+                           ffn_dim=32, learning_rate=5e-3, batch_size=4)
+        mdl, manifest = train(cfg, train_t, dev_t)
+        dev = [example_from_triple(t, mdl.vocab, mdl.seq_cfg) for t in dev_t]
+        fresh = evaluate_model(mdl, dev, gold_span_index(dev_t))
+        assert manifest.final_metrics == fresh.to_dict()
+        # The run must restore an epoch other than the last one it trained.
+        if epochs and early_stop_f1 is None:
+            assert manifest.best_epoch < len(manifest.loss_curve) - 1
+        if early_stop_f1 is not None:
+            assert len(manifest.loss_curve) < epochs
 
     def test_manifest_records_dataset_hashes(self):
         triples = synth_triples(4)
@@ -266,6 +293,23 @@ class TestCli:
         with pytest.raises(CliError, match=r"\('d', 3, 'C'\)"):
             read_predictions(preds)
 
+    @pytest.mark.parametrize("span", [{"start": "3", "end": 5}, {"start": -1, "end": 2},
+                                      {"start": 4, "end": 3}, {"start": 1.0, "end": 2},
+                                      {"start": True, "end": 2}])
+    def test_bad_prediction_spans_rejected(self, tmp_path, capsys, span):
+        gold = tmp_path / "gold.jsonl"
+        write_triples(synth_triples(2), gold)
+        preds = tmp_path / "p.jsonl"
+        preds.write_text(json.dumps({"origin": {"doc_id": "synth", "sent_id": 1},
+                                     "entity_type": "CHEMICAL", "spans": [span]}) + "\n")
+        assert run_cli("evaluate", "--gold", gold, "--predictions", preds,
+                       "--out", tmp_path / "m.json") == 1
+        diagnostic = json.loads(capsys.readouterr().err)
+        assert diagnostic["error"] == "CliError"
+        assert str(preds) in diagnostic["message"]
+        assert "('synth', 1, 'CHEMICAL')" in diagnostic["message"]
+        assert not (tmp_path / "m.json").exists()
+
     def test_convert_empty_file(self, tmp_path):
         corpus = tmp_path / "empty.conll"
         corpus.write_text("")
@@ -298,6 +342,26 @@ class TestCli:
         mentioned = query[len("Can you detect chemical entities like "):-2]
         for ent in mentioned.split(" or "):
             assert ent in inventory
+
+    def test_inventory_from_the_input_itself_matches_a_copy(self, tmp_path):
+        corpus = tmp_path / "c.conll"
+        corpus.write_text(corpus_to_conll(make_separable_corpus(10, seed=3)))
+        other = tmp_path / "other.conll"
+        other.write_text(corpus_to_conll(make_separable_corpus(10, seed=4)))
+        copy = tmp_path / "copy.conll"
+        shutil.copyfile(corpus, copy)
+        outputs = []
+        for pool in ([corpus, other], [copy, other], [copy]):
+            out = tmp_path / f"t{len(outputs)}.jsonl"
+            assert run_cli("convert", "--input", corpus, "--entity-type", "CHEMICAL",
+                           "--doc-id", "d7", "--query-strategy", "q3",
+                           "--inventory-from", *pool, "--out", out) == 0
+            outputs.append(out.read_bytes())
+        default = tmp_path / "default.jsonl"
+        assert run_cli("convert", "--input", corpus, "--entity-type", "CHEMICAL",
+                       "--doc-id", "d7", "--query-strategy", "q3", "--out", default) == 0
+        assert outputs[0] == outputs[1]
+        assert outputs[2] == default.read_bytes()
 
     def test_resample_per_sentence_varies_queries(self, tmp_path):
         sentences = make_separable_corpus(10, seed=3)
@@ -338,6 +402,16 @@ class TestCli:
         assert rc == 1
         diagnostic = json.loads(capsys.readouterr().err)
         assert "mode mismatch" in diagnostic["message"]
+
+    def test_every_train_flag_is_a_config_field_or_a_path(self):
+        """cmd_train copies only TrainConfig fields from the parsed flags, so any
+        other flag would be dropped without a word."""
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in subparsers.choices["train"]._actions} - {"help"}
+        paths = {"train", "dev", "out", "manifest", "config"}
+        assert dests - paths <= {f.name for f in fields(TrainConfig)}
+        assert paths <= dests
 
     def test_train_config_file_with_flag_override(self, tmp_path):
         triples_path = tmp_path / "train.jsonl"

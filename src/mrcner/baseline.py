@@ -70,10 +70,10 @@ def bio_head_grads(
 
 
 def bio_decode(logits: np.ndarray, example: MrcExample) -> list[EntitySpan]:
-    """Per-token argmax, BIO repair, then span extraction."""
-    etype = example.origin[2]
+    """Per-token argmax, BIO repair, then span extraction; the spans take
+    their entity type from `example.origin`."""
     raw = [BIO_CLASSES[int(i)] for i in logits.argmax(axis=1)]
-    labels, _ = repair_bio(raw, default_entity_type=etype or "ENT")
+    labels, _ = repair_bio(raw)
     spans = bio_to_spans(labels)
     return project_predictions(example, [(s.start, s.end) for s in spans])
 

@@ -19,7 +19,7 @@ from .corpus import Sentence, entity_inventory, parse_conll_with_report, sentenc
 from .metrics import EvalError, aggregate, format_pct, score, t_test
 from .mrc_data import example_from_triple, read_triples, triple_from_sentence, write_triples
 from .model import MODE_BIO, MODE_MRC
-from .query import QuerySpec, QueryStrategy, build_query
+from .query import QueryStrategy, build_query
 from .train import TrainConfig, check_mode, gold_span_index, train
 
 log = logging.getLogger("mrcner")
@@ -48,48 +48,31 @@ def write_json(path, payload: dict) -> None:
 
 
 def cmd_convert(args) -> int:
-    strategy = QueryStrategy.parse(args.strategy)
     with open(args.input, encoding="utf-8") as fh:
         sentences, report = parse_conll_with_report(
-            fh, args.column_sep, doc_id=args.doc_id, default_entity_type=args.entity_type
+            fh, doc_id=args.doc_id, default_entity_type=args.entity_type
         )
 
-    inventory: dict[str, list[str]] = {}
-    if args.mode == MODE_MRC and strategy.kind == "sample":
-        # The inventory ignores doc_id, so the input's own sentences serve
-        # wherever the input is part of the pool.
-        pool: list[Sentence] = []
-        for path in args.inventory_from or [args.input]:
-            if os.path.samefile(path, args.input):
-                pool.extend(sentences)
-                continue
-            with open(path, encoding="utf-8") as fh:
-                pool.extend(
-                    parse_conll_with_report(fh, args.column_sep,
-                                            default_entity_type=args.entity_type)[0]
-                )
-        inventory = entity_inventory(pool)
-
-    run_query = None
+    query = None
     if args.mode == MODE_MRC:
-        run_query = build_query(args.entity_type, strategy, inventory, args.seed)
+        strategy = QueryStrategy.parse(args.strategy)
+        inventory: dict[str, list[str]] = {}
+        if strategy.kind == "sample":
+            # The inventory ignores doc_id, so the input's own sentences serve
+            # wherever the input is part of the pool.
+            pool: list[Sentence] = []
+            for path in args.inventory_from or [args.input]:
+                if os.path.samefile(path, args.input):
+                    pool.extend(sentences)
+                    continue
+                with open(path, encoding="utf-8") as fh:
+                    pool.extend(
+                        parse_conll_with_report(fh, default_entity_type=args.entity_type)[0]
+                    )
+            inventory = entity_inventory(pool)
+        query = build_query(args.entity_type, strategy, inventory, args.seed)
 
-    def query_for(sentence: Sentence) -> QuerySpec | None:
-        if args.mode == MODE_BIO:
-            return None
-        if args.resample_per_sentence and strategy.kind == "sample":
-            rng_seed = int(
-                hashlib.sha256(
-                    f"{args.seed}:{sentence.doc_id}:{sentence.sent_id}".encode()
-                ).hexdigest()[:8],
-                16,
-            )
-            return build_query(args.entity_type, strategy, inventory, rng_seed)
-        return run_query
-
-    triples = [
-        triple_from_sentence(s, query_for(s), entity_type=args.entity_type) for s in sentences
-    ]
+    triples = [triple_from_sentence(s, query, entity_type=args.entity_type) for s in sentences]
     found = report.entity_spans
     answers = sum(len(t.answers) for t in triples)
     if found and not answers:
@@ -109,7 +92,7 @@ def cmd_convert(args) -> int:
         "answers": answers,
         "filtered_spans": sum(found.values()) - answers,
         "entity_type": args.entity_type,
-        "strategy": strategy.name,
+        "strategy": query.strategy.name if query else None,
     }
     print(json.dumps(summary, separators=(",", ":"), sort_keys=True))
     return 0
@@ -190,7 +173,7 @@ def cmd_evaluate(args) -> int:
     gold = gold_span_index(read_triples(args.gold))
     predicted = read_predictions(args.predictions)
     report = score(gold, predicted)
-    write_json(args.out, report.to_dict())
+    write_json(args.out, asdict(report))
     print(
         f"P = {format_pct(report.precision)}%  R = {format_pct(report.recall)}%  "
         f"F1 = {format_pct(report.f1)}%  (tp={report.tp} fp={report.fp} fn={report.fn})"
@@ -205,8 +188,6 @@ def read_runs(paths) -> list[float]:
             doc = json.load(fh)
         if isinstance(doc, dict) and "runs" in doc:
             return [float(v) for v in doc["runs"]]
-        if isinstance(doc, list):
-            return [float(v) for v in doc]
     runs = []
     for path in paths:
         with open(path, encoding="utf-8") as fh:
@@ -242,28 +223,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("convert", help="BIO corpus file -> (context, query, answers) triples")
-    p.add_argument("--input", required=True, help="CoNLL-style two-column corpus file")
+    p.add_argument("--input", required=True,
+                   help="CoNLL-style corpus: token and label per line, split on a tab "
+                        "when the line has one, else on spaces")
     p.add_argument("--entity-type", required=True, help="entity type of this corpus")
     p.add_argument("--query-strategy", dest="strategy", default="q3",
-                   help="query strategy: none|q0|q3|q5|q10")
+                   help="query strategy of the MRC mode: none|q0|q3|q5|q10")
     p.add_argument("--query-seed", dest="seed", type=int, default=13,
-                   help="query sampling seed")
+                   help="seed of the one query sampled per run")
     p.add_argument("--mode", choices=[MODE_MRC, MODE_BIO], default=MODE_MRC)
     p.add_argument("--out", required=True)
     p.add_argument("--sentences-out", default=None,
                    help="also write parsed sentences as canonical JSON lines")
-    p.add_argument("--column-sep", default=None, help="column separator (default: tab or spaces)")
     p.add_argument("--doc-id", default="", help="document id recorded in the triples")
     p.add_argument(
         "--inventory-from",
         nargs="+",
         default=None,
         help="corpus files whose entities feed query sampling (default: the input)",
-    )
-    p.add_argument(
-        "--resample-per-sentence",
-        action="store_true",
-        help="draw fresh query entities for every sentence instead of once per run",
     )
     p.set_defaults(func=cmd_convert)
 

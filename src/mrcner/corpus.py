@@ -37,10 +37,10 @@ class BioLabel:
         if self.tag != "O" and not self.entity_type:
             raise CorpusError(f"{self.tag} label requires an entity type")
 
-    def to_raw(self, typed: bool = True) -> str:
+    def to_raw(self) -> str:
         if self.tag == "O":
             return "O"
-        return f"{self.tag}-{self.entity_type}" if typed else self.tag
+        return f"{self.tag}-{self.entity_type}"
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,6 @@ class EntitySpan:
     def __post_init__(self) -> None:
         if not (0 <= self.start <= self.end):
             raise CorpusError(f"invalid span bounds ({self.start}, {self.end})")
-
-    def key(self) -> tuple[int, int, str]:
-        return (self.start, self.end, self.entity_type)
 
 
 @dataclass
@@ -178,15 +175,14 @@ def spans_to_bio(spans: Sequence[EntitySpan], length: int) -> list[BioLabel]:
 
 def parse_conll_with_report(
     lines: Iterable[str],
-    column_sep: str | None = None,
     doc_id: str = "",
     default_entity_type: str = DEFAULT_ENTITY_TYPE,
 ) -> tuple[list[Sentence], ParseReport]:
     """Parse CoNLL-style "token<sep>label" lines into sentences.
 
-    A blank line ends a sentence. With `column_sep=None` each line is split
-    on a tab when one is present, otherwise on a whitespace run (the
-    released BioNER files vary). Invalid I labels are repaired and counted.
+    A blank line ends a sentence. Each line is split on a tab when it has
+    one, otherwise on a whitespace run (the released BioNER files vary).
+    Invalid I labels are repaired and counted.
     """
     report = ParseReport()
     sentences: list[Sentence] = []
@@ -209,12 +205,7 @@ def parse_conll_with_report(
         if not line.strip():
             flush()
             continue
-        if column_sep is not None:
-            fields = line.split(column_sep)
-        elif "\t" in line:
-            fields = line.split("\t")
-        else:
-            fields = line.split()
+        fields = line.split("\t") if "\t" in line else line.split()
         if len(fields) != 2 or not fields[0] or not fields[1]:
             raise CorpusError(f"line {lineno}: expected two columns (token, label), got {line!r}")
         tokens.append(fields[0])
@@ -229,25 +220,11 @@ def parse_conll_with_report(
 
 def parse_conll(
     lines: Iterable[str],
-    column_sep: str | None = None,
     doc_id: str = "",
     default_entity_type: str = DEFAULT_ENTITY_TYPE,
 ) -> list[Sentence]:
-    sentences, _ = parse_conll_with_report(lines, column_sep, doc_id, default_entity_type)
+    sentences, _ = parse_conll_with_report(lines, doc_id, default_entity_type)
     return sentences
-
-
-def format_conll(sentences: Sequence[Sentence], column_sep: str = "\t", typed: bool = True) -> str:
-    """Serialize sentences back to CoNLL text (inverse of parse_conll)."""
-    blocks = []
-    for sent in sentences:
-        blocks.append(
-            "\n".join(
-                f"{tok}{column_sep}{lab.to_raw(typed)}"
-                for tok, lab in zip(sent.tokens, sent.labels)
-            )
-        )
-    return "\n\n".join(blocks) + "\n"
 
 
 def entity_inventory(sentences: Iterable[Sentence]) -> dict[str, list[str]]:

@@ -42,16 +42,6 @@ class EvalReport:
         self.recall = self.tp / (self.tp + self.fn) if self.tp + self.fn else 0.0
         self.f1 = f1_from_pr(self.precision, self.recall)
 
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-        }
-
 
 def f1_from_pr(precision: float, recall: float) -> float:
     """Harmonic mean 2PR/(P+R); 0 when both rates are 0. Works on raw rates

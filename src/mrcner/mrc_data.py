@@ -114,7 +114,8 @@ class Triple:
         )
         previous_end = -1
         for start, end in triple.answers:
-            if not (isinstance(start, int) and isinstance(end, int)
+            # bool is an int subclass, but JSON true/false is no index
+            if not (type(start) is int and type(end) is int
                     and previous_end < start <= end < len(triple.context)):
                 raise MrcDataError(
                     f"triple {triple.doc_id}/{triple.sent_id}: answer ({start!r}, {end!r}) is "

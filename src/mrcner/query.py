@@ -22,8 +22,6 @@ TYPE_WORDS = {
     "protein/gene": "protein",
 }
 
-STRATEGY_NAMES = ("none", "q0", "q3", "q5", "q10")
-
 
 class QueryError(ValueError):
     """Raised when a query cannot be built (e.g. empty inventory)."""

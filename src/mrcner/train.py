@@ -278,6 +278,6 @@ def train(
     # report is what evaluating them again would give.
     model_mod.restore_params(mdl, best_snapshot)
     if best_report is not None:
-        manifest.final_metrics = best_report.to_dict()
+        manifest.final_metrics = asdict(best_report)
     manifest.wall_clock_sec = time.monotonic() - started
     return mdl, manifest

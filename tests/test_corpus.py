@@ -10,7 +10,6 @@ from mrcner.corpus import (
     Sentence,
     bio_to_spans,
     entity_inventory,
-    format_conll,
     parse_conll,
     parse_conll_with_report,
     parse_label,
@@ -18,7 +17,7 @@ from mrcner.corpus import (
     sentence_to_json,
     spans_to_bio,
 )
-from helpers import MELOXICAM_CONLL, random_bio_sentence
+from helpers import MELOXICAM_CONLL, corpus_to_conll, random_bio_sentence
 from oracles import spans_by_run_scan
 
 
@@ -52,7 +51,7 @@ class TestParseConll:
 
     def test_wrong_column_count_names_line(self):
         with pytest.raises(CorpusError, match="line 2"):
-            parse_conll(["ok\tO", "bad line with spaces\textra\tcolumns"], column_sep="\t")
+            parse_conll(["ok\tO", "bad line with spaces\textra\tcolumns"])
 
     def test_unknown_tag_names_token_index(self):
         with pytest.raises(CorpusError, match="index 1"):
@@ -67,11 +66,7 @@ class TestParseConll:
     def test_roundtrip_is_byte_identical(self):
         text = "Meloxicam\tB-CHEMICAL\n-\tO\n\nsodium\tB-CHEMICAL\nworks\tO\n"
         sents = parse_conll(text.splitlines())
-        assert format_conll(sents) == text
-
-    def test_roundtrip_bare_labels(self):
-        sents = parse_conll(MELOXICAM_CONLL.splitlines())
-        assert format_conll(sents, typed=False) == MELOXICAM_CONLL
+        assert corpus_to_conll(sents) == text
 
 
 class TestRepair:
@@ -127,7 +122,7 @@ class TestSpanConversion:
 
     def test_spans_to_bio_single(self):
         labels = spans_to_bio([EntitySpan(0, 0, "CHEMICAL")], 6)
-        assert [lab.to_raw(typed=False) for lab in labels] == ["B", "O", "O", "O", "O", "O"]
+        assert [lab.tag for lab in labels] == ["B", "O", "O", "O", "O", "O"]
 
     def test_spans_to_bio_empty(self):
         assert [lab.tag for lab in spans_to_bio([], 3)] == ["O", "O", "O"]

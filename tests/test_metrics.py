@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -91,7 +92,7 @@ class TestFormatting:
 
     def test_raw_reals_in_report_dict(self):
         report = EvalReport(9437, 563, 600)
-        payload = report.to_dict()
+        payload = asdict(report)
         assert payload["precision"] == report.precision
         assert isinstance(payload["tp"], int)
 

@@ -181,6 +181,7 @@ class TestTripleJson:
         ([(2, 1)], "(2, 1)"),
         ([(-1, 0)], "(-1, 0)"),
         ([(0, 4.0)], "(0, 4.0)"),
+        ([(False, True)], "(False, True)"),  # JSON booleans are no indexes
     ])
     def test_answers_checked_against_own_context(self, answers, refused):
         triple = Triple([f"t{i}" for i in range(5)], "q", answers, "C", "d", 4)

@@ -107,7 +107,7 @@ class TestTraining:
         mdl, manifest = train(cfg, train_t, dev_t)
         dev = [example_from_triple(t, mdl.vocab, mdl.seq_cfg) for t in dev_t]
         fresh = evaluate_model(mdl, dev, gold_span_index(dev_t))
-        assert manifest.final_metrics == fresh.to_dict()
+        assert manifest.final_metrics == asdict(fresh)
         # The run must restore an epoch other than the last one it trained.
         if epochs and early_stop_f1 is None:
             assert manifest.best_epoch < len(manifest.loss_curve) - 1
@@ -363,14 +363,17 @@ class TestCli:
         assert outputs[0] == outputs[1]
         assert outputs[2] == default.read_bytes()
 
-    def test_resample_per_sentence_varies_queries(self, tmp_path):
-        sentences = make_separable_corpus(10, seed=3)
-        corpus = tmp_path / "c.conll"
-        corpus.write_text(corpus_to_conll(sentences))
+    def test_bio_convert_reports_no_strategy(self, tmp_path, capsys):
+        corpus = tmp_path / "mini.conll"
+        corpus.write_text(MELOXICAM_CONLL)
         out = tmp_path / "t.jsonl"
+        # The query strategy belongs to the MRC mode; a BIO run neither
+        # parses it nor reports one.
         assert run_cli("convert", "--input", corpus, "--entity-type", "CHEMICAL",
-                       "--query-strategy", "q3", "--out", out, "--resample-per-sentence") == 0
-        assert len({t.query for t in read_triples(out)}) > 1
+                       "--mode", "bio-baseline", "--query-strategy", "q7x", "--out", out) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["strategy"] is None
+        assert read_triples(out)[0].query is None
 
     def test_pipeline_and_mode_mismatch(self, tmp_path, capsys):
         triples_path = tmp_path / "train.jsonl"
@@ -456,6 +459,18 @@ class TestCli:
         out = tmp_path / "sig.json"
         assert run_cli("significance", "--a", *paths_a, "--b", *paths_b, "--out", out) == 0
         assert json.loads(out.read_text())["p"] < 0.05
+
+    def test_significance_refuses_a_bare_list_of_runs(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(json.dumps([88.2, 88.4, 88.3]))
+        b.write_text(json.dumps({"runs": [89.3, 89.5, 89.2]}))
+        out = tmp_path / "sig.json"
+        assert run_cli("significance", "--a", a, "--b", b, "--out", out) == 1
+        diagnostic = json.loads(capsys.readouterr().err)
+        assert diagnostic["error"] == "EvalError"
+        assert str(a) in diagnostic["message"]
+        assert not out.exists()
 
     def test_errors_exit_nonzero_with_json_diagnostics(self, tmp_path, capsys):
         rc = run_cli("convert", "--input", tmp_path / "missing.conll",

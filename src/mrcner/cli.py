@@ -181,20 +181,27 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _score(value, path) -> float:
+    """A JSON number as an F1 score; booleans and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise EvalError(f"{path}: F1 score {value!r} is not a number")
+    return float(value)
+
+
 def read_runs(paths) -> list[float]:
     """One stats JSON with a "runs" list, or several metrics JSONs with "f1"."""
     if len(paths) == 1:
         with open(paths[0], encoding="utf-8") as fh:
             doc = json.load(fh)
         if isinstance(doc, dict) and "runs" in doc:
-            return [float(v) for v in doc["runs"]]
+            return [_score(v, paths[0]) for v in doc["runs"]]
     runs = []
     for path in paths:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict) or "f1" not in doc:
             raise EvalError(f"{path}: expected a metrics JSON with an 'f1' field")
-        runs.append(float(doc["f1"]))
+        runs.append(_score(doc["f1"], path))
     return runs
 
 

@@ -18,9 +18,13 @@ into the rows the example's ids touch), so training sums a batch in one
 vector that it zeroes once per batch. Adam (`train.Adam`) stays dense over
 that vector, and a parameter snapshot is one vector copy.
 
-Checkpoints are a single JSON document holding the configs and every tensor
-as a flat float list, so they are human-inspectable and byte-stable for a
-fixed seed.
+A checkpoint (format v2) is one UTF-8 JSON header line, then the
+little-endian float64 bytes of `ModelState.flat`. The header holds the mode,
+the head variant, the configs, the vocabulary and `tensors`, the
+`[name, shape]` pairs in store order, so `head -n1` shows everything but the
+numbers. Loading checks the header against the configs and the blob's length
+against the store, then copies the blob into a new store in one step. Files
+are byte-stable for a fixed seed.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -35,7 +40,7 @@ from . import baseline, encoder, heads
 from .encoder import EncoderConfig
 from .mrc_data import MrcExample, SeqConfig, Vocab
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 HEADS = {cls.mode: cls for cls in (heads.SpanHeadParams, baseline.BioHeadParams)}
 MODE_MRC = heads.SpanHeadParams.mode
@@ -155,61 +160,63 @@ def predict_example(model: ModelState, example: MrcExample):
 
 
 def save_checkpoint(model: ModelState, path) -> None:
-    doc = {
+    header = {
         "format_version": CHECKPOINT_VERSION,
         "mode": model.head.mode,
         "head_variant": model.head.variant,
         "encoder_config": asdict(model.encoder_cfg),
         "seq_config": {"seq_len": model.seq_cfg.seq_len, "order": model.seq_cfg.order},
         "vocab": model.vocab.id_to_token,
-        "params": {
-            name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-            for name, arr in param_items(model)
-        },
+        "tensors": [[name, list(arr.shape)] for name, arr in param_items(model)],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, ensure_ascii=False, separators=(",", ":")))
-        fh.write("\n")
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode("utf-8"))
+        fh.write(b"\n")
+        fh.write(model.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> ModelState:
-    """Read a checkpoint, checking its tensors against the shapes its configs
-    and vocabulary imply, straight into a new parameter store."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise ModelError(f"unsupported checkpoint version {doc.get('format_version')!r}")
+    """Read a checkpoint, checking its header against the shapes its configs
+    and vocabulary imply and its blob against the store's size, then copy
+    the blob into a new parameter store."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    end = data.find(b"\n")
+    try:
+        header = json.loads(data[:end].decode("utf-8")) if end >= 0 else None
+    except ValueError as exc:
+        raise ModelError(f"checkpoint header line is not JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise ModelError("checkpoint does not start with a JSON object header line")
+    if header.get("format_version") != CHECKPOINT_VERSION:
+        raise ModelError(f"unsupported checkpoint version {header.get('format_version')!r}")
 
-    head_cls = _head_class(doc["mode"])
-    variant = doc["head_variant"]
-    encoder_cfg = EncoderConfig(**doc["encoder_config"])
-    seq_cfg = SeqConfig(**doc["seq_config"])
+    head_cls = _head_class(header["mode"])
+    variant = header["head_variant"]
+    encoder_cfg = EncoderConfig(**header["encoder_config"])
+    seq_cfg = SeqConfig(**header["seq_config"])
     if seq_cfg.seq_len > encoder_cfg.max_positions:
         raise ModelError(f"seq_config.seq_len {seq_cfg.seq_len} exceeds "
                          f"encoder_config.max_positions {encoder_cfg.max_positions}")
-    vocab = Vocab(list(doc["vocab"]))
+    vocab = Vocab(list(header["vocab"]))
     if vocab.size != encoder_cfg.vocab_size:
         raise ModelError(f"checkpoint vocabulary has {vocab.size} tokens but "
                          f"encoder_config.vocab_size is {encoder_cfg.vocab_size}")
     shapes = model_shapes(encoder_cfg, head_cls, variant)
-    if set(doc["params"]) != set(shapes):
-        raise ModelError(
-            f"checkpoint tensors differ from the model's: missing "
-            f"{sorted(set(shapes) - set(doc['params']))}, unexpected "
-            f"{sorted(set(doc['params']) - set(shapes))}"
-        )
+    expected = [[name, list(shape)] for name, shape in shapes.items()]
+    stored = header.get("tensors")
+    if stored != expected:
+        pairs = zip_longest(stored if isinstance(stored, list) else [], expected,
+                            fillvalue="no tensor")
+        i, (got, want) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
+        raise ModelError(f"checkpoint tensors differ from the model's at position {i}: "
+                         f"stored {got}, expected {want}")
     flat, views = flat_store(shapes)
-    for name, view in views.items():
-        entry = doc["params"][name]
-        data = entry["data"]
-        if not isinstance(data, list):
-            raise ModelError(f"checkpoint tensor {name} holds no list of values")
-        if tuple(entry["shape"]) != view.shape or len(data) != view.size:
-            raise ModelError(
-                f"checkpoint tensor {name} has shape {tuple(entry['shape'])} and "
-                f"{len(data)} values, expected shape {view.shape}"
-            )
-        view.reshape(-1)[:] = data
+    blob = memoryview(data)[end + 1 :]
+    if len(blob) != 8 * flat.size:
+        raise ModelError(f"checkpoint holds {len(blob)} parameter bytes, "
+                         f"the model's {flat.size} float64 values need {8 * flat.size}")
+    flat[:] = np.frombuffer(blob, "<f8")
     return _assemble(encoder_cfg, seq_cfg, vocab, head_cls, variant, flat, views)
 
 

@@ -4,19 +4,33 @@ No span is lost or invented between the corpus file and the F1 number:
 the answers in the triples are exactly the corpus's spans of the target
 type, gold scored against itself is perfect, a sentence key that appears
 twice is refused instead of overwritten, and truncating a context to the
-sequence budget counts every answer it drops.
+sequence budget counts every answer it drops. A checkpoint gives back
+every parameter bit for bit, whatever finite float it holds.
 """
 
 import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from mrcner import model as model_mod
 from mrcner.cli import main
-from mrcner.mrc_data import SPECIALS, SeqConfig, Triple, Vocab, example_from_triple, read_triples
+from mrcner.encoder import EncoderConfig
+from mrcner.mrc_data import (
+    CONTEXT_FIRST,
+    QUERY_FIRST,
+    SPECIALS,
+    SeqConfig,
+    Triple,
+    Vocab,
+    example_from_triple,
+    read_triples,
+)
 
 TARGET = "CHEMICAL"
 # A bare B/I label takes the --entity-type given to convert.
@@ -135,3 +149,49 @@ def test_truncation_drops_are_counted_exactly(triple):
         assert kept == [(s, e) for s, e in triple.answers if e < ex.n_context]
         assert all(0 <= s <= e < ex.n_context for s, e in kept)
         assert int(ex.y_start.sum()) == int(ex.y_end.sum()) == len(kept)
+
+
+# Finite floats, with signed zeros and subnormals drawn on purpose.
+parameter_value = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072e-308]),
+)
+
+
+@st.composite
+def tiny_model(draw):
+    """A model of either mode with a tiny drawn config, any non-special
+    vocabulary words, and its store filled from drawn values."""
+    mode = draw(st.sampled_from([model_mod.MODE_MRC, model_mod.MODE_BIO]))
+    variant = draw(st.sampled_from(["conditioned", "ablation"]))
+    words = draw(st.lists(st.text(min_size=1, max_size=4).filter(lambda w: w not in SPECIALS),
+                          max_size=6, unique=True))
+    vocab = Vocab(list(SPECIALS) + words)
+    heads = draw(st.integers(1, 2))
+    cfg = EncoderConfig(vocab_size=vocab.size, layers=draw(st.integers(1, 2)),
+                        model_dim=heads * draw(st.integers(1, 3)), heads=heads,
+                        ffn_dim=draw(st.integers(1, 6)), max_positions=draw(st.integers(4, 12)))
+    seq_cfg = SeqConfig(draw(st.integers(4, cfg.max_positions)),
+                        draw(st.sampled_from([CONTEXT_FIRST, QUERY_FIRST])))
+    mdl = model_mod.new_model(mode, variant, cfg, seq_cfg, vocab, seed=0)
+    values = draw(st.lists(parameter_value, min_size=1, max_size=64))
+    mdl.flat[:] = np.resize(np.array(values), mdl.flat.size)
+    return mdl
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiny_model())
+def test_checkpoint_round_trip_is_bit_exact(mdl):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.ckpt", Path(tmp) / "b.ckpt"
+        model_mod.save_checkpoint(mdl, first)
+        loaded = model_mod.load_checkpoint(first)
+        assert loaded.flat.tobytes() == mdl.flat.tobytes()
+        model_mod.save_checkpoint(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+
+        header = json.loads(first.read_bytes().split(b"\n", 1)[0])
+        assert header["mode"] == mdl.head.mode and header["head_variant"] == mdl.head.variant
+        assert header["encoder_config"] == asdict(mdl.encoder_cfg)
+        assert header["seq_config"] == asdict(mdl.seq_cfg)
+        assert header["vocab"] == mdl.vocab.id_to_token

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import shutil
 from dataclasses import asdict, fields
 
@@ -125,7 +126,7 @@ class TestCheckpoint:
     def test_save_load_round_trip(self, tmp_path):
         triples = synth_triples(6)
         mdl, _ = train(quick_config(epochs=1), triples, triples)
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.ckpt"
         model_mod.save_checkpoint(mdl, path)
         loaded = model_mod.load_checkpoint(path)
         for (name, arr), (_, arr2) in zip(
@@ -136,84 +137,158 @@ class TestCheckpoint:
         assert loaded.head.mode == mdl.head.mode and loaded.head.variant == mdl.head.variant
 
     @staticmethod
-    def saved_tiny_model(tmp_path, mode="mrc"):
+    def tiny_model(mode="mrc"):
         vocab = build_vocab_from_triples(synth_triples(3), min_count=1)
         cfg = EncoderConfig(vocab_size=vocab.size, layers=1, model_dim=8, heads=2,
                             ffn_dim=16, max_positions=32)
-        mdl = model_mod.new_model(mode, "conditioned", cfg, SeqConfig(32), vocab, seed=1)
-        path = tmp_path / "tiny.json"
-        model_mod.save_checkpoint(mdl, path)
-        return path, json.loads(path.read_text())
+        return model_mod.new_model(mode, "conditioned", cfg, SeqConfig(32), vocab, seed=1)
+
+    @classmethod
+    def saved_tiny_model(cls, tmp_path, mode="mrc"):
+        """The checkpoint's path, its parsed header line and its parameter blob."""
+        path = tmp_path / "tiny.ckpt"
+        model_mod.save_checkpoint(cls.tiny_model(mode), path)
+        header, _, blob = path.read_bytes().partition(b"\n")
+        return path, json.loads(header), bytearray(blob)
 
     @pytest.mark.parametrize("mode", ["mrc", "bio-baseline"])
     def test_round_trip_keeps_head(self, tmp_path, mode):
-        path, _ = self.saved_tiny_model(tmp_path, mode)
+        path, _, _ = self.saved_tiny_model(tmp_path, mode)
         loaded = model_mod.load_checkpoint(path)
         assert loaded.head.mode == mode
         assert loaded.head.variant == ("conditioned" if mode == "mrc" else None)
 
     def corrupt_and_load(self, tmp_path, edit):
-        path, doc = self.saved_tiny_model(tmp_path)
-        edit(doc)
-        path.write_text(json.dumps(doc))
+        """Save the tiny model, let `edit(header, blob)` change either part in
+        place, write both back and load the result."""
+        path, header, blob = self.saved_tiny_model(tmp_path)
+        edit(header, blob)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(blob))
         return model_mod.load_checkpoint(path)
 
     @staticmethod
-    def resize(doc, name, rows):
-        """Give a 2-D tensor `rows` rows, keeping its data consistent with its shape."""
-        entry = doc["params"][name]
-        width = entry["shape"][1]
-        entry["shape"] = [rows, width]
-        entry["data"] = (entry["data"] + [0.0] * rows * width)[: rows * width]
+    def tensor_bytes(header, name) -> tuple[int, slice]:
+        """Index of tensor `name` in the header's list and its byte range in the blob."""
+        offset = 0
+        for index, (stored, shape) in enumerate(header["tensors"]):
+            size = 8 * math.prod(shape)
+            if stored == name:
+                return index, slice(offset, offset + size)
+            offset += size
+        raise KeyError(name)
+
+    @classmethod
+    def resize(cls, header, blob, name, rows):
+        """Give a 2-D tensor `rows` rows, dropping or zero-filling rows of the
+        blob so that it stays consistent with the header."""
+        index, span = cls.tensor_bytes(header, name)
+        old_rows, width = header["tensors"][index][1]
+        row_bytes = 8 * width
+        header["tensors"][index][1] = [rows, width]
+        kept = span.start + min(rows, old_rows) * row_bytes
+        blob[kept : span.stop] = bytes(max(rows - old_rows, 0) * row_bytes)
 
     def test_tok_emb_smaller_than_vocab_rejected(self, tmp_path):
-        def edit(doc):
-            self.resize(doc, "tok_emb", doc["params"]["tok_emb"]["shape"][0] - 5)
+        def edit(header, blob):
+            self.resize(header, blob, "tok_emb", header["tensors"][0][1][0] - 5)
         with pytest.raises(ModelError, match="tok_emb"):
             self.corrupt_and_load(tmp_path, edit)
 
     def test_vocab_size_mismatch_rejected(self, tmp_path):
-        def edit(doc):
-            doc["vocab"] = doc["vocab"][:-1]
+        def edit(header, blob):
+            header["vocab"] = header["vocab"][:-1]
         with pytest.raises(ModelError, match="vocab_size"):
             self.corrupt_and_load(tmp_path, edit)
 
     def test_extra_tensor_rejected(self, tmp_path):
-        def edit(doc):
-            doc["params"]["layer9.wq"] = doc["params"]["layer0.wq"]
+        def edit(header, blob):
+            index, span = self.tensor_bytes(header, "layer0.wq")
+            header["tensors"].append(["layer9.wq", header["tensors"][index][1]])
+            blob += blob[span]
         with pytest.raises(ModelError, match="layer9.wq"):
             self.corrupt_and_load(tmp_path, edit)
 
     def test_missing_head_tensor_rejected(self, tmp_path):
-        def edit(doc):
-            del doc["params"]["head.b_end"]
+        def edit(header, blob):
+            index, span = self.tensor_bytes(header, "head.b_end")
+            del header["tensors"][index]
+            del blob[span]
         with pytest.raises(ModelError, match="head.b_end"):
             self.corrupt_and_load(tmp_path, edit)
 
     def test_pos_emb_rows_must_match_max_positions(self, tmp_path):
         with pytest.raises(ModelError, match="pos_emb"):
-            self.corrupt_and_load(tmp_path, lambda doc: self.resize(doc, "pos_emb", 31))
+            self.corrupt_and_load(tmp_path, lambda h, b: self.resize(h, b, "pos_emb", 31))
 
     def test_head_width_must_match_model_dim(self, tmp_path):
         with pytest.raises(ModelError, match="head.w_start"):
-            self.corrupt_and_load(tmp_path, lambda doc: self.resize(doc, "head.w_start", 9))
+            self.corrupt_and_load(tmp_path, lambda h, b: self.resize(h, b, "head.w_start", 9))
 
     def test_data_length_must_match_stored_shape(self, tmp_path):
-        def edit(doc):
-            doc["params"]["layer0.wq"]["data"].pop()
-        with pytest.raises(ModelError, match="layer0.wq"):
+        n_bytes = 8 * self.tiny_model().flat.size
+        def edit(header, blob):
+            del blob[-8:]
+        with pytest.raises(ModelError, match=f"holds {n_bytes - 8} parameter bytes.* need {n_bytes}"):
+            self.corrupt_and_load(tmp_path, edit)
+
+    def test_one_trailing_byte_rejected(self, tmp_path):
+        n_bytes = 8 * self.tiny_model().flat.size
+        def edit(header, blob):
+            blob.append(0)
+        with pytest.raises(ModelError, match=f"holds {n_bytes + 1} parameter bytes.* need {n_bytes}"):
             self.corrupt_and_load(tmp_path, edit)
 
     def test_seq_len_beyond_max_positions_rejected(self, tmp_path):
-        def edit(doc):
-            doc["seq_config"]["seq_len"] = 64
+        def edit(header, blob):
+            header["seq_config"]["seq_len"] = 64
         with pytest.raises(ModelError, match="max_positions"):
             self.corrupt_and_load(tmp_path, edit)
+
+    def test_version_1_document_rejected(self, tmp_path):
+        """A v1 checkpoint was one JSON document with every tensor as a float list."""
+        mdl = self.tiny_model()
+        _, header, _ = self.saved_tiny_model(tmp_path)
+        del header["tensors"]
+        header["format_version"] = 1
+        header["params"] = {name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+                            for name, arr in model_mod.param_items(mdl)}
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(header, separators=(",", ":")) + "\n")
+        with pytest.raises(ModelError, match="unsupported checkpoint version 1"):
+            model_mod.load_checkpoint(path)
+
+    @pytest.mark.parametrize("content", [
+        pytest.param(lambda header, blob: header, id="no-newline"),
+        pytest.param(lambda header, blob: b"tiny model\n" + blob, id="text-first-line"),
+        pytest.param(lambda header, blob: header[:-1] + b"\n" + blob, id="cut-header"),
+        pytest.param(lambda header, blob: b"\xff" + header + b"\n" + blob, id="not-utf8"),
+        pytest.param(lambda header, blob: b"[2]\n" + blob, id="not-an-object"),
+    ])
+    def test_unreadable_header_line_rejected(self, tmp_path, content):
+        path = tmp_path / "tiny.ckpt"
+        model_mod.save_checkpoint(self.tiny_model(), path)
+        header, _, blob = path.read_bytes().partition(b"\n")
+        path.write_bytes(content(header, blob))
+        with pytest.raises(ModelError, match="header line"):
+            model_mod.load_checkpoint(path)
+
+    def test_predict_refuses_a_truncated_checkpoint(self, tmp_path, capsys):
+        path = tmp_path / "tiny.ckpt"
+        model_mod.save_checkpoint(self.tiny_model(), path)
+        path.write_bytes(path.read_bytes()[:-100])
+        triples_path = tmp_path / "t.jsonl"
+        write_triples(synth_triples(3), triples_path)
+        assert run_cli("predict", "--checkpoint", path, "--triples", triples_path,
+                       "--out", tmp_path / "p.jsonl") == 1
+        diagnostic = json.loads(capsys.readouterr().err)
+        assert diagnostic["error"] == "ModelError"
+        assert "parameter bytes" in diagnostic["message"]
+        assert not (tmp_path / "p.jsonl").exists()
 
     def test_checkpoint_bytes_stable(self, tmp_path):
         triples = synth_triples(5)
         mdl, _ = train(quick_config(epochs=1), triples, triples)
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         model_mod.save_checkpoint(mdl, p1)
         model_mod.save_checkpoint(model_mod.load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
@@ -378,11 +453,11 @@ class TestCli:
     def test_pipeline_and_mode_mismatch(self, tmp_path, capsys):
         triples_path = tmp_path / "train.jsonl"
         write_triples(synth_triples(8), triples_path)
-        ckpt = tmp_path / "model.json"
+        ckpt = tmp_path / "model.ckpt"
         rc = run_cli("train", "--train", triples_path, "--dev", triples_path,
                      "--out", ckpt, "--epochs", 2, "--seq-len", 64)
         assert rc == 0
-        assert json.loads((tmp_path / "model.json.manifest.json").read_text())["n_train"] == 8
+        assert json.loads((tmp_path / "model.ckpt.manifest.json").read_text())["n_train"] == 8
 
         preds = tmp_path / "preds.jsonl"
         assert run_cli("predict", "--checkpoint", ckpt, "--triples", triples_path,
@@ -396,7 +471,7 @@ class TestCli:
         # a baseline-mode checkpoint must refuse MRC triples
         bio_path = tmp_path / "bio.jsonl"
         write_triples(synth_triples(8, mode="bio-baseline"), bio_path)
-        bio_ckpt = tmp_path / "bio.json"
+        bio_ckpt = tmp_path / "bio.ckpt"
         assert run_cli("train", "--train", bio_path, "--out", bio_ckpt,
                        "--mode", "bio-baseline", "--epochs", 1, "--seq-len", 64) == 0
         capsys.readouterr()
@@ -422,10 +497,10 @@ class TestCli:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"epochs": 1, "seq_len": 64, "model_dim": 16,
                                       "heads": 2, "ffn_dim": 32}))
-        ckpt = tmp_path / "m.json"
+        ckpt = tmp_path / "m.ckpt"
         assert run_cli("train", "--train", triples_path, "--out", ckpt,
                        "--config", config, "--epochs", 2) == 0
-        manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+        manifest = json.loads((tmp_path / "m.ckpt.manifest.json").read_text())
         assert manifest["config"]["epochs"] == 2  # flag wins
         assert manifest["config"]["model_dim"] == 16
 
@@ -470,6 +545,31 @@ class TestCli:
         diagnostic = json.loads(capsys.readouterr().err)
         assert diagnostic["error"] == "EvalError"
         assert str(a) in diagnostic["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("runs", [[True, False, True], [0.5, 0.6, "0.7"], [0.5, None, 0.7]])
+    def test_significance_refuses_runs_that_are_not_numbers(self, tmp_path, capsys, runs):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"runs": [0.5, 0.6, 0.7]}))
+        b.write_text(json.dumps({"runs": runs}))
+        out = tmp_path / "sig.json"
+        assert run_cli("significance", "--a", a, "--b", b, "--out", out) == 1
+        diagnostic = json.loads(capsys.readouterr().err)
+        assert diagnostic["error"] == "EvalError"
+        assert str(b) in diagnostic["message"] and "not a number" in diagnostic["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("f1", [True, "0.93", [0.93]])
+    def test_significance_refuses_a_metrics_f1_that_is_not_a_number(self, tmp_path, capsys, f1):
+        paths = []
+        for name, value in (("a0", 0.91), ("a1", 0.92), ("b0", 0.94), ("b1", f1)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps({"f1": value, "tp": 1, "fp": 0, "fn": 0}))
+        out = tmp_path / "sig.json"
+        assert run_cli("significance", "--a", *paths[:2], "--b", *paths[2:], "--out", out) == 1
+        diagnostic = json.loads(capsys.readouterr().err)
+        assert diagnostic["error"] == "EvalError"
+        assert str(paths[-1]) in diagnostic["message"] and "not a number" in diagnostic["message"]
         assert not out.exists()
 
     def test_errors_exit_nonzero_with_json_diagnostics(self, tmp_path, capsys):

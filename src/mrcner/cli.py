@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import asdict
 
 from . import model as model_mod
@@ -130,14 +131,28 @@ def cmd_train(args) -> int:
     return 0
 
 
+class TripleExamples(Sequence):
+    """The model inputs of `triples`, each built when it is indexed, so that
+    predict holds at most one at a time in this process (forked predict
+    workers build their own chunks')."""
+
+    def __init__(self, triples, vocab, seq_cfg) -> None:
+        self.triples, self.vocab, self.seq_cfg = triples, vocab, seq_cfg
+
+    def __len__(self) -> int:
+        return len(self.triples)
+
+    def __getitem__(self, index):
+        return example_from_triple(self.triples[index], self.vocab, self.seq_cfg)
+
+
 def cmd_predict(args) -> int:
     mdl = model_mod.load_checkpoint(args.checkpoint)
     triples = read_triples(args.triples)
     check_mode(triples, mdl.head.mode, "input")
+    predicted = model_mod.predict_examples(mdl, TripleExamples(triples, mdl.vocab, mdl.seq_cfg))
     with open(args.out, "w", encoding="utf-8") as fh:
-        for t in triples:
-            example = example_from_triple(t, mdl.vocab, mdl.seq_cfg)
-            spans = model_mod.predict_example(mdl, example)
+        for t, spans in zip(triples, predicted):
             record = {
                 "origin": {"doc_id": t.doc_id, "sent_id": t.sent_id},
                 "entity_type": t.entity_type,

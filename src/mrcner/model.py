@@ -18,6 +18,17 @@ into the rows the example's ids touch), so training sums a batch in one
 vector that it zeroes once per batch. Adam (`train.Adam`) stays dense over
 that vector, and a parameter snapshot is one vector copy.
 
+Prediction shares no state between examples, so `predict_examples` (used by
+`predict`) decodes its examples in forked worker processes, one per usable
+CPU as long as each has MIN_WORKER_EXAMPLES examples to do; a worker takes
+the next chunk of CHUNK_EXAMPLES whenever it finishes one. It runs in this
+process instead on a one-CPU machine, where the OS does not report usable
+CPUs (no `os.sched_getaffinity` outside Linux), and when the process runs
+other threads, which a fork could deadlock. Workers inherit the model and the
+examples through the fork and return only spans, reassembled in input order,
+so the output is the same at every worker count. Train's dev evaluation stays
+a serial loop: no benchmark workload has a dev split big enough to fork.
+
 A checkpoint (format v2) is one UTF-8 JSON header line, then the
 little-endian float64 bytes of `ModelState.flat`. The header holds the mode,
 the head variant, the configs, the vocabulary and `tensors`, the
@@ -31,12 +42,18 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import zip_longest
+from typing import Sequence
 
 import numpy as np
 
 from . import baseline, encoder, heads
+from .corpus import EntitySpan
 from .encoder import EncoderConfig
 from .mrc_data import MrcExample, SeqConfig, Vocab
 
@@ -45,6 +62,21 @@ CHECKPOINT_VERSION = 2
 HEADS = {cls.mode: cls for cls in (heads.SpanHeadParams, baseline.BioHeadParams)}
 MODE_MRC = heads.SpanHeadParams.mode
 MODE_BIO = baseline.BioHeadParams.mode
+
+# Fewest examples per forked predict worker. On a 2-CPU x86-64 host with
+# one BLAS thread, creating and joining a 2-worker fork pool cost 19-33 ms
+# (median; 43 ms at p90). The cheapest examples here (about 12 real tokens,
+# BIO head) take 0.6 ms each: 100 of them ran 0.66x as fast forked, 400 1.43x.
+MIN_WORKER_EXAMPLES = 200
+
+# Examples a forked worker takes at a time; it takes the next chunk when it
+# finishes one, so a worker on a CPU the host slows down does fewer. On a
+# shared 2-vCPU host, with one equal shard per worker, the first worker to
+# finish then sat idle for a median 15% (up to 33%) of the call, a share that
+# changed from call to call; with chunks of 25 the idle share was 1.4% (up to
+# 6%). Chunks of 25 ran as fast as chunks of 50 to 750; chunks of 10 were
+# slower.
+CHUNK_EXAMPLES = 25
 
 
 class ModelError(ValueError):
@@ -159,6 +191,46 @@ def predict_example(model: ModelState, example: MrcExample):
     return model.head.decode(hidden[_context(example)], example)
 
 
+def predict_examples(model: ModelState, examples: Sequence[MrcExample]) -> list[list[EntitySpan]]:
+    """`predict_example` of every example, in input order.
+
+    As many workers run as there are usable CPUs, but no more than one per
+    MIN_WORKER_EXAMPLES examples. One worker runs in this process, and so
+    does any count while another thread runs here. More are forked,
+    inheriting the model and the sequence (which may build each example when
+    it is indexed); each takes contiguous chunks of CHUNK_EXAMPLES, one at a
+    time, and sends back only its spans. A worker's exception is raised
+    here as itself once the running chunks finish; a worker that dies raises
+    `BrokenProcessPool`. No worker outlives the call.
+    """
+    workers = min(len(examples) // MIN_WORKER_EXAMPLES, _usable_cpus())
+    if workers <= 1 or threading.active_count() > 1:
+        return [predict_example(model, ex) for ex in examples]
+    cuts = [*range(0, len(examples), CHUNK_EXAMPLES), len(examples)]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_take_work, initargs=(model, examples)) as pool:
+        chunks = list(pool.map(_predict_chunk, zip(cuts, cuts[1:])))
+    return [spans for chunk in chunks for spans in chunk]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the OS does not say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+_work: tuple[ModelState, Sequence[MrcExample]] | None = None  # set in forked workers only
+
+
+def _take_work(model: ModelState, examples: Sequence[MrcExample]) -> None:
+    global _work
+    _work = (model, examples)
+
+
+def _predict_chunk(bounds: tuple[int, int]) -> list[list[EntitySpan]]:
+    model, examples = _work
+    return [predict_example(model, examples[i]) for i in range(*bounds)]
+
+
 def save_checkpoint(model: ModelState, path) -> None:
     header = {
         "format_version": CHECKPOINT_VERSION,
@@ -173,6 +245,18 @@ def save_checkpoint(model: ModelState, path) -> None:
         fh.write(json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode("utf-8"))
         fh.write(b"\n")
         fh.write(model.flat.astype("<f8", copy=False).tobytes())
+
+
+_HEADER_KEYS = ("mode", "head_variant", "encoder_config", "seq_config", "vocab")
+
+
+def _config(cls, header: dict, key: str):
+    """The config a header field holds; an unknown or missing field, or a
+    field that is no JSON object, is refused by name."""
+    try:
+        return cls(**header[key])
+    except TypeError as exc:
+        raise ModelError(f"checkpoint {key}: {exc}") from None
 
 
 def load_checkpoint(path) -> ModelState:
@@ -191,10 +275,14 @@ def load_checkpoint(path) -> ModelState:
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise ModelError(f"unsupported checkpoint version {header.get('format_version')!r}")
 
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise ModelError(f"checkpoint header lacks {', '.join(map(repr, missing))}")
+
     head_cls = _head_class(header["mode"])
     variant = header["head_variant"]
-    encoder_cfg = EncoderConfig(**header["encoder_config"])
-    seq_cfg = SeqConfig(**header["seq_config"])
+    encoder_cfg = _config(EncoderConfig, header, "encoder_config")
+    seq_cfg = _config(SeqConfig, header, "seq_config")
     if seq_cfg.seq_len > encoder_cfg.max_positions:
         raise ModelError(f"seq_config.seq_len {seq_cfg.seq_len} exceeds "
                          f"encoder_config.max_positions {encoder_cfg.max_positions}")

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 import shutil
 from dataclasses import asdict, fields
 
@@ -284,6 +285,27 @@ class TestCheckpoint:
         assert diagnostic["error"] == "ModelError"
         assert "parameter bytes" in diagnostic["message"]
         assert not (tmp_path / "p.jsonl").exists()
+
+    @pytest.mark.parametrize("edit, named", [
+        pytest.param(lambda h: h.pop("mode"), "lacks 'mode'", id="no-mode"),
+        pytest.param(lambda h: h.pop("vocab"), "lacks 'vocab'", id="no-vocab"),
+        pytest.param(lambda h: h["encoder_config"].update(bogus=1), "encoder_config: .*'bogus'",
+                     id="unknown-encoder-field"),
+        pytest.param(lambda h: h.update(seq_config=[1]), "seq_config: .*must be a mapping",
+                     id="seq-config-not-an-object"),
+    ])
+    def test_predict_refuses_a_header_key_or_config_field_by_name(self, tmp_path, capsys,
+                                                                  edit, named):
+        path, header, blob = self.saved_tiny_model(tmp_path)
+        edit(header)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(blob))
+        triples_path = tmp_path / "t.jsonl"
+        write_triples(synth_triples(3), triples_path)
+        assert run_cli("predict", "--checkpoint", path, "--triples", triples_path,
+                       "--out", tmp_path / "p.jsonl") == 1
+        diagnostic = json.loads(capsys.readouterr().err)
+        assert diagnostic["error"] == "ModelError"
+        assert re.search(named, diagnostic["message"]), diagnostic
 
     def test_checkpoint_bytes_stable(self, tmp_path):
         triples = synth_triples(5)

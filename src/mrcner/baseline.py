@@ -29,12 +29,10 @@ class BioHeadParams:
     mode = "bio-baseline"
     TENSORS = ("w_bio", "b_bio")
 
-    def __post_init__(self) -> None:
-        if self.variant is not None:
-            raise HeadError(f"the BIO head has no variant, got {self.variant!r}")
-
     @classmethod
     def shapes(cls, model_dim: int, variant: str | None) -> dict[str, tuple[int, ...]]:
+        if variant is not None:
+            raise HeadError(f"the BIO head has no variant, got {variant!r}")
         return {"w_bio": (model_dim, 3), "b_bio": (3,)}
 
     @classmethod

@@ -17,6 +17,7 @@ from dataclasses import asdict
 
 from . import model as model_mod
 from .corpus import Sentence, entity_inventory, parse_conll_with_report, sentence_to_json
+from .heads import ABLATION, CONDITIONED
 from .metrics import EvalError, aggregate, format_pct, score, t_test
 from .mrc_data import example_from_triple, read_triples, triple_from_sentence, write_triples
 from .model import MODE_BIO, MODE_MRC
@@ -273,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", default=None, help="manifest path (default: <out>.manifest.json)")
     p.add_argument("--config", default=None, help="JSON file of TrainConfig fields")
     p.add_argument("--mode", choices=[MODE_MRC, MODE_BIO], default=None)
-    p.add_argument("--head-variant", dest="head_variant", choices=["conditioned", "ablation"], default=None)
+    p.add_argument("--head-variant", dest="head_variant", choices=[CONDITIONED, ABLATION], default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)

@@ -40,16 +40,15 @@ class EncoderConfig:
     dropout: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.layers < 1:
-            raise EncoderError("need at least one layer")
+        for name in ("vocab_size", "layers", "model_dim", "heads", "ffn_dim", "max_positions"):
+            if getattr(self, name) < 1:
+                raise EncoderError(f"{name} must be at least 1, got {getattr(self, name)!r}")
         if self.model_dim % self.heads != 0:
             raise EncoderError(
                 f"model_dim {self.model_dim} not divisible by {self.heads} heads"
             )
         if not (0.0 <= self.dropout < 1.0):
-            raise EncoderError("dropout must be in [0, 1)")
-        if self.vocab_size < 1:
-            raise EncoderError("vocab_size must be positive")
+            raise EncoderError(f"dropout must be in [0, 1), got {self.dropout!r}")
 
     @property
     def head_dim(self) -> int:

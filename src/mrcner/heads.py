@@ -38,19 +38,10 @@ class SpanHeadParams:
     mode = "mrc"
     TENSORS = ("w_start", "b_start", "w_end", "b_end")
 
-    def __post_init__(self) -> None:
-        if self.variant not in (CONDITIONED, ABLATION):
-            raise HeadError(f"unknown head variant {self.variant!r}")
-        d = self.w_start.shape[0]
-        expected = d + 2 if self.variant == CONDITIONED else d
-        if self.w_end.shape[0] != expected:
-            raise HeadError(
-                f"{self.variant} end head expects input dim {expected}, "
-                f"got {self.w_end.shape[0]}"
-            )
-
     @classmethod
     def shapes(cls, model_dim: int, variant: str | None) -> dict[str, tuple[int, ...]]:
+        if variant not in (CONDITIONED, ABLATION):
+            raise HeadError(f"unknown head variant {variant!r}")
         end_dim = model_dim + 2 if variant == CONDITIONED else model_dim
         return dict(zip(cls.TENSORS, [(model_dim, 2), (2,), (end_dim, 2), (2,)]))
 
@@ -80,17 +71,23 @@ def start_logits(h_ctx: np.ndarray, params: SpanHeadParams) -> np.ndarray:
     return h_ctx @ params.w_start + params.b_start
 
 
+def end_features(
+    h_ctx: np.ndarray, params: SpanHeadParams, l_start: np.ndarray | None
+) -> np.ndarray:
+    """The end head's input rows: the conditioned variant appends
+    softmax(l_start) to each hidden row, the ablation variant takes h_ctx."""
+    if params.variant != CONDITIONED:
+        return h_ctx
+    if l_start is None:
+        raise HeadError("conditioned end head requires start logits")
+    return np.concatenate([h_ctx, softmax(l_start, axis=1)], axis=1)
+
+
 def end_logits(
     h_ctx: np.ndarray, params: SpanHeadParams, l_start: np.ndarray | None = None
 ) -> np.ndarray:
-    """End-index logits; the conditioned variant appends softmax(l_start) to
-    each hidden row before the affine map, the ablation variant does not."""
-    if params.variant == CONDITIONED:
-        if l_start is None:
-            raise HeadError("conditioned end head requires start logits")
-        feats = np.concatenate([h_ctx, softmax(l_start, axis=1)], axis=1)
-        return feats @ params.w_end + params.b_end
-    return h_ctx @ params.w_end + params.b_end
+    """Affine map of each end-feature row to (not-end, end) logits."""
+    return end_features(h_ctx, params, l_start) @ params.w_end + params.b_end
 
 
 def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -136,20 +133,16 @@ def span_head_grads(
     from their own cross-entropy and through the end head's conditioning.
     """
     l_start = start_logits(h_ctx, params)
-    l_end = end_logits(h_ctx, params, l_start)
+    feats = end_features(h_ctx, params, l_start)
+    l_end = feats @ params.w_end + params.b_end
     report, dls, dle = span_loss(l_start, l_end, y_start, y_end)
 
-    grads: dict[str, np.ndarray] = {"b_end": dle.sum(axis=0)}
+    grads: dict[str, np.ndarray] = {"b_end": dle.sum(axis=0), "w_end": feats.T @ dle}
+    dh = dfeats = dle @ params.w_end.T
     if params.variant == CONDITIONED:
-        p_start = softmax(l_start, axis=1)
-        feats = np.concatenate([h_ctx, p_start], axis=1)
-        grads["w_end"] = feats.T @ dle
-        dfeats = dle @ params.w_end.T
-        dh = dfeats[:, : h_ctx.shape[1]].copy()
-        dls = dls + softmax_backward(dfeats[:, h_ctx.shape[1] :], p_start, axis=1)
-    else:
-        grads["w_end"] = h_ctx.T @ dle
-        dh = dle @ params.w_end.T
+        d = h_ctx.shape[1]
+        dh = dfeats[:, :d].copy()
+        dls = dls + softmax_backward(dfeats[:, d:], feats[:, d:], axis=1)
 
     grads["w_start"] = h_ctx.T @ dls
     grads["b_start"] = dls.sum(axis=0)

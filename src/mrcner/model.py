@@ -3,8 +3,9 @@
 The task head is looked up by mode in HEADS: `heads.SpanHeadParams` ("mrc")
 or `baseline.BioHeadParams` ("bio-baseline"). Both implement one protocol:
 class attributes `mode`, `variant` (None for BIO) and `TENSORS` (tensor names
-in checkpoint order); `shapes(model_dim, variant)` and
-`init(model_dim, variant, seed)`; `loss_and_grads(h_ctx, example)` returning
+in checkpoint order); `shapes(model_dim, variant)`, which refuses a variant
+the head does not have, and `init(model_dim, variant, seed)`, which builds
+the head from its shapes; `loss_and_grads(h_ctx, example)` returning
 (loss, dh_ctx, grads by tensor name); and `decode(h_ctx, example)` returning
 entity spans. h_ctx is the encoder output at the example's context rows.
 
@@ -33,9 +34,10 @@ A checkpoint (format v2) is one UTF-8 JSON header line, then the
 little-endian float64 bytes of `ModelState.flat`. The header holds the mode,
 the head variant, the configs, the vocabulary and `tensors`, the
 `[name, shape]` pairs in store order, so `head -n1` shows everything but the
-numbers. Loading checks the header against the configs and the blob's length
-against the store, then copies the blob into a new store in one step. Files
-are byte-stable for a fixed seed.
+numbers. Loading builds the head class, configs, vocabulary and shapes from
+the header (a value they refuse is a ModelError naming its key), checks the
+header against them and the blob's length against the store, then copies the
+blob into a new store in one step. Files are byte-stable for a fixed seed.
 """
 
 from __future__ import annotations
@@ -237,7 +239,7 @@ def save_checkpoint(model: ModelState, path) -> None:
         "mode": model.head.mode,
         "head_variant": model.head.variant,
         "encoder_config": asdict(model.encoder_cfg),
-        "seq_config": {"seq_len": model.seq_cfg.seq_len, "order": model.seq_cfg.order},
+        "seq_config": asdict(model.seq_cfg),
         "vocab": model.vocab.id_to_token,
         "tensors": [[name, list(arr.shape)] for name, arr in param_items(model)],
     }
@@ -247,15 +249,14 @@ def save_checkpoint(model: ModelState, path) -> None:
         fh.write(model.flat.astype("<f8", copy=False).tobytes())
 
 
-_HEADER_KEYS = ("mode", "head_variant", "encoder_config", "seq_config", "vocab")
-
-
-def _config(cls, header: dict, key: str):
-    """The config a header field holds; an unknown or missing field, or a
-    field that is no JSON object, is refused by name."""
+def _from_header(header: dict, key: str, build):
+    """`build(header[key])`; a missing key, or a TypeError or ValueError that
+    `build` raises on the value, is a ModelError that names the key."""
+    if key not in header:
+        raise ModelError(f"checkpoint header lacks {key!r}")
     try:
-        return cls(**header[key])
-    except TypeError as exc:
+        return build(header[key])
+    except (TypeError, ValueError) as exc:
         raise ModelError(f"checkpoint {key}: {exc}") from None
 
 
@@ -275,22 +276,18 @@ def load_checkpoint(path) -> ModelState:
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise ModelError(f"unsupported checkpoint version {header.get('format_version')!r}")
 
-    missing = [key for key in _HEADER_KEYS if key not in header]
-    if missing:
-        raise ModelError(f"checkpoint header lacks {', '.join(map(repr, missing))}")
-
-    head_cls = _head_class(header["mode"])
-    variant = header["head_variant"]
-    encoder_cfg = _config(EncoderConfig, header, "encoder_config")
-    seq_cfg = _config(SeqConfig, header, "seq_config")
+    head_cls = _from_header(header, "mode", _head_class)
+    encoder_cfg = _from_header(header, "encoder_config", lambda fields: EncoderConfig(**fields))
+    seq_cfg = _from_header(header, "seq_config", lambda fields: SeqConfig(**fields))
     if seq_cfg.seq_len > encoder_cfg.max_positions:
         raise ModelError(f"seq_config.seq_len {seq_cfg.seq_len} exceeds "
                          f"encoder_config.max_positions {encoder_cfg.max_positions}")
-    vocab = Vocab(list(header["vocab"]))
+    vocab = _from_header(header, "vocab", Vocab)
     if vocab.size != encoder_cfg.vocab_size:
         raise ModelError(f"checkpoint vocabulary has {vocab.size} tokens but "
                          f"encoder_config.vocab_size is {encoder_cfg.vocab_size}")
-    shapes = model_shapes(encoder_cfg, head_cls, variant)
+    shapes = _from_header(header, "head_variant",
+                          lambda variant: model_shapes(encoder_cfg, head_cls, variant))
     expected = [[name, list(shape)] for name, shape in shapes.items()]
     stored = header.get("tensors")
     if stored != expected:
@@ -305,7 +302,7 @@ def load_checkpoint(path) -> ModelState:
         raise ModelError(f"checkpoint holds {len(blob)} parameter bytes, "
                          f"the model's {flat.size} float64 values need {8 * flat.size}")
     flat[:] = np.frombuffer(blob, "<f8")
-    return _assemble(encoder_cfg, seq_cfg, vocab, head_cls, variant, flat, views)
+    return _assemble(encoder_cfg, seq_cfg, vocab, head_cls, header["head_variant"], flat, views)
 
 
 def copy_params(model: ModelState) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Word-level tokenization with an [UNK] fallback stands in for subword
 tokenization so that token indices in the input are exactly the sentence
-token indices the gold spans refer to.
+token indices the gold spans refer to. An input takes one of two layouts,
+context first or query first; a triple without a query (the BIO baseline)
+takes the context-first one with an empty query part.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ class Vocab:
     def __post_init__(self) -> None:
         if tuple(self.id_to_token[:4]) != SPECIALS:
             raise MrcDataError("vocabulary must start with the four special tokens")
+        if set(map(type, self.id_to_token)) != {str}:
+            raise MrcDataError("vocabulary tokens must be strings")
         self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
             raise MrcDataError("vocabulary contains duplicate tokens")
@@ -80,7 +84,12 @@ class SeqConfig:
 
 @dataclass
 class Triple:
-    """One (Context, Query, Answer) unit; query is None for the BIO baseline."""
+    """One (Context, Query, Answer) unit; query is None for the BIO baseline.
+
+    Its answers are checked when it is made, whether read from a file or
+    built in code: they must be sorted, non-overlapping integer spans inside
+    its own context, or MrcDataError names the first bad one.
+    """
 
     context: list[str]
     query: str | None
@@ -88,6 +97,19 @@ class Triple:
     entity_type: str
     doc_id: str
     sent_id: int
+
+    def __post_init__(self) -> None:
+        previous_end = -1
+        for start, end in self.answers:
+            # bool is an int subclass, but JSON true/false is no index
+            if not (type(start) is int and type(end) is int
+                    and previous_end < start <= end < len(self.context)):
+                raise MrcDataError(
+                    f"triple {self.doc_id}/{self.sent_id}: answer ({start!r}, {end!r}) is "
+                    f"not an integer span inside its {len(self.context)}-token context after "
+                    f"the answer ending at {previous_end} (answers are sorted and do not overlap)"
+                )
+            previous_end = end
 
     def to_json(self) -> str:
         record = {
@@ -101,10 +123,8 @@ class Triple:
 
     @classmethod
     def from_json(cls, line: str) -> "Triple":
-        """Parse one triple; its answers must be sorted, non-overlapping spans
-        inside its own context, or MrcDataError names the first bad one."""
         rec = json.loads(line)
-        triple = cls(
+        return cls(
             context=list(rec["context"]),
             query=rec["query"],
             answers=[(a["start"], a["end"]) for a in rec["answers"]],
@@ -112,38 +132,23 @@ class Triple:
             doc_id=rec["origin"]["doc_id"],
             sent_id=rec["origin"]["sent_id"],
         )
-        previous_end = -1
-        for start, end in triple.answers:
-            # bool is an int subclass, but JSON true/false is no index
-            if not (type(start) is int and type(end) is int
-                    and previous_end < start <= end < len(triple.context)):
-                raise MrcDataError(
-                    f"triple {triple.doc_id}/{triple.sent_id}: answer ({start!r}, {end!r}) is "
-                    f"not an integer span inside its {len(triple.context)}-token context after "
-                    f"the answer ending at {previous_end} (answers are sorted and do not overlap)"
-                )
-            previous_end = end
-        return triple
 
 
 def triple_from_sentence(
     sentence: Sentence, query: QuerySpec | None, entity_type: str | None = None
 ) -> Triple:
     """Pair a sentence with a query; answers are the sentence's gold spans of
-    the target entity type (the query's type, or `entity_type` for the
-    query-free baseline)."""
+    the target entity type: the query's type, or `entity_type` for the
+    query-free baseline. Without either, MrcDataError."""
     etype = query.entity_type if query is not None else entity_type
+    if etype is None:
+        raise MrcDataError("a triple without a query needs an entity type")
     spans = bio_to_spans(sentence.labels)  # no surfaces: a triple keeps only offsets
-    if etype is not None:
-        spans = [s for s in spans if s.entity_type == etype]
-        entity_type = etype
-    else:
-        entity_type = spans[0].entity_type if spans else ""
     return Triple(
         context=list(sentence.tokens),
         query=query.text if query is not None else None,
-        answers=[(s.start, s.end) for s in spans],
-        entity_type=entity_type,
+        answers=[(s.start, s.end) for s in spans if s.entity_type == etype],
+        entity_type=etype,
         doc_id=sentence.doc_id,
         sent_id=sentence.sent_id,
     )
@@ -175,40 +180,37 @@ class MrcExample:
 
 
 def example_from_triple(triple: Triple, vocab: Vocab, cfg: SeqConfig) -> MrcExample:
-    """Lay out [CLS] context [SEP] query [SEP] (or the query-first variant,
-    or [CLS] context [SEP] when the triple carries no query), pad to seq_len,
-    and place start/end target bits from the answers.
+    """Lay out [CLS] context [SEP] query [SEP] or the query-first variant
+    [CLS] query [SEP] context [SEP], pad to seq_len, and place start/end
+    target bits from the answers. A triple without a query takes the
+    context-first layout with an empty query part: [CLS] context [SEP].
 
     Context that does not fit is truncated at the tail; answers falling
     wholly or partly past the truncation point are dropped and counted.
     """
-    q_tokens = triple.query.split() if triple.query is not None else None
-    overhead = 3 + len(q_tokens) if q_tokens is not None else 2
-    max_ctx = cfg.seq_len - overhead
+    has_query = triple.query is not None
+    q_tokens = triple.query.split() if has_query else []
+    q_part = [vocab.encode(t) for t in q_tokens] + [SEP_ID] if has_query else []
+    max_ctx = cfg.seq_len - 2 - len(q_part)
     if max_ctx < 1:
         raise MrcDataError(
             f"seq_len {cfg.seq_len} leaves no room for context "
-            f"(query has {len(q_tokens or [])} tokens)"
+            f"(query has {len(q_tokens)} tokens)"
         )
 
     ctx_tokens = triple.context[:max_ctx]
     n_ctx = len(ctx_tokens)
-    kept = [(s, e) for s, e in triple.answers if e < n_ctx and s < n_ctx]
+    kept = [(s, e) for s, e in triple.answers if e < n_ctx]
     dropped = len(triple.answers) - len(kept)
 
     ctx_ids = [vocab.encode(t) for t in ctx_tokens]
-    if q_tokens is None:
-        ids = [CLS_ID] + ctx_ids + [SEP_ID]
-        ctx_first = 1
-        first_segment = len(ids)
-    elif cfg.order == CONTEXT_FIRST:
-        ids = [CLS_ID] + ctx_ids + [SEP_ID] + [vocab.encode(t) for t in q_tokens] + [SEP_ID]
+    if cfg.order == CONTEXT_FIRST or not has_query:
+        ids = [CLS_ID] + ctx_ids + [SEP_ID] + q_part
         ctx_first = 1
         first_segment = 2 + n_ctx
     else:
-        ids = [CLS_ID] + [vocab.encode(t) for t in q_tokens] + [SEP_ID] + ctx_ids + [SEP_ID]
-        ctx_first = 2 + len(q_tokens)
-        first_segment = 2 + len(q_tokens)
+        ids = [CLS_ID] + q_part + ctx_ids + [SEP_ID]
+        ctx_first = first_segment = 1 + len(q_part)
 
     n_real = len(ids)
     segments = [0] * first_segment + [1] * (n_real - first_segment)

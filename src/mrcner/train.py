@@ -21,6 +21,7 @@ import numpy as np
 
 from . import model as model_mod
 from .encoder import EncoderConfig
+from .heads import CONDITIONED
 from .metrics import EvalReport, score
 from .mrc_data import MrcExample, SeqConfig, Triple, Vocab, example_from_triple
 from .model import MODE_MRC, ModelState
@@ -48,7 +49,7 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 13
-    head_variant: str = "conditioned"
+    head_variant: str = CONDITIONED
     mode: str = MODE_MRC
     min_count: int = 1
     layers: int = 2
@@ -59,12 +60,14 @@ class TrainConfig:
     early_stop_f1: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("seq_len", "batch_size", "learning_rate", "layers", "model_dim",
-                     "heads", "ffn_dim", "min_count"):
+        for name in ("batch_size", "learning_rate", "min_count"):
             if getattr(self, name) <= 0:
                 raise TrainingError(f"config field {name} must be positive")
         if self.epochs < 0 or self.warmup_steps < 0:
             raise TrainingError("epochs and warmup_steps must be non-negative")
+        # The sequence and encoder configs check their own fields.
+        self.seq_config()
+        self.encoder_config(1)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":

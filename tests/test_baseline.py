@@ -11,7 +11,7 @@ from mrcner.baseline import (
     bio_logits,
     bio_targets,
 )
-from mrcner.heads import cross_entropy
+from mrcner.heads import HeadError, cross_entropy
 from mrcner.mrc_data import SeqConfig, Triple, Vocab, example_from_triple
 from oracles import central_difference, relative_error
 
@@ -32,6 +32,10 @@ def saturated_bio_logits(tags, margin=9.0):
 
 
 class TestBioHead:
+    def test_a_variant_has_no_shapes(self):
+        with pytest.raises(HeadError, match="no variant"):
+            BioHeadParams.shapes(D, "conditioned")
+
     def test_zero_params_uniform_loss_ln3(self):
         h = np.random.default_rng(0).normal(size=(5, D))
         params = BioHeadParams(np.zeros((D, 3)), np.zeros(3))

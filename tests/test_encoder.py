@@ -92,6 +92,22 @@ def reference_forward(params, cfg, example):
     return reference_layer_norm(x, params["final_ln_g"], params["final_ln_b"])
 
 
+class TestConfig:
+    @pytest.mark.parametrize("field", ["vocab_size", "layers", "model_dim", "heads", "ffn_dim",
+                                       "max_positions"])
+    def test_size_below_one_refused(self, field):
+        with pytest.raises(EncoderError, match=f"{field} must be at least 1"):
+            tiny_config(**{field: 0})
+
+    def test_heads_must_divide_model_dim(self):
+        with pytest.raises(EncoderError, match="not divisible by 3 heads"):
+            tiny_config(heads=3)
+
+    def test_dropout_of_one_refused(self):
+        with pytest.raises(EncoderError, match="dropout"):
+            tiny_config(dropout=1.0)
+
+
 class TestForward:
     def test_zero_weights_collapse_to_layer_normed_embeddings(self):
         # Zero attention and FFN weights (keep embeddings and unit layer-norm

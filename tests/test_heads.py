@@ -71,6 +71,11 @@ class TestStartLogits:
                 assert abs(logits[i, c] - manual) <= 1e-12
 
 
+def test_unknown_variant_has_no_shapes():
+    with pytest.raises(HeadError, match="unknown head variant 'bogus'"):
+        SpanHeadParams.shapes(D, "bogus")
+
+
 class TestEndLogits:
     def test_ablation_zero_weights(self):
         h = np.random.default_rng(1).normal(size=(4, D))

@@ -30,14 +30,15 @@ def chem_query():
 
 class TestVocab:
     def test_min_count_one(self, meloxicam_sentence):
-        vocab = build_vocab_from_triples([triple_from_sentence(meloxicam_sentence, None)], 1)
+        vocab = build_vocab_from_triples(
+            [triple_from_sentence(meloxicam_sentence, None, entity_type="CHEMICAL")], 1)
         assert vocab.size == 4 + 6
         assert vocab.encode("Meloxicam") >= 4
         assert vocab.encode("unseen") == UNK_ID
 
     def test_count_threshold(self):
         sents = parse_conll(["a\tO", "b\tO", "a\tO"])
-        triples = [triple_from_sentence(s, None) for s in sents]
+        triples = [triple_from_sentence(s, None, entity_type="CHEMICAL") for s in sents]
         assert build_vocab_from_triples(triples, 1).size == 6
         assert build_vocab_from_triples(triples, 2).size == 5
 
@@ -46,7 +47,8 @@ class TestVocab:
 
     def test_ids_ordered_by_count_then_token(self):
         sents = parse_conll(["b\tO", "a\tO", "b\tO", "c\tO"])
-        vocab = build_vocab_from_triples([triple_from_sentence(s, None) for s in sents], 1)
+        vocab = build_vocab_from_triples(
+            [triple_from_sentence(s, None, entity_type="CHEMICAL") for s in sents], 1)
         assert vocab.id_to_token[4:] == ["b", "a", "c"]
 
     def test_query_tokens_included(self, meloxicam_sentence):
@@ -54,7 +56,8 @@ class TestVocab:
         assert build_vocab_from_triples([triple], 1).encode("detect") >= 4
 
     def test_json_round_trip(self, meloxicam_sentence):
-        vocab = build_vocab_from_triples([triple_from_sentence(meloxicam_sentence, None)], 1)
+        vocab = build_vocab_from_triples(
+            [triple_from_sentence(meloxicam_sentence, None, entity_type="CHEMICAL")], 1)
         clone = Vocab(list(vocab.id_to_token))
         assert clone.token_to_id == vocab.token_to_id
 
@@ -78,7 +81,8 @@ class TestMakeExample:
 
     def test_no_entities_means_zero_targets(self):
         sent = parse_conll(["liver\tO", "toxicity\tO"])[0]
-        vocab = build_vocab_from_triples([triple_from_sentence(sent, None)], 1)
+        vocab = build_vocab_from_triples(
+            [triple_from_sentence(sent, None, entity_type="CHEMICAL")], 1)
         ex = example_from_triple(triple_from_sentence(sent, chem_query()), vocab, SeqConfig(32))
         assert not ex.y_start.any() and not ex.y_end.any()
 
@@ -124,7 +128,7 @@ class TestMakeExample:
         assert (ids_cf == ids_qf).all()
 
     def test_baseline_layout_has_no_query_segment(self, meloxicam_sentence):
-        triple = triple_from_sentence(meloxicam_sentence, None)
+        triple = triple_from_sentence(meloxicam_sentence, None, entity_type="CHEMICAL")
         vocab = build_vocab_from_triples([triple], 1)
         ex = example_from_triple(triple, vocab, SeqConfig(16))
         assert int(ex.attention_mask.sum()) == 8  # [CLS] + 6 + [SEP]
@@ -139,13 +143,15 @@ class TestProjection:
         assert project_predictions(ex, [(0, 0)]) == [EntitySpan(0, 0, "CHEMICAL", "Meloxicam")]
 
     def test_empty_projection(self, meloxicam_sentence):
-        vocab = build_vocab_from_triples([triple_from_sentence(meloxicam_sentence, None)], 1)
+        vocab = build_vocab_from_triples(
+            [triple_from_sentence(meloxicam_sentence, None, entity_type="CHEMICAL")], 1)
         triple = triple_from_sentence(meloxicam_sentence, chem_query())
         ex = example_from_triple(triple, vocab, SeqConfig(32))
         assert project_predictions(ex, []) == []
 
     def test_out_of_range_raises(self, meloxicam_sentence):
-        vocab = build_vocab_from_triples([triple_from_sentence(meloxicam_sentence, None)], 1)
+        vocab = build_vocab_from_triples(
+            [triple_from_sentence(meloxicam_sentence, None, entity_type="CHEMICAL")], 1)
         triple = triple_from_sentence(meloxicam_sentence, chem_query())
         ex = example_from_triple(triple, vocab, SeqConfig(32))
         with pytest.raises(MrcDataError):
@@ -184,9 +190,19 @@ class TestTripleJson:
         ([(False, True)], "(False, True)"),  # JSON booleans are no indexes
     ])
     def test_answers_checked_against_own_context(self, answers, refused):
-        triple = Triple([f"t{i}" for i in range(5)], "q", answers, "C", "d", 4)
-        with pytest.raises(MrcDataError, match=re.escape(f"d/4: answer {refused}")):
-            Triple.from_json(triple.to_json())
+        context = [f"t{i}" for i in range(5)]
+        message = re.escape(f"d/4: answer {refused}")
+        with pytest.raises(MrcDataError, match=message):
+            Triple(context, "q", answers, "C", "d", 4)
+        line = json.dumps({"context": context, "query": "q",
+                           "answers": [{"start": s, "end": e} for s, e in answers],
+                           "entity_type": "C", "origin": {"doc_id": "d", "sent_id": 4}})
+        with pytest.raises(MrcDataError, match=message):
+            Triple.from_json(line)
+
+    def test_query_free_triple_needs_an_entity_type(self, meloxicam_sentence):
+        with pytest.raises(MrcDataError, match="entity type"):
+            triple_from_sentence(meloxicam_sentence, None)
 
     def test_other_type_spans_excluded(self):
         sent = parse_conll(["aspirin\tB-CHEMICAL", "headache\tB-DISEASE"])[0]

@@ -11,11 +11,11 @@ import pytest
 from mrcner import model as model_mod
 from mrcner.cli import CliError, build_parser, main, read_predictions
 from mrcner.corpus import entity_inventory
-from mrcner.encoder import EncoderConfig
+from mrcner.encoder import EncoderConfig, EncoderError
 from mrcner.model import ModelError
 from mrcner.mrc_data import (
+    MrcDataError,
     SeqConfig,
-    Triple,
     example_from_triple,
     read_triples,
     triple_from_sentence,
@@ -100,6 +100,13 @@ class TestTraining:
         with pytest.raises(TrainingError, match="unknown config"):
             TrainConfig.from_dict({"learning_rat": 0.1})
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("seq_len", 3, MrcDataError), ("heads", 3, EncoderError), ("dropout", 1.0, EncoderError),
+    ])
+    def test_sequence_and_encoder_rules_apply_when_the_config_is_made(self, field, value, error):
+        with pytest.raises(error, match=field):
+            TrainConfig(**{field: value})
+
     @pytest.mark.parametrize("epochs, early_stop_f1", [(10, None), (10, 0.7), (0, None)],
                              ids=["best-before-last", "early-stop", "no-epochs"])
     def test_final_metrics_match_a_fresh_dev_evaluation(self, epochs, early_stop_f1):
@@ -138,17 +145,17 @@ class TestCheckpoint:
         assert loaded.head.mode == mdl.head.mode and loaded.head.variant == mdl.head.variant
 
     @staticmethod
-    def tiny_model(mode="mrc"):
+    def tiny_model(mode="mrc", variant="conditioned"):
         vocab = build_vocab_from_triples(synth_triples(3), min_count=1)
         cfg = EncoderConfig(vocab_size=vocab.size, layers=1, model_dim=8, heads=2,
                             ffn_dim=16, max_positions=32)
-        return model_mod.new_model(mode, "conditioned", cfg, SeqConfig(32), vocab, seed=1)
+        return model_mod.new_model(mode, variant, cfg, SeqConfig(32), vocab, seed=1)
 
     @classmethod
-    def saved_tiny_model(cls, tmp_path, mode="mrc"):
+    def saved_tiny_model(cls, tmp_path, mode="mrc", variant="conditioned"):
         """The checkpoint's path, its parsed header line and its parameter blob."""
         path = tmp_path / "tiny.ckpt"
-        model_mod.save_checkpoint(cls.tiny_model(mode), path)
+        model_mod.save_checkpoint(cls.tiny_model(mode, variant), path)
         header, _, blob = path.read_bytes().partition(b"\n")
         return path, json.loads(header), bytearray(blob)
 
@@ -286,17 +293,35 @@ class TestCheckpoint:
         assert "parameter bytes" in diagnostic["message"]
         assert not (tmp_path / "p.jsonl").exists()
 
-    @pytest.mark.parametrize("edit, named", [
-        pytest.param(lambda h: h.pop("mode"), "lacks 'mode'", id="no-mode"),
-        pytest.param(lambda h: h.pop("vocab"), "lacks 'vocab'", id="no-vocab"),
+    @pytest.mark.parametrize("edit, named, saved", [
+        pytest.param(lambda h: h.pop("mode"), "lacks 'mode'", ("mrc", "conditioned"),
+                     id="no-mode"),
+        pytest.param(lambda h: h.pop("vocab"), "lacks 'vocab'", ("mrc", "conditioned"),
+                     id="no-vocab"),
         pytest.param(lambda h: h["encoder_config"].update(bogus=1), "encoder_config: .*'bogus'",
-                     id="unknown-encoder-field"),
+                     ("mrc", "conditioned"), id="unknown-encoder-field"),
         pytest.param(lambda h: h.update(seq_config=[1]), "seq_config: .*must be a mapping",
-                     id="seq-config-not-an-object"),
+                     ("mrc", "conditioned"), id="seq-config-not-an-object"),
+        pytest.param(lambda h: h.update(mode=["mrc"]), "checkpoint mode: .*unhashable",
+                     ("mrc", "conditioned"), id="mode-not-a-string"),
+        pytest.param(lambda h: h.update(vocab=5), "checkpoint vocab: ",
+                     ("mrc", "conditioned"), id="vocab-not-a-list"),
+        pytest.param(lambda h: h.update(vocab=h["vocab"][:-1] + [7]),
+                     "checkpoint vocab: .*must be strings", ("mrc", "conditioned"),
+                     id="vocab-token-not-a-string"),
+        pytest.param(lambda h: h["encoder_config"].update(heads=0),
+                     "encoder_config: heads must be at least 1", ("mrc", "conditioned"),
+                     id="zero-heads"),
+        pytest.param(lambda h: h.update(head_variant="bogus"),
+                     "head_variant: unknown head variant 'bogus'", ("mrc", "ablation"),
+                     id="unknown-span-variant"),
+        pytest.param(lambda h: h.update(head_variant="conditioned"),
+                     "head_variant: the BIO head has no variant", ("bio-baseline", None),
+                     id="variant-on-a-bio-head"),
     ])
     def test_predict_refuses_a_header_key_or_config_field_by_name(self, tmp_path, capsys,
-                                                                  edit, named):
-        path, header, blob = self.saved_tiny_model(tmp_path)
+                                                                  edit, named, saved):
+        path, header, blob = self.saved_tiny_model(tmp_path, *saved)
         edit(header)
         path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(blob))
         triples_path = tmp_path / "t.jsonl"
@@ -373,14 +398,26 @@ class TestCli:
         assert "duplicate" in json.loads(capsys.readouterr().err)["message"]
 
     def test_triples_outside_their_context_rejected(self, tmp_path, capsys):
-        bad = Triple([f"t{i}" for i in range(5)], "q", [(1, 2), (2, 3), (7, 9)], "C", "d", 0)
+        answers = [{"start": s, "end": e} for s, e in [(1, 2), (2, 3), (7, 9)]]
+        bad = {"context": [f"t{i}" for i in range(5)], "query": "q", "answers": answers,
+               "entity_type": "C", "origin": {"doc_id": "d", "sent_id": 0}}
         triples = tmp_path / "bad.jsonl"
-        write_triples([bad], triples)
+        triples.write_text(json.dumps(bad) + "\n")
         assert run_cli("train", "--train", triples, "--out", tmp_path / "m.ckpt") == 1
         diagnostic = json.loads(capsys.readouterr().err)
         assert diagnostic["error"] == "MrcDataError"
         assert "d/0: answer (2, 3)" in diagnostic["message"]
         assert not (tmp_path / "m.ckpt").exists()
+
+    def test_train_refuses_a_short_seq_len_before_writing(self, tmp_path, capsys):
+        triples = tmp_path / "t.jsonl"
+        write_triples(synth_triples(3), triples)
+        assert run_cli("train", "--train", triples, "--out", tmp_path / "m.ckpt",
+                       "--seq-len", "3") == 1
+        diagnostic = json.loads(capsys.readouterr().err)
+        assert diagnostic["error"] == "MrcDataError" and "seq_len" in diagnostic["message"]
+        assert not (tmp_path / "m.ckpt").exists()
+        assert not (tmp_path / "m.ckpt.manifest.json").exists()
 
     def test_duplicate_prediction_keys_rejected(self, tmp_path):
         record = json.dumps({"origin": {"doc_id": "d", "sent_id": 3}, "entity_type": "C",

@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""SHA-256 of every artifact the benchmark workloads produce, for one seed.
+
+    python3 tools/digests.py [--seed 7]
+
+It runs from any directory, imports mrcner from the repository's `src/`
+and the workloads from its `perfbench/`, and changes nothing under either.
+For each workload in `perfbench/bench.py`'s WORKLOADS it generates the
+workload's splits with `perfbench/corpus_gen.py` (lexicon seed N, split seed
+"N:<split>"), then, in a temporary directory, runs `convert` on every split,
+`train`, `predict` on the workload's predict split and `evaluate` through
+`mrcner.cli.main` with the workload's arguments, as the benchmark does. BLAS
+is pinned as in `perfbench/run.py`.
+
+It prints one JSON object: per workload, the digest of each split's triples,
+the checkpoint, the manifest with `wall_clock_sec` removed (the only field
+that changes between runs), the predictions and the metrics. Two commits
+that compute the same outputs print the same object.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import run  # noqa: E402 - perfbench/run.py, for its BLAS pinning
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def workload_digests(workload, seed: int) -> dict[str, str]:
+    """Run the workload's pipeline in the current directory; returns the
+    digest of each artifact by name."""
+    import corpus_gen as cg
+    from mrcner import cli
+
+    def mrcner(*argv: str) -> None:
+        with redirect_stdout(io.StringIO()):
+            code = cli.main(list(argv))
+        if code != 0:
+            raise RuntimeError(f"{workload.name}: mrcner {' '.join(argv)} exited {code}")
+
+    lexicon = cg.Lexicon(seed, workload.filler_vocab, workload.entity_phrases)
+    splits = [split for split, _ in workload.splits]
+    for split, spec in workload.splits:
+        text = cg.generate(spec, lexicon, f"{seed}:{split}", cg.CorpusStats())
+        Path(f"{split}.conll").write_text(text)
+    for split in splits:
+        mrcner("convert", "--input", f"{split}.conll", "--entity-type", cg.ENTITY_TYPE,
+               "--out", f"{split}.jsonl", *workload.convert_args)
+    train_args = ["--train", "train.jsonl", "--out", "model.ckpt", *workload.train_args]
+    if "dev" in splits:
+        train_args += ["--dev", "dev.jsonl"]
+    if workload.config:
+        Path("config.json").write_text(json.dumps(workload.config))
+        train_args += ["--config", "config.json"]
+    mrcner("train", *train_args)
+    test = f"{workload.predict_split}.jsonl"
+    mrcner("predict", "--checkpoint", "model.ckpt", "--triples", test, "--out", "pred.jsonl")
+    mrcner("evaluate", "--gold", test, "--predictions", "pred.jsonl", "--out", "metrics.json")
+
+    manifest = json.loads(Path("model.ckpt.manifest.json").read_text())
+    del manifest["wall_clock_sec"]
+    digests = {f"{split} triples": sha256(Path(f"{split}.jsonl").read_bytes()) for split in splits}
+    digests["checkpoint"] = sha256(Path("model.ckpt").read_bytes())
+    digests["manifest without wall_clock_sec"] = sha256(json.dumps(manifest, sort_keys=True).encode())
+    digests["predictions"] = sha256(Path("pred.jsonl").read_bytes())
+    digests["metrics"] = sha256(Path("metrics.json").read_bytes())
+    return digests
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("--seed", type=int, default=7, help="seed of the generated inputs")
+    args = p.parse_args(argv)
+    # BLAS reads its thread count once, when numpy is first imported.
+    for var in run.BLAS_THREAD_VARS:
+        os.environ[var] = str(run.BLAS_THREADS)
+    import bench
+
+    start_dir = os.getcwd()
+    result = {}
+    try:
+        for name, workload in bench.WORKLOADS.items():
+            with tempfile.TemporaryDirectory(prefix=f"digests-{name}-") as directory:
+                os.chdir(directory)
+                try:
+                    result[name] = workload_digests(workload, args.seed)
+                finally:
+                    os.chdir(start_dir)
+    except RuntimeError as exc:
+        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        return 1
+    print(json.dumps({"seed": args.seed, "digests": result}, indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

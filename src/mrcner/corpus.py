@@ -95,17 +95,31 @@ class ParseReport:
     entity_spans: Counter = field(default_factory=Counter)  # by entity type
 
 
+# Every BioLabel parse_label has built, by (raw, default_entity_type).
+_PARSED_LABELS: dict[tuple[str, str], BioLabel] = {}
+
+
 def parse_label(raw: str, index: int, default_entity_type: str = DEFAULT_ENTITY_TYPE) -> BioLabel:
     """Parse a raw label string ("O", "B", "I-Chemical", ...) into a BioLabel.
 
     Bare B/I tags get `default_entity_type`; a -suffix wins when present.
+    A corpus holds few distinct labels, so each distinct (raw,
+    default_entity_type) is built and validated once and the frozen label is
+    kept in a module-level cache for every later token. A raw label that
+    fails is never cached: it raises on every occurrence, naming `index`.
     """
-    if raw == "O":
-        return BioLabel("O")
-    tag, _, suffix = raw.partition("-")
-    if tag not in ("B", "I"):
-        raise CorpusError(f"unknown tag {raw!r} at token index {index}")
-    return BioLabel(tag, suffix if suffix else default_entity_type)
+    key = (raw, default_entity_type)
+    label = _PARSED_LABELS.get(key)
+    if label is None:
+        if raw == "O":
+            label = BioLabel("O")
+        else:
+            tag, _, suffix = raw.partition("-")
+            if tag not in ("B", "I"):
+                raise CorpusError(f"unknown tag {raw!r} at token index {index}")
+            label = BioLabel(tag, suffix if suffix else default_entity_type)
+        _PARSED_LABELS[key] = label
+    return label
 
 
 def repair_bio(

@@ -3,7 +3,9 @@
 forward() returns the hidden rows of one example's real (unpadded) tokens
 plus an activation tape; backward() takes the tape and an upstream gradient
 of those rows and adds exact reverse-mode gradients for every parameter into
-the gradient arrays it is given (or into zeroed ones).
+the gradient arrays it is given (or into zeroed ones). The tape keeps each
+feed-forward's GELU input and its normal cdf, so backward computes GELU's
+derivative without a second `erf`.
 Blocks are pre-norm (attention, then GELU feed-forward), with a final layer norm.
 
 Token, position, and segment embeddings are summed at the input; padding is
@@ -98,22 +100,30 @@ def init_encoder_params(cfg: EncoderConfig, seed: int) -> dict[str, np.ndarray]:
     return init_tensors(np.random.default_rng(seed), param_shapes(cfg))
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Returns (x * cdf, cdf), cdf being the standard normal cdf of x.
 
-
-def gelu_grad(x: np.ndarray) -> np.ndarray:
+    Halving is exact, so x * cdf equals 0.5 * x * (1 + erf(x / sqrt 2)) bit
+    for bit."""
     cdf = 0.5 * (1.0 + erf(x / _SQRT2))
+    return x * cdf, cdf
+
+
+def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """d gelu / dx at x, given gelu's cdf of x."""
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
     return cdf + x * pdf
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
-    """Row-wise layer norm; returns (y, xhat, istd) for the backward pass."""
-    mu = x.mean(axis=1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
+    """Row-wise layer norm; returns (y, xhat, istd) for the backward pass.
+
+    Row means are sum / width, which is what ndarray.mean computes."""
+    d = x.shape[1]
+    xc = x - x.sum(axis=1, keepdims=True) / d
+    var = np.square(xc).sum(axis=1, keepdims=True) / d
     istd = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * istd
+    xhat = xc * istd
     return gain * xhat + bias, xhat, istd
 
 
@@ -218,7 +228,7 @@ def forward(
         rec["b"] = b
         f1 = b @ params[pre + "ffn_w1"] + params[pre + "ffn_b1"]
         rec["f1"] = f1
-        g = gelu(f1)
+        g, rec["cdf"] = gelu(f1)
         rec["g"] = g
         f2 = g @ params[pre + "ffn_w2"] + params[pre + "ffn_b2"]
         if use_dropout:
@@ -275,7 +285,7 @@ def backward(
         dg = df2 @ params[pre + "ffn_w2"].T
         grads[pre + "ffn_w2"] += rec["g"].T @ df2
         grads[pre + "ffn_b2"] += df2.sum(axis=0)
-        df1 = dg * gelu_grad(rec["f1"])
+        df1 = dg * gelu_grad(rec["f1"], rec["cdf"])
         db = df1 @ params[pre + "ffn_w1"].T
         grads[pre + "ffn_w1"] += rec["b"].T @ df1
         grads[pre + "ffn_b1"] += df1.sum(axis=0)

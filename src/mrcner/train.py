@@ -12,6 +12,7 @@ manifest's final metrics.
 from __future__ import annotations
 
 import logging
+import numbers
 import time
 from collections import Counter
 from dataclasses import dataclass, field, asdict
@@ -65,9 +66,17 @@ class TrainConfig:
                 raise TrainingError(f"config field {name} must be positive")
         if self.epochs < 0 or self.warmup_steps < 0:
             raise TrainingError("epochs and warmup_steps must be non-negative")
-        # The sequence and encoder configs check their own fields.
+        if self.early_stop_f1 is not None and (
+            isinstance(self.early_stop_f1, bool) or not isinstance(self.early_stop_f1, numbers.Real)
+        ):
+            raise TrainingError(f"early_stop_f1 must be a number or null, got {self.early_stop_f1!r}")
+        if not isinstance(self.mode, str) or self.mode not in model_mod.HEADS:
+            raise TrainingError(f"unknown mode {self.mode!r}; expected one of {sorted(model_mod.HEADS)}")
+        # The sequence and encoder configs and the span head check their own fields.
         self.seq_config()
         self.encoder_config(1)
+        if self.mode == MODE_MRC:
+            model_mod.HEADS[MODE_MRC].shapes(self.model_dim, self.head_variant)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":

@@ -13,6 +13,18 @@ import math
 import numpy as np
 
 from mrcner import model as model_mod
+from mrcner.corpus import BioLabel, CorpusError
+
+
+def bio_label_uncached(raw, index, default_entity_type):
+    """parse_label as it was before it cached: a new, validated BioLabel per
+    call."""
+    if raw == "O":
+        return BioLabel("O")
+    tag, _, suffix = raw.partition("-")
+    if tag not in ("B", "I"):
+        raise CorpusError(f"unknown tag {raw!r} at token index {index}")
+    return BioLabel(tag, suffix if suffix else default_entity_type)
 
 
 def spans_by_run_scan(tags):

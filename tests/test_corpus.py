@@ -2,7 +2,9 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from mrcner import corpus
 from mrcner.corpus import (
     BioLabel,
     CorpusError,
@@ -18,7 +20,7 @@ from mrcner.corpus import (
     spans_to_bio,
 )
 from helpers import MELOXICAM_CONLL, corpus_to_conll, random_bio_sentence
-from oracles import spans_by_run_scan
+from oracles import bio_label_uncached, spans_by_run_scan
 
 
 def labels_from_pairs(pairs):
@@ -100,6 +102,38 @@ class TestRepair:
     def test_unknown_tag_raises_with_index(self):
         with pytest.raises(CorpusError, match="index 2"):
             repair_bio(["O", "O", "X-CHEM"])
+
+
+RAW_LABELS = st.sampled_from(["O", "B", "I", "B-CHEM", "I-CHEM", "I-DIS", "B-DIS", "B-", "I-"])
+
+
+class TestLabelCache:
+    def test_same_raw_label_parses_to_an_equal_label(self):
+        for raw in ("O", "B", "I-Chemical", "B-"):
+            first = parse_label(raw, 0, "ENT")
+            assert parse_label(raw, 5, "ENT") == first == bio_label_uncached(raw, 0, "ENT")
+        assert parse_label("B", 0, "DISEASE") == BioLabel("B", "DISEASE")
+        assert parse_label("B", 0, "ENT") == BioLabel("B", "ENT")
+
+    def test_unknown_tag_names_its_own_index_every_time(self):
+        with pytest.raises(CorpusError, match="'X-C' at token index 1"):
+            parse_conll(["a\tO", "b\tX-C"])
+        with pytest.raises(CorpusError, match="'X-C' at token index 3"):
+            parse_conll(["a\tO", "", "b\tO", "c\tO", "d\tO", "e\tX-C"])
+        with pytest.raises(CorpusError, match="'X-C' at token index 0"):
+            parse_conll(["a\tX-C", "b\tX-C"])
+
+    @given(st.lists(st.lists(RAW_LABELS, min_size=1, max_size=12), max_size=6),
+           st.sampled_from(["ENT", "CHEM"]))
+    def test_parse_with_repairs_matches_the_uncached_parse(self, label_rows, default):
+        lines = []
+        for row in label_rows:
+            lines += [f"w{i}\t{raw}" for i, raw in enumerate(row)] + [""]
+        cached = parse_conll_with_report(lines, "doc", default)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(corpus, "parse_label", bio_label_uncached)
+            uncached = parse_conll_with_report(lines, "doc", default)
+        assert cached == uncached
 
 
 class TestSpanConversion:

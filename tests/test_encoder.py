@@ -4,6 +4,9 @@ import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import erf
 
 from mrcner.encoder import (
     EncoderConfig,
@@ -219,8 +222,9 @@ class TestBackward:
         xs = np.linspace(-3, 3, 41)
         for x in xs:
             arr = np.array([x])
-            numeric = central_difference(lambda: float(gelu(arr)[0]), arr, 0)
-            assert relative_error(float(gelu_grad(np.array([x]))[0]), numeric) <= 1e-6
+            numeric = central_difference(lambda: float(gelu(arr)[0][0]), arr, 0)
+            analytic = gelu_grad(arr, gelu(arr)[1])
+            assert relative_error(float(analytic[0]), numeric) <= 1e-6
 
     def test_shape_mismatch_raises(self):
         cfg = tiny_config()
@@ -258,3 +262,52 @@ class TestBackward:
         for token in np.unique(ids):
             rows = dx[ids == token]
             assert np.array_equal(fresh["tok_emb"][token], functools.reduce(operator.add, rows))
+
+
+# ---------------------------------------------------------------------------
+# The forms the encoder used before GELU kept its cdf on the tape and layer
+# norm centred once; the current ones must match them bit for bit.
+# ---------------------------------------------------------------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+MATRICES = arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 140)), elements=FINITE)
+
+
+def gelu_recomputing(x):
+    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+
+
+def gelu_grad_recomputing(x):
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    pdf = 1.0 / math.sqrt(2.0 * math.pi) * np.exp(-0.5 * x * x)
+    return cdf + x * pdf
+
+
+def layer_norm_two_subtractions(x, gain, bias):
+    mu = x.mean(axis=1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
+    istd = 1.0 / np.sqrt(var + 1e-12)
+    xhat = (x - mu) * istd
+    return gain * xhat + bias, xhat, istd
+
+
+class TestSameBitsAsRecomputing:
+    @given(arrays(np.float64, st.integers(1, 60), elements=FINITE))
+    def test_gelu_and_its_gradient(self, x):
+        x = np.concatenate([x, [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]])
+        with np.errstate(over="ignore", under="ignore"):
+            y, cdf = gelu(x)
+            assert y.tobytes() == gelu_recomputing(x).tobytes()
+            assert gelu_grad(x, cdf).tobytes() == gelu_grad_recomputing(x).tobytes()
+
+    @given(MATRICES, st.data())
+    def test_layer_norm(self, x, data):
+        x[0, 0] = -0.0
+        d = x.shape[1]
+        gain = data.draw(arrays(np.float64, d, elements=st.floats(-4, 4)))
+        bias = data.draw(arrays(np.float64, d, elements=st.floats(-4, 4)))
+        with np.errstate(all="ignore"):
+            got = layer_norm(x, gain, bias)
+            want = layer_norm_two_subtractions(x, gain, bias)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()

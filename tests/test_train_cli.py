@@ -12,6 +12,7 @@ from mrcner import model as model_mod
 from mrcner.cli import CliError, build_parser, main, read_predictions
 from mrcner.corpus import entity_inventory
 from mrcner.encoder import EncoderConfig, EncoderError
+from mrcner.heads import HeadError
 from mrcner.model import ModelError
 from mrcner.mrc_data import (
     MrcDataError,
@@ -105,6 +106,19 @@ class TestTraining:
     ])
     def test_sequence_and_encoder_rules_apply_when_the_config_is_made(self, field, value, error):
         with pytest.raises(error, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("mode", "bogus", TrainingError, "unknown mode 'bogus'"),
+        ("mode", ["mrc"], TrainingError, "unknown mode"),
+        ("head_variant", "bogus", HeadError, "unknown head variant 'bogus'"),
+        ("head_variant", None, HeadError, "unknown head variant None"),
+        ("early_stop_f1", "x", TrainingError, "early_stop_f1"),
+        ("early_stop_f1", True, TrainingError, "early_stop_f1"),
+    ])
+    def test_mode_head_variant_and_stop_target_checked_when_the_config_is_made(
+            self, field, value, error, message):
+        with pytest.raises(error, match=message):
             TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("epochs, early_stop_f1", [(10, None), (10, 0.7), (0, None)],
@@ -418,6 +432,16 @@ class TestCli:
         assert diagnostic["error"] == "MrcDataError" and "seq_len" in diagnostic["message"]
         assert not (tmp_path / "m.ckpt").exists()
         assert not (tmp_path / "m.ckpt.manifest.json").exists()
+
+    def test_train_refuses_a_bad_head_variant_before_reading_triples(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"head_variant": "bogus"}))
+        # The triples file does not exist: reading it would fail differently.
+        assert run_cli("train", "--train", tmp_path / "missing.jsonl", "--out",
+                       tmp_path / "m.ckpt", "--config", config) == 1
+        diagnostic = json.loads(capsys.readouterr().err)
+        assert diagnostic == {"error": "HeadError", "message": "unknown head variant 'bogus'"}
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_duplicate_prediction_keys_rejected(self, tmp_path):
         record = json.dumps({"origin": {"doc_id": "d", "sent_id": 3}, "entity_type": "C",

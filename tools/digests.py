@@ -12,7 +12,11 @@ workload's splits with `perfbench/corpus_gen.py` (lexicon seed N, split seed
 `mrcner.cli.main` with the workload's arguments, as the benchmark does. BLAS
 is pinned as in `perfbench/run.py`.
 
-It prints one JSON object: per workload, the digest of each split's triples,
+Three more runs reach paths no workload does. Each is train-mrc's pipeline
+with one epoch of training: one with the ablation end head, one with
+query-first input order and one with dropout 0.1.
+
+It prints one JSON object: per workload and extra run, the digest of each split's triples,
 the checkpoint, the manifest with `wall_clock_sec` removed (the only field
 that changes between runs), the predictions and the metrics. Two commits
 that compute the same outputs print the same object.
@@ -28,6 +32,7 @@ import os
 import sys
 import tempfile
 from contextlib import redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,6 +86,21 @@ def workload_digests(workload, seed: int) -> dict[str, str]:
     return digests
 
 
+def extra_runs(workloads) -> dict:
+    """train-mrc at one epoch with the ablation end head, with query-first
+    order and with dropout, by name."""
+    base = workloads["train-mrc"]
+    one_epoch = ("--epochs", "1")
+    runs = (
+        replace(base, name=f"{base.name}-ablation",
+                train_args=(*one_epoch, "--head-variant", "ablation")),
+        replace(base, name=f"{base.name}-query-first", train_args=one_epoch,
+                config={"order": "query-first"}),
+        replace(base, name=f"{base.name}-dropout", train_args=(*one_epoch, "--dropout", "0.1")),
+    )
+    return {run.name: run for run in runs}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--seed", type=int, default=7, help="seed of the generated inputs")
@@ -93,7 +113,7 @@ def main(argv=None) -> int:
     start_dir = os.getcwd()
     result = {}
     try:
-        for name, workload in bench.WORKLOADS.items():
+        for name, workload in {**bench.WORKLOADS, **extra_runs(bench.WORKLOADS)}.items():
             with tempfile.TemporaryDirectory(prefix=f"digests-{name}-") as directory:
                 os.chdir(directory)
                 try:

@@ -11,13 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import EntitySpan, repair_bio, bio_to_spans, spans_to_bio
+from .corpus import DEFAULT_ENTITY_TYPE, BioLabel, EntitySpan, bio_to_spans, spans_to_bio
 from .heads import HeadError, cross_entropy
-from .encoder import init_tensors
 from .mrc_data import MrcExample, project_predictions
 
 BIO_CLASSES = ("B", "I", "O")
 CLASS_IDS = {tag: i for i, tag in enumerate(BIO_CLASSES)}
+# The label of each class id; decoded spans take their type from the example.
+CLASS_LABELS = tuple(BioLabel(tag, None if tag == "O" else DEFAULT_ENTITY_TYPE)
+                     for tag in BIO_CLASSES)
 
 
 @dataclass
@@ -27,18 +29,12 @@ class BioHeadParams:
     variant: None = None
 
     mode = "bio-baseline"
-    TENSORS = ("w_bio", "b_bio")
 
-    @classmethod
-    def shapes(cls, model_dim: int, variant: str | None) -> dict[str, tuple[int, ...]]:
+    @staticmethod
+    def shapes(model_dim: int, variant: str | None) -> dict[str, tuple[int, ...]]:
         if variant is not None:
             raise HeadError(f"the BIO head has no variant, got {variant!r}")
         return {"w_bio": (model_dim, 3), "b_bio": (3,)}
-
-    @classmethod
-    def init(cls, model_dim: int, variant: str | None, seed: int) -> "BioHeadParams":
-        """`variant` belongs to the span head and is ignored here."""
-        return cls(**init_tensors(np.random.default_rng(seed), cls.shapes(model_dim, None)))
 
     def loss_and_grads(self, h_ctx: np.ndarray, example: MrcExample):
         return bio_head_grads(h_ctx, self, bio_targets(example))
@@ -68,10 +64,9 @@ def bio_head_grads(
 
 
 def bio_decode(logits: np.ndarray, example: MrcExample) -> list[EntitySpan]:
-    """Per-token argmax, BIO repair, then span extraction; the spans take
-    their entity type from `example.origin`."""
-    raw = [BIO_CLASSES[int(i)] for i in logits.argmax(axis=1)]
-    labels, _ = repair_bio(raw)
-    spans = bio_to_spans(labels)
+    """Per-token argmax, then span extraction, where an I after an O or at
+    the start opens a span as a B would; the spans take their entity type
+    from `example.origin`."""
+    spans = bio_to_spans([CLASS_LABELS[i] for i in logits.argmax(axis=1).tolist()])
     return project_predictions(example, [(s.start, s.end) for s in spans])
 

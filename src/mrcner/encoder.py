@@ -3,9 +3,9 @@
 forward() returns the hidden rows of one example's real (unpadded) tokens
 plus an activation tape; backward() takes the tape and an upstream gradient
 of those rows and adds exact reverse-mode gradients for every parameter into
-the gradient arrays it is given (or into zeroed ones). The tape keeps each
-feed-forward's GELU input and its normal cdf, so backward computes GELU's
-derivative without a second `erf`.
+the gradient arrays it is given. The tape keeps each feed-forward's GELU
+input and its normal cdf, so backward computes GELU's derivative without a
+second `erf`.
 Blocks are pre-norm (attention, then GELU feed-forward), with a final layer norm.
 
 Token, position, and segment embeddings are summed at the input; padding is
@@ -94,10 +94,6 @@ def param_shapes(cfg: EncoderConfig) -> dict[str, tuple]:
                        pre + "ln2_g": (d,), pre + "ln2_b": (d,)})
     shapes.update(final_ln_g=(d,), final_ln_b=(d,))
     return shapes
-
-
-def init_encoder_params(cfg: EncoderConfig, seed: int) -> dict[str, np.ndarray]:
-    return init_tensors(np.random.default_rng(seed), param_shapes(cfg))
 
 
 def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,12 +247,12 @@ def backward(
     cfg: EncoderConfig,
     tape: dict[str, Any],
     grad_h: np.ndarray,
-    grads: dict[str, np.ndarray] | None = None,
+    grads: dict[str, np.ndarray],
 ) -> dict[str, np.ndarray]:
     """Exact gradients of a scalar loss with upstream gradient grad_h (with
     respect to the (n_real, model_dim) H of forward) for every parameter,
-    added into `grads` (zeroed arrays shaped like `params` when None), which
-    is returned.
+    added into `grads` (arrays keyed and shaped like `params`, such as
+    `ModelState.zero_grads()`'s views), which is returned.
 
     Each array receives one addition per call, so accumulating a batch into
     one buffer sums examples in the same order as summing per-example
@@ -266,8 +262,6 @@ def backward(
     n = tape["n"]
     if grad_h.shape != (n, cfg.model_dim):
         raise EncoderError(f"grad shape {grad_h.shape} != H shape {(n, cfg.model_dim)}")
-    if grads is None:
-        grads = {name: np.zeros_like(arr) for name, arr in params.items()}
 
     dx, dgain, dbias = layer_norm_backward(
         grad_h, tape["xhatf"], tape["istdf"], params["final_ln_g"]

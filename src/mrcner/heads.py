@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import EntitySpan
 from .decode import SpanLogits, decode_example
-from .encoder import init_tensors, softmax, softmax_backward
+from .encoder import softmax, softmax_backward
 
 CONDITIONED = "conditioned"
 ABLATION = "ablation"
@@ -36,19 +36,13 @@ class SpanHeadParams:
     variant: str
 
     mode = "mrc"
-    TENSORS = ("w_start", "b_start", "w_end", "b_end")
 
-    @classmethod
-    def shapes(cls, model_dim: int, variant: str | None) -> dict[str, tuple[int, ...]]:
+    @staticmethod
+    def shapes(model_dim: int, variant: str | None) -> dict[str, tuple[int, ...]]:
         if variant not in (CONDITIONED, ABLATION):
             raise HeadError(f"unknown head variant {variant!r}")
         end_dim = model_dim + 2 if variant == CONDITIONED else model_dim
-        return dict(zip(cls.TENSORS, [(model_dim, 2), (2,), (end_dim, 2), (2,)]))
-
-    @classmethod
-    def init(cls, model_dim: int, variant: str, seed: int) -> "SpanHeadParams":
-        tensors = init_tensors(np.random.default_rng(seed), cls.shapes(model_dim, variant))
-        return cls(**tensors, variant=variant)
+        return {"w_start": (model_dim, 2), "b_start": (2,), "w_end": (end_dim, 2), "b_end": (2,)}
 
     def loss_and_grads(self, h_ctx: np.ndarray, example) -> tuple[float, np.ndarray, dict]:
         report, _, dh_ctx, grads = span_head_grads(h_ctx, self, example.y_start, example.y_end)
@@ -99,9 +93,11 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
     if n == 0:
         raise HeadError("cross entropy over zero rows")
     z = logits - logits.max(axis=1, keepdims=True)
-    neg_log_prob = np.log(np.exp(z).sum(axis=1, keepdims=True)) - z
+    exp_z = np.exp(z)
+    row_sums = exp_z.sum(axis=1, keepdims=True)
+    neg_log_prob = np.log(row_sums) - z
     loss = float(neg_log_prob[np.arange(n), targets].sum() / n)
-    dlogits = softmax(logits, axis=1)
+    dlogits = exp_z / row_sums  # softmax(logits), from the same exponentials
     dlogits[np.arange(n), targets] -= 1.0
     return loss, dlogits / n
 

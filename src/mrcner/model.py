@@ -1,19 +1,23 @@
 """Full model state (encoder + task head + vocabulary) and its checkpoint file.
 
 The task head is looked up by mode in HEADS: `heads.SpanHeadParams` ("mrc")
-or `baseline.BioHeadParams` ("bio-baseline"). Both implement one protocol:
-class attributes `mode`, `variant` (None for BIO) and `TENSORS` (tensor names
-in checkpoint order); `shapes(model_dim, variant)`, which refuses a variant
-the head does not have, and `init(model_dim, variant, seed)`, which builds
-the head from its shapes; `loss_and_grads(h_ctx, example)` returning
-(loss, dh_ctx, grads by tensor name); and `decode(h_ctx, example)` returning
-entity spans. h_ctx is the encoder output at the example's context rows.
+or `baseline.BioHeadParams` ("bio-baseline"). Both implement one protocol of
+five members: class attribute `mode`; field `variant` (None for BIO);
+`shapes(model_dim, variant)`, the head's tensor names and shapes in
+checkpoint order, which refuses a variant the head does not have;
+`loss_and_grads(h_ctx, example)` returning (loss, dh_ctx, grads by tensor
+name); and `decode(h_ctx, example)` returning entity spans. h_ctx is the
+encoder output at the example's context rows. A head is built from its
+tensors as keyword arguments plus `variant`.
 
 Parameters live in one store: `ModelState.flat` is a single contiguous
 float64 vector holding every trainable tensor in checkpoint order (the
-encoder's, then the head's as `head.<name>`), and `enc_params` and the head's
-tensors are named views into it, laid out by `flat_store`. Gradients use the
-same layout: `example_loss_and_grads` and `encoder.backward` add one
+encoder's, then the head's as `head.<name>`), and `ModelState.params` maps
+each name to its view, laid out by `flat_store`; the head is built over its
+`head.*` views. `new_model` fills each view with its `encoder.init_tensors`
+draw (the encoder's from `seed`, the head's from `seed + 1`), and
+`load_checkpoint` copies the blob into `flat`. Gradients
+use the same layout: `example_loss_and_grads` and `encoder.backward` add one
 example's gradients into the views they are given (embedding gradients only
 into the rows the example's ids touch), so training sums a batch in one
 vector that it zeroes once per batch. Adam (`train.Adam`) stays dense over
@@ -91,13 +95,13 @@ class ModelState:
     seq_cfg: SeqConfig
     vocab: Vocab
     flat: np.ndarray
-    enc_params: dict[str, np.ndarray]
+    params: dict[str, np.ndarray]  # every tensor's view of `flat`, in store order
     head: heads.SpanHeadParams | baseline.BioHeadParams
 
     def zero_grads(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """A zeroed gradient vector laid out like `flat`, with its views keyed
-        like param_items."""
-        return flat_store({name: arr.shape for name, arr in param_items(self)})
+        like `params`."""
+        return flat_store({name: arr.shape for name, arr in self.params.items()})
 
 
 def _head_class(mode: str):
@@ -118,19 +122,16 @@ def flat_store(shapes: dict[str, tuple]) -> tuple[np.ndarray, dict[str, np.ndarr
     return flat, views
 
 
-def model_shapes(encoder_cfg: EncoderConfig, head_cls, variant: str | None) -> dict[str, tuple]:
-    """Every trainable tensor's shape in checkpoint order, head tensors as `head.<name>`."""
+def _empty_model(encoder_cfg, seq_cfg, vocab, head_cls, variant) -> ModelState:
+    """A model over a zeroed store of every tensor in checkpoint order, head
+    tensors as `head.<name>`; the head is built over those views. Refuses a
+    variant the head does not have."""
     shapes = encoder.param_shapes(encoder_cfg)
-    for name, shape in head_cls.shapes(encoder_cfg.model_dim, variant).items():
-        shapes[f"head.{name}"] = shape
-    return shapes
-
-
-def _assemble(encoder_cfg, seq_cfg, vocab, head_cls, variant, flat, views) -> ModelState:
-    """A model over a filled store; the head takes the `head.*` views."""
-    enc_params = dict(views)
-    head = head_cls(**{n: enc_params.pop(f"head.{n}") for n in head_cls.TENSORS}, variant=variant)
-    return ModelState(encoder_cfg, seq_cfg, vocab, flat, enc_params, head)
+    head_shapes = head_cls.shapes(encoder_cfg.model_dim, variant)
+    shapes.update((f"head.{name}", shape) for name, shape in head_shapes.items())
+    flat, params = flat_store(shapes)
+    head = head_cls(**{name: params[f"head.{name}"] for name in head_shapes}, variant=variant)
+    return ModelState(encoder_cfg, seq_cfg, vocab, flat, params, head)
 
 
 def new_model(
@@ -141,20 +142,22 @@ def new_model(
     vocab: Vocab,
     seed: int,
 ) -> ModelState:
+    """A model of `mode` with freshly drawn parameters: the encoder's from
+    `seed`, the head's from `seed + 1`. Refuses a variant the head does not
+    have (HeadError)."""
     head_cls = _head_class(mode)
-    initial = encoder.init_encoder_params(encoder_cfg, seed)
-    head = head_cls.init(encoder_cfg.model_dim, head_variant, seed + 1)
-    initial.update((f"head.{n}", getattr(head, n)) for n in head.TENSORS)
-    flat, views = flat_store(model_shapes(encoder_cfg, head_cls, head.variant))
-    for name, view in views.items():
-        view[...] = initial[name]
-    return _assemble(encoder_cfg, seq_cfg, vocab, head_cls, head.variant, flat, views)
+    mdl = _empty_model(encoder_cfg, seq_cfg, vocab, head_cls, head_variant)
+    enc_shapes = encoder.param_shapes(encoder_cfg)
+    head_shapes = head_cls.shapes(encoder_cfg.model_dim, head_variant)
+    for prefix, shapes, draw_seed in (("", enc_shapes, seed), ("head.", head_shapes, seed + 1)):
+        for name, arr in encoder.init_tensors(np.random.default_rng(draw_seed), shapes).items():
+            mdl.params[prefix + name][...] = arr
+    return mdl
 
 
 def param_items(model: ModelState) -> list[tuple[str, np.ndarray]]:
     """All trainable tensors in a fixed, deterministic order."""
-    head = [(f"head.{name}", getattr(model.head, name)) for name in model.head.TENSORS]
-    return list(model.enc_params.items()) + head
+    return list(model.params.items())
 
 
 def _context(example: MrcExample) -> slice:
@@ -170,18 +173,18 @@ def example_loss_and_grads(
     grads: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Forward + full backward for one example. Its gradients are added into
-    `grads` (views keyed like param_items, e.g. from `model.zero_grads()`),
+    `grads` (views keyed like `model.params`, e.g. from `model.zero_grads()`),
     or into zeroed ones when none are given; returns (loss, grads)."""
     if grads is None:
         grads = model.zero_grads()[1]
     hidden, tape = encoder.forward(
-        model.enc_params, model.encoder_cfg, example, train_mode, dropout_seed
+        model.params, model.encoder_cfg, example, train_mode, dropout_seed
     )
     ctx = _context(example)
     loss, dh_ctx, head_grads = model.head.loss_and_grads(hidden[ctx], example)
     grad_h = np.zeros_like(hidden)
     grad_h[ctx] = dh_ctx
-    encoder.backward(model.enc_params, model.encoder_cfg, tape, grad_h, grads)
+    encoder.backward(model.params, model.encoder_cfg, tape, grad_h, grads)
     for name, g in head_grads.items():
         grads[f"head.{name}"] += g
     return loss, grads
@@ -189,7 +192,7 @@ def example_loss_and_grads(
 
 def predict_example(model: ModelState, example: MrcExample):
     """Decode one example into entity spans with the model's head."""
-    hidden, _ = encoder.forward(model.enc_params, model.encoder_cfg, example, False)
+    hidden, _ = encoder.forward(model.params, model.encoder_cfg, example, False)
     return model.head.decode(hidden[_context(example)], example)
 
 
@@ -241,7 +244,7 @@ def save_checkpoint(model: ModelState, path) -> None:
         "encoder_config": asdict(model.encoder_cfg),
         "seq_config": asdict(model.seq_cfg),
         "vocab": model.vocab.id_to_token,
-        "tensors": [[name, list(arr.shape)] for name, arr in param_items(model)],
+        "tensors": [[name, list(arr.shape)] for name, arr in model.params.items()],
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode("utf-8"))
@@ -286,9 +289,9 @@ def load_checkpoint(path) -> ModelState:
     if vocab.size != encoder_cfg.vocab_size:
         raise ModelError(f"checkpoint vocabulary has {vocab.size} tokens but "
                          f"encoder_config.vocab_size is {encoder_cfg.vocab_size}")
-    shapes = _from_header(header, "head_variant",
-                          lambda variant: model_shapes(encoder_cfg, head_cls, variant))
-    expected = [[name, list(shape)] for name, shape in shapes.items()]
+    mdl = _from_header(header, "head_variant",
+                       lambda variant: _empty_model(encoder_cfg, seq_cfg, vocab, head_cls, variant))
+    expected = [[name, list(arr.shape)] for name, arr in mdl.params.items()]
     stored = header.get("tensors")
     if stored != expected:
         pairs = zip_longest(stored if isinstance(stored, list) else [], expected,
@@ -296,13 +299,12 @@ def load_checkpoint(path) -> ModelState:
         i, (got, want) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
         raise ModelError(f"checkpoint tensors differ from the model's at position {i}: "
                          f"stored {got}, expected {want}")
-    flat, views = flat_store(shapes)
     blob = memoryview(data)[end + 1 :]
-    if len(blob) != 8 * flat.size:
+    if len(blob) != 8 * mdl.flat.size:
         raise ModelError(f"checkpoint holds {len(blob)} parameter bytes, "
-                         f"the model's {flat.size} float64 values need {8 * flat.size}")
-    flat[:] = np.frombuffer(blob, "<f8")
-    return _assemble(encoder_cfg, seq_cfg, vocab, head_cls, header["head_variant"], flat, views)
+                         f"the model's {mdl.flat.size} float64 values need {8 * mdl.flat.size}")
+    mdl.flat[:] = np.frombuffer(blob, "<f8")
+    return mdl
 
 
 def copy_params(model: ModelState) -> np.ndarray:

@@ -72,11 +72,10 @@ class TrainConfig:
             raise TrainingError(f"early_stop_f1 must be a number or null, got {self.early_stop_f1!r}")
         if not isinstance(self.mode, str) or self.mode not in model_mod.HEADS:
             raise TrainingError(f"unknown mode {self.mode!r}; expected one of {sorted(model_mod.HEADS)}")
-        # The sequence and encoder configs and the span head check their own fields.
+        # The sequence and encoder configs and the head check their own fields.
         self.seq_config()
         self.encoder_config(1)
-        if self.mode == MODE_MRC:
-            model_mod.HEADS[MODE_MRC].shapes(self.model_dim, self.head_variant)
+        model_mod.HEADS[self.mode].shapes(self.model_dim, self.model_head_variant())
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
@@ -98,6 +97,10 @@ class TrainConfig:
 
     def seq_config(self) -> SeqConfig:
         return SeqConfig(self.seq_len, self.order)
+
+    def model_head_variant(self) -> str | None:
+        """`head_variant` in MRC mode; None for the BIO head, which has no variant."""
+        return self.head_variant if self.mode == MODE_MRC else None
 
 
 @dataclass
@@ -217,7 +220,7 @@ def train(
     # lost to truncation still count against recall.
     dev_gold = gold_span_index(dev_triples)
 
-    mdl = model_mod.new_model(config.mode, config.head_variant,
+    mdl = model_mod.new_model(config.mode, config.model_head_variant(),
                               config.encoder_config(vocab.size), seq_cfg, vocab, config.seed)
     optimizer = Adam(mdl.flat.size, config)
     grad_flat, grads = mdl.zero_grads()

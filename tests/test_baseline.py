@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,8 +12,9 @@ from mrcner.baseline import (
     bio_logits,
     bio_targets,
 )
+from mrcner.corpus import bio_to_spans, repair_bio
 from mrcner.heads import HeadError, cross_entropy
-from mrcner.mrc_data import SeqConfig, Triple, Vocab, example_from_triple
+from mrcner.mrc_data import SeqConfig, Triple, Vocab, example_from_triple, project_predictions
 from oracles import central_difference, relative_error
 
 D = 8
@@ -63,9 +65,7 @@ class TestBioHead:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
         h = rng.normal(size=(5, D))
-        params = BioHeadParams.init(D, None, seed=2)
-        params.w_bio = rng.normal(size=(D, 3))
-        params.b_bio = rng.normal(size=3)
+        params = BioHeadParams(rng.normal(size=(D, 3)), rng.normal(size=3))
         targets = np.array([0, 2, 1, 2, 0])
 
         def loss():
@@ -92,10 +92,23 @@ class TestBioDecode:
         ex = bio_example(["a", "b", "c"], [])
         assert bio_decode(saturated_bio_logits(["O", "O", "O"]), ex) == []
 
-    def test_dangling_i_repaired_before_span_extraction(self):
+    def test_dangling_i_opens_a_span(self):
         ex = bio_example(["a", "b", "c"], [])
         spans = bio_decode(saturated_bio_logits(["O", "I", "I"]), ex)
         assert [(s.start, s.end) for s in spans] == [(1, 2)]
+
+    def test_same_spans_as_repairing_first_on_every_short_row(self):
+        # Every B/I/O row of length 0-9: an I after an O or at the start opens
+        # a span where repair_bio would have made it a B.
+        rows = 0
+        for n in range(10):
+            ex = bio_example([f"t{i}" for i in range(n)], [])
+            for tags in itertools.product(BIO_CLASSES, repeat=n):
+                repaired = bio_to_spans(repair_bio(tags)[0])
+                want = project_predictions(ex, [(s.start, s.end) for s in repaired])
+                assert bio_decode(saturated_bio_logits(tags), ex) == want, tags
+                rows += 1
+        assert rows == 29_524
 
     def test_output_valid_for_random_logits(self):
         rng = np.random.default_rng(3)

@@ -15,8 +15,9 @@ from mrcner.encoder import (
     forward,
     gelu,
     gelu_grad,
-    init_encoder_params,
+    init_tensors,
     layer_norm,
+    param_shapes,
 )
 from mrcner.mrc_data import SeqConfig, Triple, Vocab, example_from_triple
 from oracles import central_difference, relative_error
@@ -28,6 +29,14 @@ def build_example(n_ctx=6, seq_len=24, query="w0 w1 w2"):
     tokens = [f"w{(i * 5) % 12}" for i in range(n_ctx)]
     triple = Triple(tokens, query, [(0, 0)], "C", "d", 0)
     return example_from_triple(triple, VOCAB, SeqConfig(seq_len))
+
+
+def init_params(cfg, seed):
+    return init_tensors(np.random.default_rng(seed), param_shapes(cfg))
+
+
+def zero_grads(params):
+    return {name: np.zeros_like(arr) for name, arr in params.items()}
 
 
 def tiny_config(**overrides):
@@ -117,7 +126,7 @@ class TestForward:
         # gains): both residual branches vanish, so H is just the normed
         # embedding sum.
         cfg = tiny_config(layers=1)
-        params = init_encoder_params(cfg, seed=0)
+        params = init_params(cfg, seed=0)
         for name, arr in params.items():
             if name.startswith("layer") and not name.endswith("_g"):
                 arr[...] = 0.0
@@ -133,7 +142,7 @@ class TestForward:
 
     def test_pad_content_cannot_reach_context_rows(self):
         cfg = tiny_config()
-        params = init_encoder_params(cfg, seed=1)
+        params = init_params(cfg, seed=1)
         example = build_example()
         h1, _ = forward(params, cfg, example)
         # rewrite ids under the padding (still PAD-masked) and rerun
@@ -147,7 +156,7 @@ class TestForward:
 
     def test_matches_straight_line_reference(self):
         cfg = tiny_config()
-        params = init_encoder_params(cfg, seed=42)
+        params = init_params(cfg, seed=42)
         example = build_example(n_ctx=9, seq_len=16, query="w0 w1")
         hidden, _ = forward(params, cfg, example)
         expected = reference_forward(params, cfg, example)
@@ -158,26 +167,26 @@ class TestForward:
 
     def test_id_out_of_range_raises(self):
         cfg = tiny_config(vocab_size=5)
-        params = init_encoder_params(cfg, seed=0)
+        params = init_params(cfg, seed=0)
         example = build_example()
         with pytest.raises(EncoderError, match="out of range"):
             forward(params, cfg, example)
 
     def test_deterministic_with_dropout_seed(self):
         cfg = tiny_config(dropout=0.2)
-        params = init_encoder_params(cfg, seed=3)
+        params = init_params(cfg, seed=3)
         example = build_example()
         h1, t1 = forward(params, cfg, example, train_mode=True, dropout_seed=77)
         h2, t2 = forward(params, cfg, example, train_mode=True, dropout_seed=77)
         assert np.array_equal(h1, h2)
-        g1 = backward(params, cfg, t1, np.ones_like(h1))
-        g2 = backward(params, cfg, t2, np.ones_like(h2))
+        g1 = backward(params, cfg, t1, np.ones_like(h1), zero_grads(params))
+        g2 = backward(params, cfg, t2, np.ones_like(h2), zero_grads(params))
         for name in g1:
             assert np.array_equal(g1[name], g2[name])
 
     def test_dropout_off_in_eval_mode(self):
         cfg = tiny_config(dropout=0.5)
-        params = init_encoder_params(cfg, seed=3)
+        params = init_params(cfg, seed=3)
         example = build_example()
         h1, _ = forward(params, cfg, example, train_mode=False, dropout_seed=1)
         h2, _ = forward(params, cfg, example, train_mode=False, dropout_seed=2)
@@ -187,16 +196,16 @@ class TestForward:
 class TestBackward:
     def test_zero_upstream_gradient_gives_zero_grads(self):
         cfg = tiny_config()
-        params = init_encoder_params(cfg, seed=5)
+        params = init_params(cfg, seed=5)
         example = build_example()
         hidden, tape = forward(params, cfg, example)
-        grads = backward(params, cfg, tape, np.zeros_like(hidden))
+        grads = backward(params, cfg, tape, np.zeros_like(hidden), zero_grads(params))
         for name, g in grads.items():
             assert not g.any(), name
 
     def test_gradients_match_finite_differences(self):
         cfg = tiny_config(layers=1, model_dim=8, heads=2, ffn_dim=12)
-        params = init_encoder_params(cfg, seed=9)
+        params = init_params(cfg, seed=9)
         example = build_example(n_ctx=4, seq_len=12, query="w0 w1")
         rng = np.random.default_rng(17)
         weights = rng.normal(size=(int(example.attention_mask.sum()), cfg.model_dim))
@@ -206,7 +215,7 @@ class TestBackward:
             return float((hidden * weights).sum())
 
         hidden, tape = forward(params, cfg, example)
-        grads = backward(params, cfg, tape, weights)
+        grads = backward(params, cfg, tape, weights, zero_grads(params))
 
         for name, arr in params.items():
             flat = arr.reshape(-1)
@@ -228,19 +237,19 @@ class TestBackward:
 
     def test_shape_mismatch_raises(self):
         cfg = tiny_config()
-        params = init_encoder_params(cfg, seed=5)
+        params = init_params(cfg, seed=5)
         example = build_example()
         _, tape = forward(params, cfg, example)
         with pytest.raises(EncoderError):
-            backward(params, cfg, tape, np.zeros((4, cfg.model_dim + 1)))
+            backward(params, cfg, tape, np.zeros((4, cfg.model_dim + 1)), zero_grads(params))
 
     def test_backward_adds_into_given_buffers(self):
         cfg = tiny_config()
-        params = init_encoder_params(cfg, seed=6)
+        params = init_params(cfg, seed=6)
         example = build_example(n_ctx=10)  # the query repeats context words w0 and w1
         hidden, tape = forward(params, cfg, example)
         upstream = np.random.default_rng(8).normal(size=hidden.shape)
-        fresh = backward(params, cfg, tape, upstream)
+        fresh = backward(params, cfg, tape, upstream, zero_grads(params))
 
         n = hidden.shape[0]
         ids = example.input_ids[:n]

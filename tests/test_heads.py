@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mrcner.encoder import softmax
 from mrcner.heads import (
@@ -36,12 +38,9 @@ def zero_head(variant=CONDITIONED):
 
 def random_head(variant, seed=0):
     rng = np.random.default_rng(seed)
-    head = SpanHeadParams.init(D, variant, seed)
-    head.w_start = rng.normal(size=head.w_start.shape)
-    head.b_start = rng.normal(size=2)
-    head.w_end = rng.normal(size=head.w_end.shape)
-    head.b_end = rng.normal(size=2)
-    return head
+    shapes = SpanHeadParams.shapes(D, variant)
+    return SpanHeadParams(**{name: rng.normal(size=shape) for name, shape in shapes.items()},
+                          variant=variant)
 
 
 class TestStartLogits:
@@ -179,6 +178,28 @@ class TestSpanLoss:
                     lambda: span_loss(ls, le, ys, ye)[0].loss, flat, idx
                 )
                 assert relative_error(gflat[idx], numeric) <= 1e-6
+
+
+def cross_entropy_two_pass(logits, targets):
+    """cross_entropy as it was when its gradient called softmax again."""
+    n = logits.shape[0]
+    z = logits - logits.max(axis=1, keepdims=True)
+    neg_log_prob = np.log(np.exp(z).sum(axis=1, keepdims=True)) - z
+    loss = float(neg_log_prob[np.arange(n), targets].sum() / n)
+    dlogits = softmax(logits, axis=1)
+    dlogits[np.arange(n), targets] -= 1.0
+    return loss, dlogits / n
+
+
+@given(st.integers(1, 12), st.integers(2, 4), st.sampled_from([1e-3, 1.0, 30.0, 1e3]), st.data())
+def test_cross_entropy_same_bits_as_two_pass(n, classes, scale, data):
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    logits = data.draw(arrays(np.float64, (n, classes), elements=unit)) * scale
+    targets = data.draw(arrays(np.int64, n, elements=st.integers(0, classes - 1)))
+    loss, grad = cross_entropy(logits, targets)
+    want_loss, want_grad = cross_entropy_two_pass(logits, targets)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
 
 
 class TestHeadGrads:

@@ -8,7 +8,9 @@ import pytest
 
 from mrcner import model as model_mod
 from mrcner.corpus import entity_inventory
-from mrcner.mrc_data import example_from_triple, triple_from_sentence
+from mrcner.encoder import EncoderConfig, init_tensors, param_shapes
+from mrcner.heads import HeadError
+from mrcner.mrc_data import SeqConfig, Vocab, example_from_triple, triple_from_sentence
 from mrcner.query import QueryStrategy, build_query
 from helpers import make_separable_corpus
 from oracles import dense_reference_training
@@ -58,6 +60,37 @@ def test_new_and_loaded_models_share_one_store(tmp_path):
     assert np.array_equal(mdl.flat, loaded.flat)
 
 
+@pytest.mark.parametrize(("mode", "variant"), [
+    ("mrc", "conditioned"), ("mrc", "ablation"), ("bio-baseline", None),
+])
+def test_new_model_draws_the_encoder_from_seed_and_the_head_from_the_next(mode, variant):
+    vocab = Vocab(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "a", "b"])
+    cfg = EncoderConfig(vocab_size=vocab.size, layers=2, model_dim=8, heads=2, ffn_dim=12,
+                        max_positions=16)
+    mdl = model_mod.new_model(mode, variant, cfg, SeqConfig(16), vocab, seed=21)
+    head_cls = model_mod.HEADS[mode]
+    expected = init_tensors(np.random.default_rng(21), param_shapes(cfg))
+    head = init_tensors(np.random.default_rng(22), head_cls.shapes(cfg.model_dim, variant))
+    expected.update((f"head.{name}", arr) for name, arr in head.items())
+    assert list(mdl.params) == list(expected)
+    for name, arr in expected.items():
+        assert mdl.params[name].tobytes() == arr.tobytes(), name
+        assert np.shares_memory(mdl.params[name], mdl.flat), name
+    for name, arr in head.items():
+        assert getattr(mdl.head, name) is mdl.params[f"head.{name}"], name
+    assert (mdl.head.mode, mdl.head.variant) == (mode, variant)
+    assert_store_layout(mdl)
+
+
+def test_new_model_refuses_a_variant_its_head_lacks():
+    vocab = Vocab(["[PAD]", "[UNK]", "[CLS]", "[SEP]"])
+    cfg = EncoderConfig(vocab_size=vocab.size, layers=1, model_dim=8, heads=2, ffn_dim=12)
+    with pytest.raises(HeadError, match="the BIO head has no variant, got 'conditioned'"):
+        model_mod.new_model("bio-baseline", "conditioned", cfg, SeqConfig(16), vocab, seed=0)
+    with pytest.raises(HeadError, match="unknown head variant None"):
+        model_mod.new_model("mrc", None, cfg, SeqConfig(16), vocab, seed=0)
+
+
 @pytest.mark.parametrize("overrides", [
     dict(mode="mrc", head_variant="conditioned", dropout=0.1),
     dict(mode="mrc", head_variant="ablation", seq_len=26),  # 8 context slots after the query
@@ -81,7 +114,7 @@ def test_training_matches_dense_reference_bit_for_bit(monkeypatch, overrides):
     repeated = [ex for ex in examples
                 if (np.bincount(ex.input_ids[: int(ex.attention_mask.sum())]) > 1).any()]
     assert repeated, "no context repeats a token id"
-    reference = model_mod.new_model(cfg.mode, cfg.head_variant, cfg.encoder_config(vocab.size),
+    reference = model_mod.new_model(cfg.mode, cfg.model_head_variant(), cfg.encoder_config(vocab.size),
                                     cfg.seq_config(), vocab, cfg.seed)
     initial = model_mod.copy_params(reference)
     shuffle = np.random.default_rng(cfg.seed)

@@ -163,7 +163,8 @@ def tiny_model(draw):
     """A model of either mode with a tiny drawn config, any non-special
     vocabulary words, and its store filled from drawn values."""
     mode = draw(st.sampled_from([model_mod.MODE_MRC, model_mod.MODE_BIO]))
-    variant = draw(st.sampled_from(["conditioned", "ablation"]))
+    variant = (draw(st.sampled_from(["conditioned", "ablation"]))
+               if mode == model_mod.MODE_MRC else None)
     words = draw(st.lists(st.text(min_size=1, max_size=4).filter(lambda w: w not in SPECIALS),
                           max_size=6, unique=True))
     vocab = Vocab(list(SPECIALS) + words)

@@ -173,12 +173,12 @@ class TestCheckpoint:
         header, _, blob = path.read_bytes().partition(b"\n")
         return path, json.loads(header), bytearray(blob)
 
-    @pytest.mark.parametrize("mode", ["mrc", "bio-baseline"])
-    def test_round_trip_keeps_head(self, tmp_path, mode):
-        path, _, _ = self.saved_tiny_model(tmp_path, mode)
+    @pytest.mark.parametrize(("mode", "variant"), [("mrc", "conditioned"), ("bio-baseline", None)])
+    def test_round_trip_keeps_head(self, tmp_path, mode, variant):
+        path, _, _ = self.saved_tiny_model(tmp_path, mode, variant)
         loaded = model_mod.load_checkpoint(path)
         assert loaded.head.mode == mode
-        assert loaded.head.variant == ("conditioned" if mode == "mrc" else None)
+        assert loaded.head.variant == variant
 
     def corrupt_and_load(self, tmp_path, edit):
         """Save the tiny model, let `edit(header, blob)` change either part in

@@ -16,7 +16,7 @@ encoder's, then the head's as `head.<name>`), and `ModelState.params` maps
 each name to its view, laid out by `flat_store`; the head is built over its
 `head.*` views. `new_model` fills each view with its `encoder.init_tensors`
 draw (the encoder's from `seed`, the head's from `seed + 1`), and
-`load_checkpoint` copies the blob into `flat`. Gradients
+`load_checkpoint` reads the blob into `flat`. Gradients
 use the same layout: `example_loss_and_grads` and `encoder.backward` add one
 example's gradients into the views they are given (embedding gradients only
 into the rows the example's ids touch), so training sums a batch in one
@@ -40,8 +40,9 @@ the head variant, the configs, the vocabulary and `tensors`, the
 `[name, shape]` pairs in store order, so `head -n1` shows everything but the
 numbers. Loading builds the head class, configs, vocabulary and shapes from
 the header (a value they refuse is a ModelError naming its key), checks the
-header against them and the blob's length against the store, then copies the
-blob into a new store in one step. Files are byte-stable for a fixed seed.
+header against them and the blob's length against the store, then reads the
+blob from the file into a new store, with no other copy of it in memory.
+Files are byte-stable for a fixed seed.
 """
 
 from __future__ import annotations
@@ -249,7 +250,7 @@ def save_checkpoint(model: ModelState, path) -> None:
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode("utf-8"))
         fh.write(b"\n")
-        fh.write(model.flat.astype("<f8", copy=False).tobytes())
+        fh.write(model.flat.astype("<f8", copy=False))  # no bytes copy of the store
 
 
 def _from_header(header: dict, key: str, build):
@@ -265,13 +266,26 @@ def _from_header(header: dict, key: str, build):
 
 def load_checkpoint(path) -> ModelState:
     """Read a checkpoint, checking its header against the shapes its configs
-    and vocabulary imply and its blob against the store's size, then copy
+    and vocabulary imply and its blob against the store's size, then read
     the blob into a new parameter store."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    end = data.find(b"\n")
+        mdl = _empty_model_of_header(fh.readline())
+        n_bytes = 8 * mdl.flat.size
+        blob_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
+        if blob_bytes == n_bytes:
+            blob_bytes = fh.readinto(memoryview(mdl.flat).cast("B"))
+        if blob_bytes != n_bytes:
+            raise ModelError(f"checkpoint holds {blob_bytes} parameter bytes, "
+                             f"the model's {mdl.flat.size} float64 values need {n_bytes}")
+    if not np.little_endian:
+        mdl.flat.byteswap(inplace=True)  # the blob is little-endian
+    return mdl
+
+
+def _empty_model_of_header(line: bytes) -> ModelState:
+    """The zeroed model a checkpoint's header line describes, or ModelError."""
     try:
-        header = json.loads(data[:end].decode("utf-8")) if end >= 0 else None
+        header = json.loads(line.decode("utf-8")) if line.endswith(b"\n") else None
     except ValueError as exc:
         raise ModelError(f"checkpoint header line is not JSON: {exc}") from None
     if not isinstance(header, dict):
@@ -299,11 +313,6 @@ def load_checkpoint(path) -> ModelState:
         i, (got, want) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
         raise ModelError(f"checkpoint tensors differ from the model's at position {i}: "
                          f"stored {got}, expected {want}")
-    blob = memoryview(data)[end + 1 :]
-    if len(blob) != 8 * mdl.flat.size:
-        raise ModelError(f"checkpoint holds {len(blob)} parameter bytes, "
-                         f"the model's {mdl.flat.size} float64 values need {8 * mdl.flat.size}")
-    mdl.flat[:] = np.frombuffer(blob, "<f8")
     return mdl
 
 

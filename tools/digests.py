@@ -12,6 +12,11 @@ workload's splits with `perfbench/corpus_gen.py` (lexicon seed N, split seed
 `mrcner.cli.main` with the workload's arguments, as the benchmark does. BLAS
 is pinned as in `perfbench/run.py`.
 
+Where `os.sched_setaffinity` exists, each run also predicts a second time
+with this process pinned to one CPU, which keeps `predict` in process
+instead of forking workers, then restores the process's CPUs. If the two
+prediction files differ, the script exits 1.
+
 Three more runs reach paths no workload does. Each is train-mrc's pipeline
 with one epoch of training: one with the ablation end head, one with
 query-first input order and one with dropout 0.1.
@@ -45,6 +50,17 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def on_one_cpu(call):
+    """call() with this process pinned to the first of its CPUs; its CPUs are
+    restored afterwards."""
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        return call()
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
 def workload_digests(workload, seed: int) -> dict[str, str]:
     """Run the workload's pipeline in the current directory; returns the
     digest of each artifact by name."""
@@ -74,6 +90,12 @@ def workload_digests(workload, seed: int) -> dict[str, str]:
     mrcner("train", *train_args)
     test = f"{workload.predict_split}.jsonl"
     mrcner("predict", "--checkpoint", "model.ckpt", "--triples", test, "--out", "pred.jsonl")
+    if hasattr(os, "sched_setaffinity"):
+        on_one_cpu(lambda: mrcner("predict", "--checkpoint", "model.ckpt", "--triples", test,
+                                  "--out", "pred-one-cpu.jsonl"))
+        if Path("pred-one-cpu.jsonl").read_bytes() != Path("pred.jsonl").read_bytes():
+            raise RuntimeError(f"{workload.name}: predictions on one CPU differ from those "
+                               f"on {len(os.sched_getaffinity(0))}")
     mrcner("evaluate", "--gold", test, "--predictions", "pred.jsonl", "--out", "metrics.json")
 
     manifest = json.loads(Path("model.ckpt.manifest.json").read_text())

@@ -1,11 +1,14 @@
 """A small trainable transformer encoder in plain numpy, float64 throughout.
 
-forward() returns the hidden rows of one example's real (unpadded) tokens
-plus an activation tape; backward() takes the tape and an upstream gradient
-of those rows and adds exact reverse-mode gradients for every parameter into
-the gradient arrays it is given. The tape keeps each feed-forward's GELU
-input and its normal cdf, so backward computes GELU's derivative without a
-second `erf`.
+forward() encodes a pack: a sequence of examples whose real (unpadded)
+rows are stacked into one matrix, so every row-wise step runs once per pack,
+while attention runs per example. It returns the rows the caller keeps of
+each example (all of them by default) plus an activation tape. backward()
+takes the tape of a one-example pack that kept every row, and an upstream
+gradient of those rows, and adds exact reverse-mode gradients for every
+parameter into the gradient arrays it is given. The tape keeps each
+feed-forward's GELU input and its normal cdf, so backward computes GELU's
+derivative without a second `erf`.
 Blocks are pre-norm (attention, then GELU feed-forward), with a final layer norm.
 
 Token, position, and segment embeddings are summed at the input; padding is
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any
 
 import numpy as np
@@ -163,38 +167,80 @@ def _real_length(mask: np.ndarray) -> int:
     return n
 
 
+def _stack(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts' rows stacked; a single part is returned itself, not copied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _row_slices(lengths: list[int]) -> list[slice]:
+    """Each length's rows in an array that stacks them in order."""
+    return [slice(end - n, end) for n, end in zip(lengths, accumulate(lengths))]
+
+
 def forward(
     params: dict[str, np.ndarray],
     cfg: EncoderConfig,
-    example,
+    examples,
+    keep=None,
     train_mode: bool = False,
     dropout_seed: int | None = None,
 ) -> tuple[np.ndarray, dict[str, Any]]:
-    """Run the encoder on one example; returns (H, tape), H being the
-    (n_real, model_dim) rows of the unpadded tokens.
+    """Run the encoder on a pack of examples; returns (H, tape).
 
-    Dropout fires only in train_mode, driven by dropout_seed; the drawn
-    masks are recorded on the tape so backward matches exactly.
+    `keep` holds one slice per example, the real rows of it the caller
+    reads; None keeps every real row. H stacks the kept rows of each
+    example, in pack order, as (kept rows, model_dim).
+
+    The embeddings, layer norms, projections, GELU, residual adds and
+    finiteness checks run once over the pack's stacked rows; attention runs
+    per example, so no example sees another's rows. The last layer computes
+    only the kept rows: every row still supplies keys and values, but only
+    kept rows are queried and carried on. Each output row has the bits it
+    would have in a pack of its example alone, as long as every kept slice
+    holds at least two rows (numpy sends a one-row matmul to gemv, which
+    may round differently).
+
+    Dropout fires only in train_mode, driven by dropout_seed, over the
+    stacked rows; the drawn masks are recorded on the tape so backward
+    matches exactly. Only the tape of a one-example pack that keeps every
+    row holds what backward needs; every tape holds "n", the pack's real
+    rows.
     """
-    mask = np.asarray(example.attention_mask)
-    n = _real_length(mask)
-    ids = np.asarray(example.input_ids)[:n]
-    segs = np.asarray(example.segment_ids)[:n]
+    if not examples:
+        raise EncoderError("a pack needs at least one example")
+    lengths = [_real_length(np.asarray(ex.attention_mask)) for ex in examples]
+    if max(lengths) > cfg.max_positions:
+        raise EncoderError(f"sequence length {max(lengths)} exceeds max_positions {cfg.max_positions}")
+    ids = _stack([np.asarray(ex.input_ids)[:n] for ex, n in zip(examples, lengths)])
+    segs = _stack([np.asarray(ex.segment_ids)[:n] for ex, n in zip(examples, lengths)])
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise EncoderError(f"token id out of range for vocab size {cfg.vocab_size}")
-    if n > cfg.max_positions:
-        raise EncoderError(f"sequence length {n} exceeds max_positions {cfg.max_positions}")
+    rows = _row_slices(lengths)  # each example's rows in the stack
+    kept_rows = None  # the stack's kept rows, when only some are kept
+    if keep is not None:
+        if len(keep) != len(examples):
+            raise EncoderError(f"{len(keep)} kept row slices for {len(examples)} examples")
+        for k, n in zip(keep, lengths):
+            if not (type(k.start) is int and k.step is None and 0 <= k.start < k.stop <= n):
+                raise EncoderError(f"kept rows {k} are not a non-empty slice of {n} real rows")
+        kept_rows = np.concatenate([np.arange(r.start + k.start, r.start + k.stop)
+                                    for r, k in zip(rows, keep)])
+        kept_slices = _row_slices([k.stop - k.start for k in keep])  # in the kept rows
 
     use_dropout = train_mode and cfg.dropout > 0.0
     rng = np.random.default_rng(dropout_seed) if use_dropout else None
-    keep = 1.0 - cfg.dropout
+    keep_p = 1.0 - cfg.dropout
 
     def dropout_mask(shape):
-        return (rng.random(shape) < keep).astype(np.float64) / keep
+        return (rng.random(shape) < keep_p).astype(np.float64) / keep_p
 
-    tape: dict[str, Any] = {"ids": ids, "segs": segs, "n": n, "layers": [], "dropout": use_dropout}
+    tape: dict[str, Any] = {"n": ids.shape[0]}
+    for_backward = len(examples) == 1 and keep is None
+    if for_backward:
+        tape.update(ids=ids, segs=segs, layers=[], dropout=use_dropout)
 
-    x = params["tok_emb"][ids] + params["emb_bias"] + params["pos_emb"][:n] + params["seg_emb"][segs]
+    positions = _stack([params["pos_emb"][:n] for n in lengths])
+    x = params["tok_emb"][ids] + params["emb_bias"] + positions + params["seg_emb"][segs]
     if use_dropout:
         tape["emb_drop"] = dropout_mask(x.shape)
         x = x * tape["emb_drop"]
@@ -203,17 +249,27 @@ def forward(
     for l in range(cfg.layers):
         pre = f"layer{l}."
         rec: dict[str, Any] = {}
+        # Every row is queried and carried on, except in the last layer when
+        # only some rows are kept.
+        last = l == cfg.layers - 1 and kept_rows is not None
+        queried = kept_slices if last else rows
 
         a, rec["xhat1"], rec["istd1"] = layer_norm(x, params[pre + "ln1_g"], params[pre + "ln1_b"])
         rec["a"] = a
-        q = _split_heads(a @ params[pre + "wq"] + params[pre + "bq"], cfg.heads)
-        k = _split_heads(a @ params[pre + "wk"] + params[pre + "bk"], cfg.heads)
-        v = _split_heads(a @ params[pre + "wv"] + params[pre + "bv"], cfg.heads)
-        rec["q"], rec["k"], rec["v"] = q, k, v
-        probs = softmax(q @ k.transpose(0, 2, 1) * scale, axis=-1)
-        rec["probs"] = probs
-        ctx = _merge_heads(probs @ v)
-        rec["ctx"] = ctx
+        k = a @ params[pre + "wk"] + params[pre + "bk"]
+        v = a @ params[pre + "wv"] + params[pre + "bv"]
+        if last:
+            x, a = x[kept_rows], a[kept_rows]
+        q = a @ params[pre + "wq"] + params[pre + "bq"]
+        parts = []
+        for qr, r in zip(queried, rows):
+            # A one-example pack's tape keeps its own attention arrays.
+            rec["q"] = _split_heads(q[qr], cfg.heads)
+            rec["k"] = _split_heads(k[r], cfg.heads)
+            rec["v"] = _split_heads(v[r], cfg.heads)
+            rec["probs"] = probs = softmax(rec["q"] @ rec["k"].transpose(0, 2, 1) * scale, axis=-1)
+            parts.append(_merge_heads(probs @ rec["v"]))
+        rec["ctx"] = ctx = _stack(parts)
         o = ctx @ params[pre + "wo"] + params[pre + "bo"]
         if use_dropout:
             rec["attn_drop"] = dropout_mask(o.shape)
@@ -234,11 +290,14 @@ def forward(
 
         if not np.isfinite(x).all():
             raise EncoderError(f"non-finite activation after layer {l}")
-        tape["layers"].append(rec)
+        if for_backward:
+            tape["layers"].append(rec)
 
-    h, tape["xhatf"], tape["istdf"] = layer_norm(x, params["final_ln_g"], params["final_ln_b"])
+    h, xhatf, istdf = layer_norm(x, params["final_ln_g"], params["final_ln_b"])
     if not np.isfinite(h).all():
         raise EncoderError("non-finite activation after final layer norm")
+    if for_backward:
+        tape.update(xhatf=xhatf, istdf=istdf)
     return h, tape
 
 
@@ -259,6 +318,8 @@ def backward(
     gradients would. Embedding gradients touch only the rows of the ids seen:
     repeated ids are first summed within the example, then added to their rows.
     """
+    if "layers" not in tape:
+        raise EncoderError("backward takes the tape of a one-example pack that keeps every row")
     n = tape["n"]
     if grad_h.shape != (n, cfg.model_dim):
         raise EncoderError(f"grad shape {grad_h.shape} != H shape {(n, cfg.model_dim)}")

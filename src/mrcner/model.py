@@ -31,8 +31,14 @@ process instead on a one-CPU machine, where the OS does not report usable
 CPUs (no `os.sched_getaffinity` outside Linux), and when the process runs
 other threads, which a fork could deadlock. Workers inherit the model and the
 examples through the fork and return only spans, reassembled in input order,
-so the output is the same at every worker count. Train's dev evaluation stays
-a serial loop: no benchmark workload has a dev split big enough to fork.
+so the output is the same at every worker count. Each worker's chunk, and
+the whole input when nothing is forked, goes through `predict_in_process`,
+which encodes packs of at most PACK_ROWS real rows with one
+`encoder.forward` call each, keeping each example's context rows and the
+[SEP] after them, then decodes each example from its context rows with
+`predict_example(model, example, h_ctx)`. Train's dev evaluation calls
+`predict_in_process` and never forks: no benchmark workload has a dev split
+big enough to fork.
 
 A checkpoint (format v2) is one UTF-8 JSON header line, then the
 little-endian float64 bytes of `ModelState.flat`. The header holds the mode,
@@ -55,7 +61,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import zip_longest
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -84,6 +90,16 @@ MIN_WORKER_EXAMPLES = 200
 # 6%). Chunks of 25 ran as fast as chunks of 50 to 750; chunks of 10 were
 # slower.
 CHUNK_EXAMPLES = 25
+
+# Most real rows in one pack of examples that predict encodes together (an
+# example with more makes a pack of its own). On a 2-vCPU x86-64 host (2 MB
+# L2 per core) with one BLAS thread, predicting train-bio-short's 1500
+# examples of 7-16 rows in process ran at a median 1731 examples/s with one
+# example per pack, 2990 with packs of at most 96 rows, 3397 with 128, 2916
+# with 192, 2819 with 256 and 2731 with 384 (seven alternating runs each);
+# train-mrc's 600 examples of 30-60 rows ran at 954, 959, 1075, 899, 859
+# and 901. Larger packs' arrays leave the cache.
+PACK_ROWS = 128
 
 
 class ModelError(ValueError):
@@ -173,13 +189,14 @@ def example_loss_and_grads(
     dropout_seed: int | None = None,
     grads: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Forward + full backward for one example. Its gradients are added into
-    `grads` (views keyed like `model.params`, e.g. from `model.zero_grads()`),
-    or into zeroed ones when none are given; returns (loss, grads)."""
+    """Forward (a one-example pack that keeps every row) + full backward for
+    one example. Its gradients are added into `grads` (views keyed like
+    `model.params`, e.g. from `model.zero_grads()`), or into zeroed ones
+    when none are given; returns (loss, grads)."""
     if grads is None:
         grads = model.zero_grads()[1]
     hidden, tape = encoder.forward(
-        model.params, model.encoder_cfg, example, train_mode, dropout_seed
+        model.params, model.encoder_cfg, [example], None, train_mode, dropout_seed
     )
     ctx = _context(example)
     loss, dh_ctx, head_grads = model.head.loss_and_grads(hidden[ctx], example)
@@ -191,27 +208,63 @@ def example_loss_and_grads(
     return loss, grads
 
 
-def predict_example(model: ModelState, example: MrcExample):
-    """Decode one example into entity spans with the model's head."""
-    hidden, _ = encoder.forward(model.params, model.encoder_cfg, example, False)
-    return model.head.decode(hidden[_context(example)], example)
+def predict_example(model: ModelState, example: MrcExample, h_ctx: np.ndarray):
+    """Decode one example into entity spans with the model's head, given
+    h_ctx, the encoder's rows of its context."""
+    return model.head.decode(h_ctx, example)
+
+
+def predict_in_process(model: ModelState, examples: Iterable[MrcExample]) -> list[list[EntitySpan]]:
+    """`predict_example` of every example, in input order, in this process.
+
+    The examples are encoded in packs: consecutive examples, taken one at a
+    time while the pack holds at most PACK_ROWS real rows (an example longer
+    than that makes a pack of its own). The encoder's last layer computes
+    each example's context rows and the [SEP] after them; that row keeps
+    every kept slice at two rows or more, so each context row has the bits
+    it has when its example is encoded alone.
+    """
+    out: list[list[EntitySpan]] = []
+    pack: list[MrcExample] = []
+    rows = 0
+    for ex in examples:
+        n = int(ex.attention_mask.sum())
+        if pack and rows + n > PACK_ROWS:
+            out += _predict_pack(model, pack)
+            pack, rows = [], 0
+        pack.append(ex)
+        rows += n
+    if pack:
+        out += _predict_pack(model, pack)
+    return out
+
+
+def _predict_pack(model: ModelState, pack: list[MrcExample]) -> list[list[EntitySpan]]:
+    keep = [slice(ex.context_range[0], ex.context_range[1] + 2) for ex in pack]
+    hidden, _ = encoder.forward(model.params, model.encoder_cfg, pack, keep)
+    out, first = [], 0
+    for ex in pack:
+        out.append(predict_example(model, ex, hidden[first : first + ex.n_context]))
+        first += ex.n_context + 1  # its context rows, then its [SEP]
+    return out
 
 
 def predict_examples(model: ModelState, examples: Sequence[MrcExample]) -> list[list[EntitySpan]]:
     """`predict_example` of every example, in input order.
 
     As many workers run as there are usable CPUs, but no more than one per
-    MIN_WORKER_EXAMPLES examples. One worker runs in this process, and so
-    does any count while another thread runs here. More are forked,
+    MIN_WORKER_EXAMPLES examples. One worker runs `predict_in_process` here,
+    and so does any count while another thread runs here. More are forked,
     inheriting the model and the sequence (which may build each example when
     it is indexed); each takes contiguous chunks of CHUNK_EXAMPLES, one at a
-    time, and sends back only its spans. A worker's exception is raised
-    here as itself once the running chunks finish; a worker that dies raises
-    `BrokenProcessPool`. No worker outlives the call.
+    time, runs `predict_in_process` on each and sends back only its spans.
+    A worker's exception is raised here as itself once the running chunks
+    finish; a worker that dies raises `BrokenProcessPool`. No worker
+    outlives the call.
     """
     workers = min(len(examples) // MIN_WORKER_EXAMPLES, _usable_cpus())
     if workers <= 1 or threading.active_count() > 1:
-        return [predict_example(model, ex) for ex in examples]
+        return predict_in_process(model, examples)
     cuts = [*range(0, len(examples), CHUNK_EXAMPLES), len(examples)]
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_take_work, initargs=(model, examples)) as pool:
@@ -234,7 +287,7 @@ def _take_work(model: ModelState, examples: Sequence[MrcExample]) -> None:
 
 def _predict_chunk(bounds: tuple[int, int]) -> list[list[EntitySpan]]:
     model, examples = _work
-    return [predict_example(model, examples[i]) for i in range(*bounds)]
+    return predict_in_process(model, (examples[i] for i in range(*bounds)))
 
 
 def save_checkpoint(model: ModelState, path) -> None:

@@ -189,10 +189,10 @@ def gold_span_index(triples: Sequence[Triple]) -> dict[tuple[str, int, str], lis
 
 def evaluate_model(model: ModelState, examples: Sequence[MrcExample],
                    gold: dict[tuple[str, int, str], list[tuple[int, int]]]) -> EvalReport:
-    predicted = {}
-    for ex in examples:
-        spans = model_mod.predict_example(model, ex)
-        predicted[ex.origin] = [(s.start, s.end) for s in spans]
+    """Entity-level scores of the model's predictions on `examples`, made in
+    this process (`model.predict_in_process`), against `gold`."""
+    predicted = {ex.origin: [(s.start, s.end) for s in spans]
+                 for ex, spans in zip(examples, model_mod.predict_in_process(model, examples))}
     return score(gold, predicted)
 
 

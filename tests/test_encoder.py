@@ -131,7 +131,7 @@ class TestForward:
             if name.startswith("layer") and not name.endswith("_g"):
                 arr[...] = 0.0
         example = build_example()
-        hidden, _ = forward(params, cfg, example)
+        hidden, _ = forward(params, cfg, [example])
         n = int(example.attention_mask.sum())
         ids = example.input_ids[:n]
         segs = example.segment_ids[:n]
@@ -144,13 +144,13 @@ class TestForward:
         cfg = tiny_config()
         params = init_params(cfg, seed=1)
         example = build_example()
-        h1, _ = forward(params, cfg, example)
+        h1, _ = forward(params, cfg, [example])
         # rewrite ids under the padding (still PAD-masked) and rerun
         tampered = build_example()
         n = int(tampered.attention_mask.sum())
         tampered.input_ids[n + 1] = 7
         tampered.input_ids[n + 3] = 9
-        h2, _ = forward(params, cfg, tampered)
+        h2, _ = forward(params, cfg, [tampered])
         first, last = example.context_range
         assert np.array_equal(h1[first : last + 1], h2[first : last + 1])
 
@@ -158,7 +158,7 @@ class TestForward:
         cfg = tiny_config()
         params = init_params(cfg, seed=42)
         example = build_example(n_ctx=9, seq_len=16, query="w0 w1")
-        hidden, _ = forward(params, cfg, example)
+        hidden, _ = forward(params, cfg, [example])
         expected = reference_forward(params, cfg, example)
         n = int(example.attention_mask.sum())
         assert n == 16 - 2  # nearly full window
@@ -170,14 +170,14 @@ class TestForward:
         params = init_params(cfg, seed=0)
         example = build_example()
         with pytest.raises(EncoderError, match="out of range"):
-            forward(params, cfg, example)
+            forward(params, cfg, [example])
 
     def test_deterministic_with_dropout_seed(self):
         cfg = tiny_config(dropout=0.2)
         params = init_params(cfg, seed=3)
         example = build_example()
-        h1, t1 = forward(params, cfg, example, train_mode=True, dropout_seed=77)
-        h2, t2 = forward(params, cfg, example, train_mode=True, dropout_seed=77)
+        h1, t1 = forward(params, cfg, [example], train_mode=True, dropout_seed=77)
+        h2, t2 = forward(params, cfg, [example], train_mode=True, dropout_seed=77)
         assert np.array_equal(h1, h2)
         g1 = backward(params, cfg, t1, np.ones_like(h1), zero_grads(params))
         g2 = backward(params, cfg, t2, np.ones_like(h2), zero_grads(params))
@@ -188,8 +188,8 @@ class TestForward:
         cfg = tiny_config(dropout=0.5)
         params = init_params(cfg, seed=3)
         example = build_example()
-        h1, _ = forward(params, cfg, example, train_mode=False, dropout_seed=1)
-        h2, _ = forward(params, cfg, example, train_mode=False, dropout_seed=2)
+        h1, _ = forward(params, cfg, [example], train_mode=False, dropout_seed=1)
+        h2, _ = forward(params, cfg, [example], train_mode=False, dropout_seed=2)
         assert np.array_equal(h1, h2)
 
 
@@ -198,7 +198,7 @@ class TestBackward:
         cfg = tiny_config()
         params = init_params(cfg, seed=5)
         example = build_example()
-        hidden, tape = forward(params, cfg, example)
+        hidden, tape = forward(params, cfg, [example])
         grads = backward(params, cfg, tape, np.zeros_like(hidden), zero_grads(params))
         for name, g in grads.items():
             assert not g.any(), name
@@ -211,10 +211,10 @@ class TestBackward:
         weights = rng.normal(size=(int(example.attention_mask.sum()), cfg.model_dim))
 
         def scalar_loss():
-            hidden, _ = forward(params, cfg, example)
+            hidden, _ = forward(params, cfg, [example])
             return float((hidden * weights).sum())
 
-        hidden, tape = forward(params, cfg, example)
+        hidden, tape = forward(params, cfg, [example])
         grads = backward(params, cfg, tape, weights, zero_grads(params))
 
         for name, arr in params.items():
@@ -239,7 +239,7 @@ class TestBackward:
         cfg = tiny_config()
         params = init_params(cfg, seed=5)
         example = build_example()
-        _, tape = forward(params, cfg, example)
+        _, tape = forward(params, cfg, [example])
         with pytest.raises(EncoderError):
             backward(params, cfg, tape, np.zeros((4, cfg.model_dim + 1)), zero_grads(params))
 
@@ -247,7 +247,7 @@ class TestBackward:
         cfg = tiny_config()
         params = init_params(cfg, seed=6)
         example = build_example(n_ctx=10)  # the query repeats context words w0 and w1
-        hidden, tape = forward(params, cfg, example)
+        hidden, tape = forward(params, cfg, [example])
         upstream = np.random.default_rng(8).normal(size=hidden.shape)
         fresh = backward(params, cfg, tape, upstream, zero_grads(params))
 

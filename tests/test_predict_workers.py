@@ -117,7 +117,7 @@ def test_a_short_last_chunk_keeps_input_order(corpus, cpus, pools):
     assert len(examples) % model_mod.CHUNK_EXAMPLES != 0
     cpus(2)
     assert model_mod.predict_examples(mdl, examples) == [
-        model_mod.predict_example(mdl, ex) for ex in examples]
+        model_mod.predict_in_process(mdl, [ex])[0] for ex in examples]
     assert pools == [2]
 
 
@@ -135,10 +135,10 @@ def test_a_worker_error_reaches_the_caller_and_no_worker_outlives_it(
     _, _, _, test, ckpt = corpus
     predict_example = model_mod.predict_example
 
-    def fail_on_one(model, example):
-        if example.origin[1] == 450:  # in the 19th of twenty 25-example chunks
+    def fail_on_one(*args):
+        if args[1].origin[1] == 450:  # in the 19th of twenty 25-example chunks
             raise EncoderError("non-finite activations in example 450")
-        return predict_example(model, example)
+        return predict_example(*args)
 
     monkeypatch.setattr(model_mod, "predict_example", fail_on_one)
     cpus(2)
@@ -157,12 +157,12 @@ def test_a_dead_worker_fails_the_command_instead_of_hanging(
     _, _, _, test, ckpt = corpus
     predict_example, parent = model_mod.predict_example, os.getpid()
 
-    def die_on_one(model, example):
-        if example.origin[1] == 450:  # in the 19th of twenty 25-example chunks
+    def die_on_one(*args):
+        if args[1].origin[1] == 450:  # in the 19th of twenty 25-example chunks
             if os.getpid() == parent:
                 raise AssertionError("example 450 was predicted in the parent")
             os._exit(1)
-        return predict_example(model, example)
+        return predict_example(*args)
 
     monkeypatch.setattr(model_mod, "predict_example", die_on_one)
     cpus(2)

@@ -5,7 +5,7 @@ or a call that bypasses the module attribute would leave a layer silently
 unmeasured, so this runs a tiny MRC and BIO pipeline through the CLI under
 the tracer and checks that every wrapped attribute was called, and so
 recorded a span, and that each example passed through its encoder and head
-layers.
+layers (in predict, the encoder takes packs of examples).
 """
 
 import importlib.util
@@ -44,15 +44,18 @@ def run_pipeline(tmp_path, mode, phase):
         assert main([str(a) for a in argv]) == 0, argv
 
 
-def count_calls(patches, calls, phase):
+def count_calls(patches, calls, encoded, phase):
     """Put a call counter, keyed by phase and attribute, in front of each
-    traced attribute."""
+    traced attribute; `encoded` counts, by phase, the examples in the packs
+    that pass through `encoder.forward`."""
     for namespace, attr, _ in patches:
         traced = getattr(namespace, attr)
         key = f"{namespace.__name__.removeprefix('mrcner.')}.{attr}"
 
         def counted(*args, _traced=traced, _key=key, **kwargs):
             calls[phase[0], _key] += 1
+            if _key == "encoder.forward":
+                encoded[phase[0]] += len(args[2])
             return _traced(*args, **kwargs)
 
         setattr(namespace, attr, counted)
@@ -63,9 +66,9 @@ def test_every_wrapped_layer_records_a_span_and_unwraps(tmp_path):
     tracer = tracing.Tracer()
     tracing.install(tracer)
     patches = list(tracer._patches)
-    calls, phase = Counter(), [None]
+    calls, encoded, phase = Counter(), Counter(), [None]
     try:
-        count_calls(patches, calls, phase)
+        count_calls(patches, calls, encoded, phase)
         for mode in ("mrc", "bio-baseline"):
             run_pipeline(tmp_path, mode, phase)
     finally:
@@ -91,5 +94,6 @@ def test_every_wrapped_layer_records_a_span_and_unwraps(tmp_path):
             assert calls[f"train:{mode}", key] == steps, (mode, key)
         examples = calls[f"predict:{mode}", "model.predict_example"]
         assert examples > 0
-        for key in ["encoder.forward", *head_decode]:
+        assert encoded[f"predict:{mode}"] == examples, mode
+        for key in head_decode:
             assert calls[f"predict:{mode}", key] == examples, (mode, key)

@@ -19,7 +19,8 @@ from . import model as model_mod
 from .corpus import Sentence, entity_inventory, parse_conll_with_report, sentence_to_json
 from .heads import ABLATION, CONDITIONED
 from .metrics import EvalError, aggregate, format_pct, score, t_test
-from .mrc_data import example_from_triple, read_triples, triple_from_sentence, write_triples
+from .mrc_data import (MrcDataError, check_field, example_from_triple, read_triples,
+                       triple_from_sentence, write_triples)
 from .model import MODE_BIO, MODE_MRC
 from .query import QueryStrategy, build_query
 from .train import TrainConfig, check_mode, gold_span_index, train
@@ -165,29 +166,52 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def read_predictions(path) -> dict:
+def read_predictions(path, context_lengths=None) -> dict:
+    """Predicted (start, end) spans by sentence key. Given `context_lengths`
+    (tokens by sentence key), a span must also end inside its sentence. A
+    line that is not a prediction record, a repeated key or a bad span is a
+    CliError that names the file and the line."""
     predicted = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            key = (rec["origin"]["doc_id"], rec["origin"]["sent_id"], rec["entity_type"])
+            where = f"{path}, line {number}"
+            try:
+                rec = check_field("prediction line", json.loads(line), dict)
+                origin = check_field("prediction origin", rec["origin"], dict)
+                key = (check_field("doc_id", origin["doc_id"], str),
+                       check_field("sent_id", origin["sent_id"], int),
+                       check_field("entity_type", rec["entity_type"], str))
+                spans = [(s["start"], s["end"]) for s in
+                         (check_field("span", s, dict)
+                          for s in check_field("spans", rec["spans"], list))]
+            except json.JSONDecodeError as exc:
+                raise CliError(f"{where} is not JSON: {exc}") from None
+            except KeyError as exc:
+                raise CliError(f"{where}: the record has no {exc} key") from None
+            except MrcDataError as exc:
+                raise CliError(f"{where}: {exc}") from None
             if key in predicted:
-                raise CliError(f"{path}: duplicate prediction sentence key {key!r}")
-            spans = [(s["start"], s["end"]) for s in rec["spans"]]
+                raise CliError(f"{where}: duplicate prediction sentence key {key!r}")
+            n_tokens = context_lengths.get(key) if context_lengths else None
             for start, end in spans:
                 # bool is an int subclass, but JSON true/false is no index
                 if not (type(start) is int and type(end) is int and 0 <= start <= end):
-                    raise CliError(f"{path}: sentence {key!r} has span ({start!r}, {end!r}); "
+                    raise CliError(f"{where}: sentence {key!r} has span ({start!r}, {end!r}); "
                                    "a span needs integers with 0 <= start <= end")
+                if n_tokens is not None and end >= n_tokens:
+                    raise CliError(f"{where}: sentence {key!r} has span ({start}, {end}), "
+                                   f"past the end of its {n_tokens}-token context")
             predicted[key] = spans
     return predicted
 
 
 def cmd_evaluate(args) -> int:
-    gold = gold_span_index(read_triples(args.gold))
-    predicted = read_predictions(args.predictions)
+    gold_triples = read_triples(args.gold)
+    gold = gold_span_index(gold_triples)
+    context_lengths = {(t.doc_id, t.sent_id, t.entity_type): len(t.context) for t in gold_triples}
+    predicted = read_predictions(args.predictions, context_lengths)
     report = score(gold, predicted)
     write_json(args.out, asdict(report))
     print(

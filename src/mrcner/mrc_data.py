@@ -82,13 +82,24 @@ class SeqConfig:
             raise MrcDataError(f"unknown segment order {self.order!r}")
 
 
+def check_field(what: str, value, *types: type):
+    """`value` if its type is exactly one of `types`, so that a bool is no
+    int; else MrcDataError naming `what`."""
+    if type(value) not in types:
+        names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+        raise MrcDataError(f"{what} must be {names}, got {value!r}")
+    return value
+
+
 @dataclass
 class Triple:
     """One (Context, Query, Answer) unit; query is None for the BIO baseline.
 
-    Its answers are checked when it is made, whether read from a file or
-    built in code: they must be sorted, non-overlapping integer spans inside
-    its own context, or MrcDataError names the first bad one.
+    Its fields are checked when it is made, whether read from a file or
+    built in code: the ids, entity type and query must have their types; the
+    context must be a non-empty list of non-empty tokens without whitespace,
+    as a `Sentence`'s are; the answers must be sorted, non-overlapping
+    integer spans inside that context. MrcDataError names the first bad one.
     """
 
     context: list[str]
@@ -99,6 +110,22 @@ class Triple:
     sent_id: int
 
     def __post_init__(self) -> None:
+        check_field("triple doc_id", self.doc_id, str)
+        check_field("triple sent_id", self.sent_id, int)
+        name = f"triple {self.doc_id}/{self.sent_id}"
+        check_field(f"{name} entity_type", self.entity_type, str)
+        check_field(f"{name} query", self.query, str, type(None))
+        context = check_field(f"{name} context", self.context, list)
+        try:
+            tokens_ok = bool(context) and " ".join(context).split() == context
+        except TypeError:  # a token that is not a string
+            tokens_ok = False
+        if not tokens_ok:
+            bad = next((i for i, tok in enumerate(context)
+                        if type(tok) is not str or tok.split() != [tok]), None)
+            raise MrcDataError(f"{name}: context is empty" if bad is None else
+                               f"{name}: context token {bad} ({context[bad]!r}) is not a "
+                               "non-empty string without whitespace")
         previous_end = -1
         for start, end in self.answers:
             # bool is an int subclass, but JSON true/false is no index
@@ -123,15 +150,22 @@ class Triple:
 
     @classmethod
     def from_json(cls, line: str) -> "Triple":
-        rec = json.loads(line)
-        return cls(
-            context=list(rec["context"]),
-            query=rec["query"],
-            answers=[(a["start"], a["end"]) for a in rec["answers"]],
-            entity_type=rec["entity_type"],
-            doc_id=rec["origin"]["doc_id"],
-            sent_id=rec["origin"]["sent_id"],
-        )
+        """The triple of one JSON line; a line that is not a JSON object with
+        the triple's keys is a MrcDataError."""
+        try:
+            rec = check_field("triple line", json.loads(line), dict)
+            origin = check_field("triple origin", rec["origin"], dict)
+            answers = [(a["start"], a["end"]) for a in
+                       (check_field("triple answer", a, dict)
+                        for a in check_field("triple answers", rec["answers"], list))]
+            fields = {"context": rec["context"], "query": rec["query"],
+                      "entity_type": rec["entity_type"], "doc_id": origin["doc_id"],
+                      "sent_id": origin["sent_id"]}
+        except KeyError as exc:
+            raise MrcDataError(f"triple line has no {exc} key") from None
+        except json.JSONDecodeError as exc:
+            raise MrcDataError(f"triple line is not JSON: {exc}") from None
+        return cls(answers=answers, **fields)
 
 
 def triple_from_sentence(
@@ -262,8 +296,17 @@ def project_predictions(
 
 
 def read_triples(path) -> list[Triple]:
+    """The triples of a JSON-lines file; a bad line is a MrcDataError that
+    names the file and the line."""
+    triples = []
     with open(path, encoding="utf-8") as fh:
-        return [Triple.from_json(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    triples.append(Triple.from_json(line))
+                except MrcDataError as exc:
+                    raise MrcDataError(f"{path}, line {number}: {exc}") from None
+    return triples
 
 
 def write_triples(triples: Iterable[Triple], path) -> None:

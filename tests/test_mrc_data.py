@@ -16,6 +16,7 @@ from mrcner.mrc_data import (
     Vocab,
     example_from_triple,
     project_predictions,
+    read_triples,
     triple_from_sentence,
 )
 from mrcner.query import QueryStrategy, build_query
@@ -208,3 +209,61 @@ class TestTripleJson:
         sent = parse_conll(["aspirin\tB-CHEMICAL", "headache\tB-DISEASE"])[0]
         triple = triple_from_sentence(sent, chem_query())
         assert triple.answers == [(0, 0)]
+
+
+GOOD_FIELDS = {"context": ["a", "b"], "query": "q", "answers": [], "entity_type": "C",
+               "doc_id": "d", "sent_id": 0}
+
+
+def triple_line(fields):
+    return json.dumps({"context": fields["context"], "query": fields["query"],
+                       "answers": fields["answers"], "entity_type": fields["entity_type"],
+                       "origin": {"doc_id": fields["doc_id"], "sent_id": fields["sent_id"]}})
+
+
+class TestTripleFields:
+    @pytest.mark.parametrize("field, value, message", [
+        ("context", "ab", "triple d/0 context must be list, got 'ab'"),
+        ("context", [], "triple d/0: context is empty"),
+        ("context", ["a b"], "triple d/0: context token 0 ('a b') is not a non-empty string"),
+        ("context", ["a", ""], "triple d/0: context token 1 ('') is not a non-empty string"),
+        ("context", ["a", "\u00a0"], "triple d/0: context token 1 ('\\xa0') is not a"),
+        ("context", ["a", 5], "triple d/0: context token 1 (5) is not a non-empty string"),
+        ("query", 5, "triple d/0 query must be str or null, got 5"),
+        ("entity_type", None, "triple d/0 entity_type must be str, got None"),
+        ("doc_id", 3, "triple doc_id must be str, got 3"),
+        ("sent_id", True, "triple sent_id must be int, got True"),
+        ("sent_id", "0", "triple sent_id must be int, got '0'"),
+    ])
+    def test_a_bad_field_is_refused_in_code_and_in_a_file(self, tmp_path, field, value, message):
+        fields = {**GOOD_FIELDS, field: value}
+        with pytest.raises(MrcDataError, match=re.escape(message)):
+            Triple(**fields)
+        path = tmp_path / "t.jsonl"
+        path.write_text(triple_line(GOOD_FIELDS) + "\n\n" + triple_line(fields) + "\n")
+        with pytest.raises(MrcDataError, match=re.escape(f"{path}, line 3: {message}")):
+            read_triples(path)
+
+    def test_a_context_tuple_is_refused(self):
+        with pytest.raises(MrcDataError, match="context must be list"):
+            Triple(**{**GOOD_FIELDS, "context": ("a", "b")})
+
+    @pytest.mark.parametrize("line, message", [
+        ("{", "triple line is not JSON"),
+        ("[1]", "triple line must be dict"),
+        (json.dumps({"context": ["a"]}), "triple line has no 'origin' key"),
+        (triple_line({**GOOD_FIELDS, "answers": {"start": 0, "end": 0}}),
+         "triple answers must be list"),
+        (triple_line({**GOOD_FIELDS, "answers": [[0, 0]]}), "triple answer must be dict"),
+    ])
+    def test_a_line_of_the_wrong_shape_is_refused(self, tmp_path, line, message):
+        path = tmp_path / "t.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(MrcDataError, match=re.escape(f"{path}, line 1: {message}")):
+            read_triples(path)
+
+    def test_valid_fields_still_load(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(triple_line({**GOOD_FIELDS, "query": None, "answers": [
+            {"start": 1, "end": 1}]}) + "\n")
+        assert read_triples(path) == [Triple(["a", "b"], None, [(1, 1)], "C", "d", 0)]

@@ -17,6 +17,7 @@ from mrcner.model import ModelError
 from mrcner.mrc_data import (
     MrcDataError,
     SeqConfig,
+    Triple,
     example_from_triple,
     read_triples,
     triple_from_sentence,
@@ -467,6 +468,70 @@ class TestCli:
         assert str(preds) in diagnostic["message"]
         assert "('synth', 1, 'CHEMICAL')" in diagnostic["message"]
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("{not json", "line 2 is not JSON"),
+        ('[{"spans": []}]', "line 2: prediction line must be dict"),
+        ('{"origin": {"doc_id": "d", "sent_id": 0}, "entity_type": "C"}',
+         "line 2: the record has no 'spans' key"),
+        ('{"origin": {"doc_id": "d", "sent_id": 0}, "entity_type": "C", "spans": {"a": 1}}',
+         "line 2: spans must be list, got {'a': 1}"),
+        ('{"origin": {"doc_id": "d", "sent_id": 0}, "entity_type": "C", "spans": [[0, 1]]}',
+         "line 2: span must be dict, got [0, 1]"),
+        ('{"origin": ["d", 0], "entity_type": "C", "spans": []}',
+         "line 2: prediction origin must be dict"),
+        ('{"origin": {"doc_id": "d", "sent_id": "0"}, "entity_type": "C", "spans": []}',
+         "line 2: sent_id must be int, got '0'"),
+        ('{"origin": {"doc_id": "d", "sent_id": 0}, "entity_type": "C",'
+         ' "spans": [{"start": 5, "end": 9}]}',
+         "line 2: sentence ('d', 0, 'C') has span (5, 9), past the end of its 2-token context"),
+        ('{"origin": {"doc_id": "d", "sent_id": 0}, "entity_type": "C",'
+         ' "spans": [{"start": 1, "end": 2}]}',
+         "line 2: sentence ('d', 0, 'C') has span (1, 2), past the end of its 2-token context"),
+    ])
+    def test_evaluate_refuses_a_bad_prediction_line_naming_file_and_line(
+            self, tmp_path, capsys, line, message):
+        gold = tmp_path / "gold.jsonl"
+        write_triples([Triple(["a", "b"], "q", [(0, 0)], "C", "d", 0),
+                       Triple(["c"], "q", [], "C", "d", 1)], gold)
+        preds = tmp_path / "p.jsonl"
+        valid = json.dumps({"origin": {"doc_id": "d", "sent_id": 1}, "entity_type": "C",
+                            "spans": [{"start": 0, "end": 0}]})
+        preds.write_text(valid + "\n" + line + "\n")
+        assert run_cli("evaluate", "--gold", gold, "--predictions", preds,
+                       "--out", tmp_path / "m.json") == 1
+        diagnostic = json.loads(capsys.readouterr().err)
+        assert diagnostic["error"] == "CliError"
+        assert diagnostic["message"].startswith(f"{preds}, {message}")
+        assert not (tmp_path / "m.json").exists()
+
+    def test_evaluate_scores_spans_that_end_at_the_last_token(self, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        write_triples([Triple(["a", "b"], "q", [(0, 1)], "C", "d", 0)], gold)
+        preds = tmp_path / "p.jsonl"
+        preds.write_text(json.dumps({"origin": {"doc_id": "d", "sent_id": 0}, "entity_type": "C",
+                                     "spans": [{"start": 0, "end": 1}, {"start": 1, "end": 1}]}))
+        assert run_cli("evaluate", "--gold", gold, "--predictions", preds,
+                       "--out", tmp_path / "m.json") == 0
+        metrics = json.loads((tmp_path / "m.json").read_text())
+        assert (metrics["tp"], metrics["fp"], metrics["fn"]) == (1, 1, 0)
+
+    def test_predict_refuses_a_string_context_naming_file_and_line(self, tmp_path, capsys):
+        triples = tmp_path / "t.jsonl"
+        write_triples(synth_triples(3), triples)
+        assert run_cli("train", "--train", triples, "--out", tmp_path / "m.ckpt", "--epochs", "1",
+                       "--model-dim", "8", "--heads", "2", "--ffn-dim", "8", "--layers", "1",
+                       "--seq-len", "32") == 0
+        record = json.loads(triples.read_text().splitlines()[0])
+        record["context"] = " ".join(record["context"])
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(triples.read_text() + json.dumps(record) + "\n")
+        assert run_cli("predict", "--checkpoint", tmp_path / "m.ckpt", "--triples", bad,
+                       "--out", tmp_path / "p.jsonl") == 1
+        diagnostic = json.loads(capsys.readouterr().err)
+        assert diagnostic["error"] == "MrcDataError"
+        assert diagnostic["message"].startswith(f"{bad}, line 4: triple synth/0 context must be list")
+        assert not (tmp_path / "p.jsonl").exists()
 
     def test_convert_empty_file(self, tmp_path):
         corpus = tmp_path / "empty.conll"

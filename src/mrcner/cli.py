@@ -19,8 +19,8 @@ from . import model as model_mod
 from .corpus import Sentence, entity_inventory, parse_conll_with_report, sentence_to_json
 from .heads import ABLATION, CONDITIONED
 from .metrics import EvalError, aggregate, format_pct, score, t_test
-from .mrc_data import (MrcDataError, check_field, example_from_triple, read_triples,
-                       triple_from_sentence, write_triples)
+from .mrc_data import (MrcDataError, check_field, example_from_triple, json_spans,
+                       read_triples, triple_from_sentence, write_triples)
 from .model import MODE_BIO, MODE_MRC
 from .query import QueryStrategy, build_query
 from .train import TrainConfig, check_mode, gold_span_index, train
@@ -166,11 +166,12 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def read_predictions(path, context_lengths=None) -> dict:
-    """Predicted (start, end) spans by sentence key. Given `context_lengths`
-    (tokens by sentence key), a span must also end inside its sentence. A
-    line that is not a prediction record, a repeated key or a bad span is a
-    CliError that names the file and the line."""
+def read_predictions(path, context_lengths: dict) -> dict:
+    """Predicted (start, end) spans by sentence key. A span must end inside
+    its sentence when `context_lengths` has the sentence's token count (a
+    key it lacks is left to `score`). A line that is not a prediction
+    record, a repeated key or a bad span is a CliError that names the file
+    and the line."""
     predicted = {}
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
@@ -183,9 +184,7 @@ def read_predictions(path, context_lengths=None) -> dict:
                 key = (check_field("doc_id", origin["doc_id"], str),
                        check_field("sent_id", origin["sent_id"], int),
                        check_field("entity_type", rec["entity_type"], str))
-                spans = [(s["start"], s["end"]) for s in
-                         (check_field("span", s, dict)
-                          for s in check_field("spans", rec["spans"], list))]
+                spans = json_spans("span", rec["spans"])
             except json.JSONDecodeError as exc:
                 raise CliError(f"{where} is not JSON: {exc}") from None
             except KeyError as exc:
@@ -194,7 +193,7 @@ def read_predictions(path, context_lengths=None) -> dict:
                 raise CliError(f"{where}: {exc}") from None
             if key in predicted:
                 raise CliError(f"{where}: duplicate prediction sentence key {key!r}")
-            n_tokens = context_lengths.get(key) if context_lengths else None
+            n_tokens = context_lengths.get(key)
             for start, end in spans:
                 # bool is an int subclass, but JSON true/false is no index
                 if not (type(start) is int and type(end) is int and 0 <= start <= end):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from types import NoneType
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -86,9 +87,17 @@ def check_field(what: str, value, *types: type):
     """`value` if its type is exactly one of `types`, so that a bool is no
     int; else MrcDataError naming `what`."""
     if type(value) not in types:
-        names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+        names = " or ".join("null" if t is NoneType else t.__name__ for t in types)
         raise MrcDataError(f"{what} must be {names}, got {value!r}")
     return value
+
+
+def json_spans(what: str, items) -> list[tuple]:
+    """The (start, end) of each object in `items`, a JSON list of `what`
+    objects; MrcDataError if it is not such a list, KeyError if an object
+    lacks a key."""
+    return [(s["start"], s["end"]) for s in
+            (check_field(what, s, dict) for s in check_field(f"{what}s", items, list))]
 
 
 @dataclass
@@ -110,22 +119,16 @@ class Triple:
     sent_id: int
 
     def __post_init__(self) -> None:
-        check_field("triple doc_id", self.doc_id, str)
-        check_field("triple sent_id", self.sent_id, int)
-        name = f"triple {self.doc_id}/{self.sent_id}"
-        check_field(f"{name} entity_type", self.entity_type, str)
-        check_field(f"{name} query", self.query, str, type(None))
-        context = check_field(f"{name} context", self.context, list)
-        try:
-            tokens_ok = bool(context) and " ".join(context).split() == context
+        context = self.context
+        try:  # the tokens in bulk: their concatenation is non-empty and splits into itself
+            joined = "".join(context)
+            valid = (type(context) is list and all(context) and joined.split() == [joined]
+                     and type(self.doc_id) is str and type(self.sent_id) is int
+                     and type(self.entity_type) is str and type(self.query) in (str, NoneType))
         except TypeError:  # a token that is not a string
-            tokens_ok = False
-        if not tokens_ok:
-            bad = next((i for i, tok in enumerate(context)
-                        if type(tok) is not str or tok.split() != [tok]), None)
-            raise MrcDataError(f"{name}: context is empty" if bad is None else
-                               f"{name}: context token {bad} ({context[bad]!r}) is not a "
-                               "non-empty string without whitespace")
+            valid = False
+        if not valid:
+            self._refuse_fields()
         previous_end = -1
         for start, end in self.answers:
             # bool is an int subclass, but JSON true/false is no index
@@ -137,6 +140,22 @@ class Triple:
                     f"the answer ending at {previous_end} (answers are sorted and do not overlap)"
                 )
             previous_end = end
+
+    def _refuse_fields(self) -> None:
+        """MrcDataError naming the first field __post_init__ refuses."""
+        try:
+            check_field("doc_id", self.doc_id, str)
+            check_field("sent_id", self.sent_id, int)
+            check_field("entity_type", self.entity_type, str)
+            check_field("query", self.query, str, NoneType)
+            check_field("context", self.context, list)
+            bad = next((i for i, tok in enumerate(self.context)
+                        if type(tok) is not str or tok.split() != [tok]), None)
+            raise MrcDataError("context is empty" if bad is None else
+                               f"context token {bad} ({self.context[bad]!r}) is not a "
+                               "non-empty string without whitespace")
+        except MrcDataError as exc:
+            raise MrcDataError(f"triple {self.doc_id}/{self.sent_id}: {exc}") from None
 
     def to_json(self) -> str:
         record = {
@@ -155,9 +174,7 @@ class Triple:
         try:
             rec = check_field("triple line", json.loads(line), dict)
             origin = check_field("triple origin", rec["origin"], dict)
-            answers = [(a["start"], a["end"]) for a in
-                       (check_field("triple answer", a, dict)
-                        for a in check_field("triple answers", rec["answers"], list))]
+            answers = json_spans("triple answer", rec["answers"])
             fields = {"context": rec["context"], "query": rec["query"],
                       "entity_type": rec["entity_type"], "doc_id": origin["doc_id"],
                       "sent_id": origin["sent_id"]}

@@ -223,17 +223,17 @@ def triple_line(fields):
 
 class TestTripleFields:
     @pytest.mark.parametrize("field, value, message", [
-        ("context", "ab", "triple d/0 context must be list, got 'ab'"),
+        ("context", "ab", "triple d/0: context must be list, got 'ab'"),
         ("context", [], "triple d/0: context is empty"),
         ("context", ["a b"], "triple d/0: context token 0 ('a b') is not a non-empty string"),
         ("context", ["a", ""], "triple d/0: context token 1 ('') is not a non-empty string"),
         ("context", ["a", "\u00a0"], "triple d/0: context token 1 ('\\xa0') is not a"),
         ("context", ["a", 5], "triple d/0: context token 1 (5) is not a non-empty string"),
-        ("query", 5, "triple d/0 query must be str or null, got 5"),
-        ("entity_type", None, "triple d/0 entity_type must be str, got None"),
-        ("doc_id", 3, "triple doc_id must be str, got 3"),
-        ("sent_id", True, "triple sent_id must be int, got True"),
-        ("sent_id", "0", "triple sent_id must be int, got '0'"),
+        ("query", 5, "triple d/0: query must be str or null, got 5"),
+        ("entity_type", None, "triple d/0: entity_type must be str, got None"),
+        ("doc_id", 3, "triple 3/0: doc_id must be str, got 3"),
+        ("sent_id", True, "triple d/True: sent_id must be int, got True"),
+        ("sent_id", "0", "triple d/0: sent_id must be int, got '0'"),
     ])
     def test_a_bad_field_is_refused_in_code_and_in_a_file(self, tmp_path, field, value, message):
         fields = {**GOOD_FIELDS, field: value}

@@ -450,7 +450,7 @@ class TestCli:
         preds = tmp_path / "p.jsonl"
         preds.write_text(record + "\n" + record + "\n")
         with pytest.raises(CliError, match=r"\('d', 3, 'C'\)"):
-            read_predictions(preds)
+            read_predictions(preds, {})
 
     @pytest.mark.parametrize("span", [{"start": "3", "end": 5}, {"start": -1, "end": 2},
                                       {"start": 4, "end": 3}, {"start": 1.0, "end": 2},
@@ -530,7 +530,7 @@ class TestCli:
                        "--out", tmp_path / "p.jsonl") == 1
         diagnostic = json.loads(capsys.readouterr().err)
         assert diagnostic["error"] == "MrcDataError"
-        assert diagnostic["message"].startswith(f"{bad}, line 4: triple synth/0 context must be list")
+        assert diagnostic["message"].startswith(f"{bad}, line 4: triple synth/0: context must be list")
         assert not (tmp_path / "p.jsonl").exists()
 
     def test_convert_empty_file(self, tmp_path):

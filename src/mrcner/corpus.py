@@ -57,6 +57,17 @@ class EntitySpan:
             raise CorpusError(f"invalid span bounds ({self.start}, {self.end})")
 
 
+def are_words(tokens) -> bool:
+    """Whether `tokens` holds at least one token, each a non-empty string
+    without whitespace. Checked in bulk, as one string: the tokens'
+    concatenation is non-empty and splits into itself."""
+    try:
+        joined = "".join(tokens)
+    except TypeError:  # a token that is not a string
+        return False
+    return all(tokens) and joined.split() == [joined]
+
+
 @dataclass
 class Sentence:
     """A tokenized sentence with one BIO label per token."""
@@ -72,11 +83,12 @@ class Sentence:
                 f"sentence {self.doc_id}/{self.sent_id}: {len(self.tokens)} tokens "
                 f"vs {len(self.labels)} labels"
             )
-        if not self.tokens:
-            raise CorpusError("sentence must contain at least one token")
-        for i, tok in enumerate(self.tokens):
-            if not tok or tok.split() != [tok]:
-                raise CorpusError(f"token {i} ({tok!r}) is empty or contains whitespace")
+        if not are_words(self.tokens):
+            if not self.tokens:
+                raise CorpusError("sentence must contain at least one token")
+            for i, tok in enumerate(self.tokens):
+                if not tok or tok.split() != [tok]:
+                    raise CorpusError(f"token {i} ({tok!r}) is empty or contains whitespace")
 
     def __len__(self) -> int:
         return len(self.tokens)

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import EntitySpan, Sentence, bio_to_spans
+from .corpus import EntitySpan, Sentence, are_words, bio_to_spans
 from .query import QuerySpec
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
@@ -119,15 +119,9 @@ class Triple:
     sent_id: int
 
     def __post_init__(self) -> None:
-        context = self.context
-        try:  # the tokens in bulk: their concatenation is non-empty and splits into itself
-            joined = "".join(context)
-            valid = (type(context) is list and all(context) and joined.split() == [joined]
-                     and type(self.doc_id) is str and type(self.sent_id) is int
-                     and type(self.entity_type) is str and type(self.query) in (str, NoneType))
-        except TypeError:  # a token that is not a string
-            valid = False
-        if not valid:
+        if not (type(self.context) is list and are_words(self.context)
+                and type(self.doc_id) is str and type(self.sent_id) is int
+                and type(self.entity_type) is str and type(self.query) in (str, NoneType)):
             self._refuse_fields()
         previous_end = -1
         for start, end in self.answers:

@@ -222,6 +222,10 @@ class TestValidation:
         with pytest.raises(CorpusError):
             Sentence(["a", "b"], [BioLabel("O")])
 
+    def test_parse_label_suffix_wins(self):
+        assert parse_label("B-Chemical", 0, "ENT").entity_type == "Chemical"
+        assert parse_label("B", 0, "DISEASE").entity_type == "DISEASE"
+
 
 @given(st.lists(st.text(alphabet="ab \t\n\u00a0\u2028\x1c", max_size=3) | st.integers(0, 2),
                 max_size=4))
@@ -229,10 +233,6 @@ def test_bulk_token_check_equals_the_per_token_rule(tokens):
     per_token = bool(tokens) and all(
         type(tok) is str and tok and tok.split() == [tok] for tok in tokens)
     assert corpus.are_words(tokens) == per_token
-
-    def test_parse_label_suffix_wins(self):
-        assert parse_label("B-Chemical", 0, "ENT").entity_type == "Chemical"
-        assert parse_label("B", 0, "DISEASE").entity_type == "DISEASE"
 
 
 def test_sentence_json_schema(meloxicam_sentence):

@@ -215,7 +215,8 @@ def predict_example(model: ModelState, example: MrcExample, h_ctx: np.ndarray):
 
 
 def predict_in_process(model: ModelState, examples: Iterable[MrcExample]) -> list[list[EntitySpan]]:
-    """`predict_example` of every example, in input order, in this process.
+    """The entity spans of every example, in input order, decoded in this
+    process.
 
     The examples are encoded in packs: consecutive examples, taken one at a
     time while the pack holds at most PACK_ROWS real rows (an example longer
@@ -250,7 +251,7 @@ def _predict_pack(model: ModelState, pack: list[MrcExample]) -> list[list[Entity
 
 
 def predict_examples(model: ModelState, examples: Sequence[MrcExample]) -> list[list[EntitySpan]]:
-    """`predict_example` of every example, in input order.
+    """The entity spans of every example, in input order.
 
     As many workers run as there are usable CPUs, but no more than one per
     MIN_WORKER_EXAMPLES examples. One worker runs `predict_in_process` here,

@@ -97,7 +97,7 @@ CHUNK_EXAMPLES = 25
 # examples of 7-16 rows in process ran at a median 1731 examples/s with one
 # example per pack, 2990 with packs of at most 96 rows, 3397 with 128, 2916
 # with 192, 2819 with 256 and 2731 with 384 (seven alternating runs each);
-# train-mrc's 600 examples of 30-60 rows ran at 954, 959, 1075, 899, 859
+# train-mrc's 600 examples of 31-59 rows ran at 954, 959, 1075, 899, 859
 # and 901. Larger packs' arrays leave the cache.
 PACK_ROWS = 128
 

@@ -16,7 +16,8 @@ from collections.abc import Sequence
 from dataclasses import asdict
 
 from . import model as model_mod
-from .corpus import Sentence, entity_inventory, parse_conll_with_report, sentence_to_json
+from .corpus import (CorpusError, Sentence, entity_inventory, open_utf8, parse_conll_with_report,
+                     sentence_to_json)
 from .heads import ABLATION, CONDITIONED
 from .metrics import EvalError, aggregate, format_pct, score, t_test
 from .mrc_data import (MrcDataError, check_field, example_from_triple, json_spans,
@@ -51,7 +52,7 @@ def write_json(path, payload: dict) -> None:
 
 
 def cmd_convert(args) -> int:
-    with open(args.input, encoding="utf-8") as fh:
+    with open_utf8(args.input, CorpusError) as fh:
         sentences, report = parse_conll_with_report(
             fh, doc_id=args.doc_id, default_entity_type=args.entity_type
         )
@@ -68,7 +69,7 @@ def cmd_convert(args) -> int:
                 if os.path.samefile(path, args.input):
                     pool.extend(sentences)
                     continue
-                with open(path, encoding="utf-8") as fh:
+                with open_utf8(path, CorpusError) as fh:
                     pool.extend(
                         parse_conll_with_report(fh, default_entity_type=args.entity_type)[0]
                     )
@@ -111,6 +112,9 @@ def cmd_train(args) -> int:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             base = json.load(fh)
+        if not isinstance(base, dict):
+            raise CliError(f"{args.config}: a train config must be a JSON object of "
+                           f"TrainConfig fields, got {type(base).__name__}")
     base.update(overrides)
     config = TrainConfig.from_dict(base)
 
@@ -167,13 +171,13 @@ def cmd_predict(args) -> int:
 
 
 def read_predictions(path, context_lengths: dict) -> dict:
-    """Predicted (start, end) spans by sentence key. A span must end inside
-    its sentence when `context_lengths` has the sentence's token count (a
-    key it lacks is left to `score`). A line that is not a prediction
-    record, a repeated key or a bad span is a CliError that names the file
-    and the line."""
+    """Predicted (start, end) spans by sentence key. `context_lengths` holds
+    the token count of every gold sentence, and a span must end inside its
+    sentence. A line that is not a prediction record, a key the gold lacks,
+    a repeated key, a bad span or a byte that is not UTF-8 is a CliError
+    that names the file and the line."""
     predicted = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path, CliError) as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
@@ -194,12 +198,14 @@ def read_predictions(path, context_lengths: dict) -> dict:
             if key in predicted:
                 raise CliError(f"{where}: duplicate prediction sentence key {key!r}")
             n_tokens = context_lengths.get(key)
+            if n_tokens is None:
+                raise CliError(f"{where}: prediction references unknown sentence {key!r}")
             for start, end in spans:
                 # bool is an int subclass, but JSON true/false is no index
                 if not (type(start) is int and type(end) is int and 0 <= start <= end):
                     raise CliError(f"{where}: sentence {key!r} has span ({start!r}, {end!r}); "
                                    "a span needs integers with 0 <= start <= end")
-                if n_tokens is not None and end >= n_tokens:
+                if end >= n_tokens:
                     raise CliError(f"{where}: sentence {key!r} has span ({start}, {end}), "
                                    f"past the end of its {n_tokens}-token context")
             predicted[key] = spans

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -20,6 +21,27 @@ DEFAULT_ENTITY_TYPE = "ENT"
 
 class CorpusError(ValueError):
     """Malformed corpus input: bad line, unknown tag, or inconsistent spans."""
+
+
+@contextmanager
+def open_utf8(path, error: type[Exception]):
+    """`path` opened to read as UTF-8 text. A byte that is not UTF-8 raises
+    `error` with the file and line of the first such byte; the line is found
+    by reading the file's bytes again once decoding has failed, so valid
+    input pays nothing for it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                data = raw.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = data.count(b"\n", 0, exc.start) + 1
+                raise error(f"{path}, line {line}: byte {data[exc.start]:#04x} is not UTF-8 "
+                            f"({exc.reason})") from None
+            raise
 
 
 @dataclass(frozen=True)

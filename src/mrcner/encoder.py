@@ -4,9 +4,10 @@ forward() encodes a pack: a sequence of examples whose real (unpadded)
 rows are stacked into one matrix, so every row-wise step runs once per pack,
 while attention runs per example. It returns the rows the caller keeps of
 each example (all of them by default) plus an activation tape. backward()
-takes the tape of a one-example pack that kept every row, and an upstream
-gradient of those rows, and adds exact reverse-mode gradients for every
-parameter into the gradient arrays it is given. The tape keeps each
+takes the tape of a pack that kept every row, and an upstream gradient of
+those rows, and adds exact reverse-mode gradients for every parameter into
+the gradient arrays it is given, one example at a time, each with the bits
+it has when its example is a pack of its own. The tape keeps each
 feed-forward's GELU input and its normal cdf, so backward computes GELU's
 derivative without a second `erf`.
 Blocks are pre-norm (attention, then GELU feed-forward), with a final layer norm.
@@ -127,10 +128,12 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     return gain * xhat + bias, xhat, istd
 
 
-def layer_norm_backward(dy, xhat, istd, gain):
-    """Returns (dx, dgain, dbias)."""
-    dgain = (dy * xhat).sum(axis=0)
-    dbias = dy.sum(axis=0)
+def layer_norm_backward(dy, xhat, istd, gain, rows):
+    """Returns (dx, dgain, dbias): dx over every row, and a gain and a bias
+    gradient per slice of `rows`, summed over that slice's rows alone."""
+    dy_xhat = dy * xhat
+    dgain = [dy_xhat[r].sum(axis=0) for r in rows]
+    dbias = [dy[r].sum(axis=0) for r in rows]
     dxhat = dy * gain
     m1 = dxhat.mean(axis=1, keepdims=True)
     m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
@@ -183,7 +186,7 @@ def forward(
     examples,
     keep=None,
     train_mode: bool = False,
-    dropout_seed: int | None = None,
+    dropout_seeds=None,
 ) -> tuple[np.ndarray, dict[str, Any]]:
     """Run the encoder on a pack of examples; returns (H, tape).
 
@@ -200,11 +203,14 @@ def forward(
     holds at least two rows (numpy sends a one-row matmul to gemv, which
     may round differently).
 
-    Dropout fires only in train_mode, driven by dropout_seed, over the
-    stacked rows; the drawn masks are recorded on the tape so backward
-    matches exactly. Only the tape of a one-example pack that keeps every
-    row holds what backward needs; every tape holds "n", the pack's real
-    rows.
+    Dropout fires only in train_mode. `dropout_seeds` holds one seed per
+    example: each example draws its masks from its own generator, in the
+    order they apply (embeddings, then each layer's attention and
+    feed-forward outputs), so its masks do not depend on its pack. The masks
+    are recorded on the tape so backward matches exactly. Every tape holds
+    "n", the pack's real rows; the tape of a pack that keeps every row also
+    holds "rows", each example's slice of the stacked rows, and everything
+    backward needs.
     """
     if not examples:
         raise EncoderError("a pack needs at least one example")
@@ -228,27 +234,23 @@ def forward(
         kept_slices = _row_slices([k.stop - k.start for k in keep])  # in the kept rows
 
     use_dropout = train_mode and cfg.dropout > 0.0
-    rng = np.random.default_rng(dropout_seed) if use_dropout else None
-    keep_p = 1.0 - cfg.dropout
-
-    def dropout_mask(shape):
-        return (rng.random(shape) < keep_p).astype(np.float64) / keep_p
+    masks = iter(_dropout_masks(cfg, lengths, dropout_seeds) if use_dropout else ())
 
     tape: dict[str, Any] = {"n": ids.shape[0]}
-    for_backward = len(examples) == 1 and keep is None
+    for_backward = keep is None
     if for_backward:
-        tape.update(ids=ids, segs=segs, layers=[], dropout=use_dropout)
+        tape.update(rows=rows, ids=ids, segs=segs, layers=[], dropout=use_dropout)
 
     positions = _stack([params["pos_emb"][:n] for n in lengths])
     x = params["tok_emb"][ids] + params["emb_bias"] + positions + params["seg_emb"][segs]
     if use_dropout:
-        tape["emb_drop"] = dropout_mask(x.shape)
+        tape["emb_drop"] = next(masks)
         x = x * tape["emb_drop"]
 
     scale = 1.0 / math.sqrt(cfg.head_dim)
     for l in range(cfg.layers):
         pre = f"layer{l}."
-        rec: dict[str, Any] = {}
+        rec: dict[str, Any] = {"q": [], "k": [], "v": [], "probs": []}
         # Every row is queried and carried on, except in the last layer when
         # only some rows are kept.
         last = l == cfg.layers - 1 and kept_rows is not None
@@ -263,16 +265,16 @@ def forward(
         q = a @ params[pre + "wq"] + params[pre + "bq"]
         parts = []
         for qr, r in zip(queried, rows):
-            # A one-example pack's tape keeps its own attention arrays.
-            rec["q"] = _split_heads(q[qr], cfg.heads)
-            rec["k"] = _split_heads(k[r], cfg.heads)
-            rec["v"] = _split_heads(v[r], cfg.heads)
-            rec["probs"] = probs = softmax(rec["q"] @ rec["k"].transpose(0, 2, 1) * scale, axis=-1)
-            parts.append(_merge_heads(probs @ rec["v"]))
+            # Each example keeps its own attention arrays.
+            qh, kh, vh = (_split_heads(m, cfg.heads) for m in (q[qr], k[r], v[r]))
+            probs = softmax(qh @ kh.transpose(0, 2, 1) * scale, axis=-1)
+            for name, arr in zip(("q", "k", "v", "probs"), (qh, kh, vh, probs)):
+                rec[name].append(arr)
+            parts.append(_merge_heads(probs @ vh))
         rec["ctx"] = ctx = _stack(parts)
         o = ctx @ params[pre + "wo"] + params[pre + "bo"]
         if use_dropout:
-            rec["attn_drop"] = dropout_mask(o.shape)
+            rec["attn_drop"] = _kept(next(masks), kept_rows if last else None)
             o = o * rec["attn_drop"]
         x = x + o
 
@@ -284,7 +286,7 @@ def forward(
         rec["g"] = g
         f2 = g @ params[pre + "ffn_w2"] + params[pre + "ffn_b2"]
         if use_dropout:
-            rec["ffn_drop"] = dropout_mask(f2.shape)
+            rec["ffn_drop"] = _kept(next(masks), kept_rows if last else None)
             f2 = f2 * rec["ffn_drop"]
         x = x + f2
 
@@ -301,6 +303,27 @@ def forward(
     return h, tape
 
 
+def _dropout_masks(cfg: EncoderConfig, lengths: list[int], seeds) -> list[np.ndarray]:
+    """The pack's dropout masks in the order forward applies them, each
+    stacking every example's rows. Each example draws its own from
+    `default_rng(seed)`; no seeds draw every example's from fresh entropy."""
+    if seeds is None:
+        seeds = [None] * len(lengths)
+    if len(seeds) != len(lengths):
+        raise EncoderError(f"{len(seeds)} dropout seeds for {len(lengths)} examples")
+    keep_p = 1.0 - cfg.dropout
+    per_example = []
+    for n, seed in zip(lengths, seeds):
+        rng = np.random.default_rng(seed)
+        per_example.append([(rng.random((n, cfg.model_dim)) < keep_p).astype(np.float64) / keep_p
+                            for _ in range(1 + 2 * cfg.layers)])
+    return [_stack(list(use)) for use in zip(*per_example)]
+
+
+def _kept(mask: np.ndarray, kept_rows) -> np.ndarray:
+    return mask if kept_rows is None else mask[kept_rows]
+
+
 def backward(
     params: dict[str, np.ndarray],
     cfg: EncoderConfig,
@@ -311,24 +334,46 @@ def backward(
     """Exact gradients of a scalar loss with upstream gradient grad_h (with
     respect to the (n_real, model_dim) H of forward) for every parameter,
     added into `grads` (arrays keyed and shaped like `params`, such as
-    `ModelState.zero_grads()`'s views), which is returned.
+    `ModelState.zero_grads()`'s views), which is returned. The tape is that
+    of a pack that keeps every row, and the loss is the sum of its
+    examples' losses.
 
-    Each array receives one addition per call, so accumulating a batch into
-    one buffer sums examples in the same order as summing per-example
-    gradients would. Embedding gradients touch only the rows of the ids seen:
-    repeated ids are first summed within the example, then added to their rows.
+    Layer-norm input gradients, GELU's derivative, residual adds and dropout
+    run once over the pack's stacked rows. Everything else runs per example,
+    in pack order: each parameter gradient, attention, and every product
+    with a transposed weight (`d @ W.T`), whose rows BLAS may round
+    differently when it gets more rows at once. So each array receives one
+    addition per example, with the bits that example's gradient has alone,
+    and accumulating a batch into one buffer sums examples in the same
+    order as summing per-example gradients would. Embedding gradients touch
+    only the rows of the ids seen: repeated ids are first summed within the
+    example, then added to their rows.
     """
     if "layers" not in tape:
-        raise EncoderError("backward takes the tape of a one-example pack that keeps every row")
-    n = tape["n"]
+        raise EncoderError("backward takes the tape of a pack that keeps every row")
+    n, rows = tape["n"], tape["rows"]
     if grad_h.shape != (n, cfg.model_dim):
         raise EncoderError(f"grad shape {grad_h.shape} != H shape {(n, cfg.model_dim)}")
 
-    dx, dgain, dbias = layer_norm_backward(
-        grad_h, tape["xhatf"], tape["istdf"], params["final_ln_g"]
-    )
-    grads["final_ln_g"] += dgain
-    grads["final_ln_b"] += dbias
+    def add_each(name: str, per_example) -> None:
+        for g in per_example:
+            grads[name] += g
+
+    def layer_norm_grads(pre: str, dy, xhat, istd) -> np.ndarray:
+        dx, dgain, dbias = layer_norm_backward(dy, xhat, istd, params[pre + "g"], rows)
+        add_each(pre + "g", dgain)
+        add_each(pre + "b", dbias)
+        return dx
+
+    def affine_grads(pre: str, w: str, inp, d) -> np.ndarray:
+        """Adds the gradients of `inp @ W + b` given its output gradient d,
+        and returns d @ W.T, all per example."""
+        add_each(pre + w, (inp[r].T @ d[r] for r in rows))
+        add_each(pre + w.replace("w", "b"), (d[r].sum(axis=0) for r in rows))
+        weight_t = params[pre + w].T
+        return _stack([d[r] @ weight_t for r in rows])
+
+    dx = layer_norm_grads("final_ln_", grad_h, tape["xhatf"], tape["istdf"])
 
     scale = 1.0 / math.sqrt(cfg.head_dim)
     for l in reversed(range(cfg.layers)):
@@ -337,50 +382,36 @@ def backward(
 
         # residual: x_out = x_mid + dropout(ffn(ln2(x_mid)))
         df2 = dx * rec["ffn_drop"] if tape["dropout"] else dx
-        dg = df2 @ params[pre + "ffn_w2"].T
-        grads[pre + "ffn_w2"] += rec["g"].T @ df2
-        grads[pre + "ffn_b2"] += df2.sum(axis=0)
+        dg = affine_grads(pre, "ffn_w2", rec["g"], df2)
         df1 = dg * gelu_grad(rec["f1"], rec["cdf"])
-        db = df1 @ params[pre + "ffn_w1"].T
-        grads[pre + "ffn_w1"] += rec["b"].T @ df1
-        grads[pre + "ffn_b1"] += df1.sum(axis=0)
-        dx_mid, dgain, dbias = layer_norm_backward(
-            db, rec["xhat2"], rec["istd2"], params[pre + "ln2_g"]
-        )
-        grads[pre + "ln2_g"] += dgain
-        grads[pre + "ln2_b"] += dbias
-        dx = dx + dx_mid
+        db = affine_grads(pre, "ffn_w1", rec["b"], df1)
+        dx = dx + layer_norm_grads(pre + "ln2_", db, rec["xhat2"], rec["istd2"])
 
         # residual: x_mid = x_in + dropout(attn(ln1(x_in)))
         do = dx * rec["attn_drop"] if tape["dropout"] else dx
-        dctx = do @ params[pre + "wo"].T
-        grads[pre + "wo"] += rec["ctx"].T @ do
-        grads[pre + "bo"] += do.sum(axis=0)
-        dctx_h = _split_heads(dctx, cfg.heads)
-        dprobs = dctx_h @ rec["v"].transpose(0, 2, 1)
-        dv = rec["probs"].transpose(0, 2, 1) @ dctx_h
-        dscores = softmax_backward(dprobs, rec["probs"], axis=-1)
-        dq = dscores @ rec["k"] * scale
-        dk = dscores.transpose(0, 2, 1) @ rec["q"] * scale
-        da = np.zeros_like(rec["a"])
-        for name, dmat in (("wq", dq), ("wk", dk), ("wv", dv)):
-            flat = _merge_heads(dmat)
-            grads[pre + name] += rec["a"].T @ flat
-            grads[pre + name.replace("w", "b")] += flat.sum(axis=0)
-            da += flat @ params[pre + name].T
-        dx_in, dgain, dbias = layer_norm_backward(
-            da, rec["xhat1"], rec["istd1"], params[pre + "ln1_g"]
-        )
-        grads[pre + "ln1_g"] += dgain
-        grads[pre + "ln1_b"] += dbias
-        dx = dx + dx_in
+        dctx = affine_grads(pre, "wo", rec["ctx"], do)
+        per_example = []
+        for r, probs, q, k, v in zip(rows, rec["probs"], rec["q"], rec["k"], rec["v"]):
+            dctx_h = _split_heads(dctx[r], cfg.heads)
+            dprobs = dctx_h @ v.transpose(0, 2, 1)
+            dv = probs.transpose(0, 2, 1) @ dctx_h
+            dscores = softmax_backward(dprobs, probs, axis=-1)
+            dq = dscores @ k * scale
+            dk = dscores.transpose(0, 2, 1) @ q * scale
+            per_example.append([_merge_heads(dmat) for dmat in (dq, dk, dv)])
+        da = np.zeros_like(dx)
+        for name, d in zip(("wq", "wk", "wv"), zip(*per_example)):
+            da += affine_grads(pre, name, rec["a"], _stack(list(d)))
+        dx = dx + layer_norm_grads(pre + "ln1_", da, rec["xhat1"], rec["istd1"])
 
     if tape["dropout"]:
         dx = dx * tape["emb_drop"]
-    grads["emb_bias"] += dx.sum(axis=0)
-    grads["pos_emb"][:n] += dx
-    _add_rows(grads["tok_emb"], tape["ids"], dx)
-    _add_rows(grads["seg_emb"], tape["segs"], dx)
+    for r in rows:
+        d_emb = dx[r]
+        grads["emb_bias"] += d_emb.sum(axis=0)
+        grads["pos_emb"][: r.stop - r.start] += d_emb
+        _add_rows(grads["tok_emb"], tape["ids"][r], d_emb)
+        _add_rows(grads["seg_emb"], tape["segs"][r], d_emb)
     return grads
 
 

@@ -17,11 +17,15 @@ each name to its view, laid out by `flat_store`; the head is built over its
 `head.*` views. `new_model` fills each view with its `encoder.init_tensors`
 draw (the encoder's from `seed`, the head's from `seed + 1`), and
 `load_checkpoint` reads the blob into `flat`. Gradients
-use the same layout: `example_loss_and_grads` and `encoder.backward` add one
-example's gradients into the views they are given (embedding gradients only
-into the rows the example's ids touch), so training sums a batch in one
-vector that it zeroes once per batch. Adam (`train.Adam`) stays dense over
-that vector, and a parameter snapshot is one vector copy.
+use the same layout, so training sums a batch in one vector that it zeroes
+once per batch. Training cuts each batch into `packs` and runs
+`pack_loss_and_grads` on each: one `encoder.forward` of the pack, then
+`example_loss_and_grads(model, example, h_ctx, grads)` for each example, the
+head's step, given h_ctx, the encoder's rows of the example's context, then
+one `encoder.backward` of the pack. Each adds every example's gradients into
+the views it is given one example at a time, in pack order (embedding
+gradients only into the rows the example's ids touch). Adam (`train.Adam`)
+stays dense over that vector, and a parameter snapshot is one vector copy.
 
 Prediction shares no state between examples, so `predict_examples` (used by
 `predict`) decodes its examples in forked worker processes, one per usable
@@ -33,8 +37,7 @@ other threads, which a fork could deadlock. Workers inherit the model and the
 examples through the fork and return only spans, reassembled in input order,
 so the output is the same at every worker count. Each worker's chunk, and
 the whole input when nothing is forked, goes through `predict_in_process`,
-which encodes packs of at most PACK_ROWS real rows with one
-`encoder.forward` call each, keeping each example's context rows and the
+which encodes each of its `packs` with one `encoder.forward` call, keeping each example's context rows and the
 [SEP] after them, then decodes each example from its context rows with
 `predict_example(model, example, h_ctx)`. Train's dev evaluation calls
 `predict_in_process` and never forks: no benchmark workload has a dev split
@@ -61,7 +64,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import zip_longest
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -91,14 +94,15 @@ MIN_WORKER_EXAMPLES = 200
 # slower.
 CHUNK_EXAMPLES = 25
 
-# Most real rows in one pack of examples that predict encodes together (an
-# example with more makes a pack of its own). On a 2-vCPU x86-64 host (2 MB
-# L2 per core) with one BLAS thread, predicting train-bio-short's 1500
-# examples of 7-16 rows in process ran at a median 1731 examples/s with one
-# example per pack, 2990 with packs of at most 96 rows, 3397 with 128, 2916
-# with 192, 2819 with 256 and 2731 with 384 (seven alternating runs each);
-# train-mrc's 600 examples of 31-59 rows ran at 954, 959, 1075, 899, 859
-# and 901. Larger packs' arrays leave the cache.
+# Most real rows in one pack of examples that predict or training encodes
+# together (an example with more makes a pack of its own). On a 2-vCPU x86-64
+# host (2 MB L2 per core) with one BLAS thread, predicting train-bio-short's
+# 1500 examples of 7-16 rows in process ran at a median 1731 examples/s with
+# one example per pack, 2990 with packs of at most 96 rows, 3397 with 128,
+# 2916 with 192, 2819 with 256 and 2731 with 384 (seven alternating runs
+# each); train-mrc's 600 examples of 31-59 rows ran at 954, 959, 1075, 899,
+# 859 and 901. Larger packs' arrays leave the cache. Training packs are cut
+# from batches (8 examples by default), so they seldom reach the cap.
 PACK_ROWS = 128
 
 
@@ -177,35 +181,62 @@ def param_items(model: ModelState) -> list[tuple[str, np.ndarray]]:
     return list(model.params.items())
 
 
-def _context(example: MrcExample) -> slice:
-    first, last = example.context_range
-    return slice(first, last + 1)
+def packs(examples: Iterable[MrcExample]) -> Iterator[list[MrcExample]]:
+    """Consecutive examples in packs, in order: a pack takes examples one at
+    a time while it holds at most PACK_ROWS real rows, and an example longer
+    than that makes a pack of its own."""
+    pack: list[MrcExample] = []
+    rows = 0
+    for ex in examples:
+        n = int(ex.attention_mask.sum())
+        if pack and rows + n > PACK_ROWS:
+            yield pack
+            pack, rows = [], 0
+        pack.append(ex)
+        rows += n
+    if pack:
+        yield pack
 
 
-def example_loss_and_grads(
+def pack_loss_and_grads(
     model: ModelState,
-    example: MrcExample,
+    pack: Sequence[MrcExample],
     train_mode: bool = True,
-    dropout_seed: int | None = None,
+    dropout_seeds: Sequence[int] | None = None,
     grads: dict[str, np.ndarray] | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Forward (a one-example pack that keeps every row) + full backward for
-    one example. Its gradients are added into `grads` (views keyed like
-    `model.params`, e.g. from `model.zero_grads()`), or into zeroed ones
-    when none are given; returns (loss, grads)."""
+) -> tuple[list[float], dict[str, np.ndarray]]:
+    """Forward, each example's head step (`example_loss_and_grads`), then
+    backward, for a pack of examples that keeps every row; `dropout_seeds`
+    holds one seed per example. Each example's gradients are added into
+    `grads` (views keyed like `model.params`, e.g. from
+    `model.zero_grads()`), or into zeroed ones when none are given, one
+    example at a time in pack order, with the bits the example's gradients
+    have in a pack of its own. Returns (each example's loss, grads)."""
     if grads is None:
         grads = model.zero_grads()[1]
     hidden, tape = encoder.forward(
-        model.params, model.encoder_cfg, [example], None, train_mode, dropout_seed
+        model.params, model.encoder_cfg, pack, None, train_mode, dropout_seeds
     )
-    ctx = _context(example)
-    loss, dh_ctx, head_grads = model.head.loss_and_grads(hidden[ctx], example)
     grad_h = np.zeros_like(hidden)
-    grad_h[ctx] = dh_ctx
+    losses = []
+    for ex, rows in zip(pack, tape["rows"]):
+        ctx = slice(rows.start + ex.context_range[0], rows.start + ex.context_range[1] + 1)
+        loss, grad_h[ctx] = example_loss_and_grads(model, ex, hidden[ctx], grads)
+        losses.append(loss)
     encoder.backward(model.params, model.encoder_cfg, tape, grad_h, grads)
+    return losses, grads
+
+
+def example_loss_and_grads(
+    model: ModelState, example: MrcExample, h_ctx: np.ndarray, grads: dict[str, np.ndarray]
+) -> tuple[float, np.ndarray]:
+    """The head's step for one example of a pack, given h_ctx, the encoder's
+    rows of its context: adds the head's gradients into `grads` and returns
+    (loss, the loss's gradient with respect to h_ctx)."""
+    loss, dh_ctx, head_grads = model.head.loss_and_grads(h_ctx, example)
     for name, g in head_grads.items():
         grads[f"head.{name}"] += g
-    return loss, grads
+    return loss, dh_ctx
 
 
 def predict_example(model: ModelState, example: MrcExample, h_ctx: np.ndarray):
@@ -218,26 +249,12 @@ def predict_in_process(model: ModelState, examples: Iterable[MrcExample]) -> lis
     """The entity spans of every example, in input order, decoded in this
     process.
 
-    The examples are encoded in packs: consecutive examples, taken one at a
-    time while the pack holds at most PACK_ROWS real rows (an example longer
-    than that makes a pack of its own). The encoder's last layer computes
+    The examples are encoded in `packs`. The encoder's last layer computes
     each example's context rows and the [SEP] after them; that row keeps
     every kept slice at two rows or more, so each context row has the bits
     it has when its example is encoded alone.
     """
-    out: list[list[EntitySpan]] = []
-    pack: list[MrcExample] = []
-    rows = 0
-    for ex in examples:
-        n = int(ex.attention_mask.sum())
-        if pack and rows + n > PACK_ROWS:
-            out += _predict_pack(model, pack)
-            pack, rows = [], 0
-        pack.append(ex)
-        rows += n
-    if pack:
-        out += _predict_pack(model, pack)
-    return out
+    return [spans for pack in packs(examples) for spans in _predict_pack(model, pack)]
 
 
 def _predict_pack(model: ModelState, pack: list[MrcExample]) -> list[list[EntitySpan]]:

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import EntitySpan, Sentence, are_words, bio_to_spans
+from .corpus import EntitySpan, Sentence, are_words, bio_to_spans, open_utf8
 from .query import QuerySpec
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
@@ -307,10 +307,10 @@ def project_predictions(
 
 
 def read_triples(path) -> list[Triple]:
-    """The triples of a JSON-lines file; a bad line is a MrcDataError that
-    names the file and the line."""
+    """The triples of a JSON-lines file; a bad line, or a byte that is not
+    UTF-8, is a MrcDataError that names the file and the line."""
     triples = []
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path, MrcDataError) as fh:
         for number, line in enumerate(fh, 1):
             if line.strip():
                 try:

@@ -1,10 +1,13 @@
 """Mini-batch training with Adam (linear warmup, then constant rate).
 
-Batches act as gradient-accumulation groups: each example runs forward and
-backward on its own and adds its gradients, in a fixed order, into one
-gradient vector laid out like the model's parameter vector; the sum is
-averaged and Adam steps the whole vector, so results are deterministic for a
-given seed. The checkpoint kept is the one with the best dev F1 (ties
+Batches act as gradient-accumulation groups. Each batch is cut into
+`model.packs`, and each pack runs forward and backward together
+(`model.pack_loss_and_grads`), which adds every example's gradients, one
+example at a time in batch order, into one gradient vector laid out like the
+model's parameter vector. The sum is the one per-example runs would give, bit
+for bit; it is averaged and Adam steps the whole vector, so results are
+deterministic for a given seed. Each example's dropout masks come from its
+own seed, whatever pack it lands in. The checkpoint kept is the one with the best dev F1 (ties
 resolved to the earliest epoch), and that epoch's dev report is the
 manifest's final metrics.
 """
@@ -12,11 +15,11 @@ manifest's final metrics.
 from __future__ import annotations
 
 import logging
-import numbers
 import time
 from collections import Counter
 from dataclasses import dataclass, field, asdict
-from typing import Sequence
+from itertools import islice
+from typing import Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -24,7 +27,8 @@ from . import model as model_mod
 from .encoder import EncoderConfig
 from .heads import CONDITIONED
 from .metrics import EvalReport, score
-from .mrc_data import MrcExample, SeqConfig, Triple, Vocab, example_from_triple
+from .mrc_data import (MrcDataError, MrcExample, SeqConfig, Triple, Vocab, check_field,
+                       example_from_triple)
 from .model import MODE_MRC, ModelState
 
 log = logging.getLogger(__name__)
@@ -61,15 +65,12 @@ class TrainConfig:
     early_stop_f1: float | None = None
 
     def __post_init__(self) -> None:
+        _check_types({"early_stop_f1": self.early_stop_f1})
         for name in ("batch_size", "learning_rate", "min_count"):
             if getattr(self, name) <= 0:
                 raise TrainingError(f"config field {name} must be positive")
         if self.epochs < 0 or self.warmup_steps < 0:
             raise TrainingError("epochs and warmup_steps must be non-negative")
-        if self.early_stop_f1 is not None and (
-            isinstance(self.early_stop_f1, bool) or not isinstance(self.early_stop_f1, numbers.Real)
-        ):
-            raise TrainingError(f"early_stop_f1 must be a number or null, got {self.early_stop_f1!r}")
         if not isinstance(self.mode, str) or self.mode not in model_mod.HEADS:
             raise TrainingError(f"unknown mode {self.mode!r}; expected one of {sorted(model_mod.HEADS)}")
         # The sequence and encoder configs and the head check their own fields.
@@ -79,9 +80,13 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
+        """The config of a JSON object's fields; an unknown field, or a value
+        whose type is not exactly its field's (no booleans for numbers, an
+        int for a float), is a TrainingError that names the field."""
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise TrainingError(f"unknown config fields: {sorted(unknown)}")
+        _check_types(data)
         return cls(**data)
 
     def encoder_config(self, vocab_size: int) -> EncoderConfig:
@@ -101,6 +106,25 @@ class TrainConfig:
     def model_head_variant(self) -> str | None:
         """`head_variant` in MRC mode; None for the BIO head, which has no variant."""
         return self.head_variant if self.mode == MODE_MRC else None
+
+
+# The types each field takes: exactly its annotation's, plus int for a float,
+# so 1 is a learning rate but true is no epoch count.
+_FIELD_TYPES = {
+    name: tuple(t for hint in get_args(hint) or (hint,)
+                for t in ((float, int) if hint is float else (hint,)))
+    for name, hint in get_type_hints(TrainConfig).items()
+}
+
+
+def _check_types(values: dict) -> None:
+    """TrainingError naming the first field whose value has none of its
+    field's types."""
+    for name, value in values.items():
+        try:
+            check_field(f"config field {name}", value, *_FIELD_TYPES[name])
+        except MrcDataError as exc:
+            raise TrainingError(str(exc)) from None
 
 
 @dataclass
@@ -260,18 +284,19 @@ def train(
         for batch_start in range(0, len(order), config.batch_size):
             batch = order[batch_start : batch_start + config.batch_size]
             grad_flat.fill(0.0)
-            for j in batch:
-                ex = train_examples[int(j)]
-                seed = (config.seed * 1_000_003 + epoch * 997 + int(j)) % (2**31)
-                loss, _ = model_mod.example_loss_and_grads(
-                    mdl, ex, train_mode=True, dropout_seed=seed, grads=grads
+            seeds = iter([(config.seed * 1_000_003 + epoch * 997 + int(j)) % (2**31)
+                          for j in batch])
+            for pack in model_mod.packs([train_examples[int(j)] for j in batch]):
+                losses, _ = model_mod.pack_loss_and_grads(
+                    mdl, pack, True, list(islice(seeds, len(pack))), grads
                 )
-                if not np.isfinite(loss):
-                    raise TrainingError(
-                        f"non-finite loss at epoch {epoch}, example "
-                        f"{ex.origin[0]}/{ex.origin[1]}"
-                    )
-                epoch_loss += loss
+                for ex, loss in zip(pack, losses):
+                    if not np.isfinite(loss):
+                        raise TrainingError(
+                            f"non-finite loss at epoch {epoch}, example "
+                            f"{ex.origin[0]}/{ex.origin[1]}"
+                        )
+                    epoch_loss += loss
             grad_flat /= len(batch)
             optimizer.step(mdl.flat, grad_flat)
         mean_loss = epoch_loss / len(train_examples)

@@ -1,8 +1,12 @@
-"""Shared corpus builders for the test suite."""
+"""Shared corpus and model builders for the test suite."""
 
 import random
 
+from mrcner import model as model_mod
 from mrcner.corpus import BioLabel, Sentence
+from mrcner.encoder import EncoderConfig
+from mrcner.heads import ABLATION, CONDITIONED
+from mrcner.mrc_data import CONTEXT_FIRST, SeqConfig, Triple, Vocab
 
 # The worked single-entity sentence used across the data-layer tests.
 MELOXICAM_CONLL = (
@@ -92,3 +96,23 @@ def random_bio_sentence(rng: random.Random, max_len: int = 64, max_entities: int
             tags[i] = ("I", entity_type)
         cursor = end + 2
     return tags, spans
+
+
+# A tiny vocabulary and model for the tests of packed encoding, with every
+# head: MRC with either end head, and BIO.
+WORDS = [f"w{i}" for i in range(12)]
+VOCAB = Vocab(["[PAD]", "[UNK]", "[CLS]", "[SEP]"] + WORDS)
+HEADS = [("mrc", CONDITIONED), ("mrc", ABLATION), ("bio-baseline", None)]
+
+
+def tiny_model(mode, variant, seq_len, order=CONTEXT_FIRST, layers=2, seed=0, dropout=0.0,
+               model_dim=8):
+    cfg = EncoderConfig(vocab_size=VOCAB.size, layers=layers, model_dim=model_dim, heads=2,
+                        ffn_dim=2 * model_dim, max_positions=seq_len, dropout=dropout)
+    return model_mod.new_model(mode, variant, cfg, SeqConfig(seq_len, order), VOCAB, seed)
+
+
+def triple(context_len, query, sent_id, rng, answers=()):
+    """A triple of `context_len` random words of WORDS."""
+    context = [WORDS[i] for i in rng.integers(0, len(WORDS), context_len)]
+    return Triple(context, query, list(answers), "C", "d", sent_id)

@@ -99,7 +99,7 @@ def relative_error(a, b, floor=1e-7):
 def dense_reference_training(mdl, batches, cfg):
     """Training arithmetic without the flat parameter store, as the reference
     for bit identity. Each example gets its own dense gradient dict (fresh
-    zeros), the dicts are summed in batch order and averaged, and Adam
+    zeros, from a one-example pack), the dicts are summed in batch order and averaged, and Adam
     updates one tensor at a time. `batches` lists (example, dropout_seed)
     pairs per batch; `mdl` is updated in place. Returns Adam's (m, v) by
     tensor name."""
@@ -108,7 +108,7 @@ def dense_reference_training(mdl, batches, cfg):
     for step, batch in enumerate(batches, start=1):
         summed = None
         for example, seed in batch:
-            _, grads = model_mod.example_loss_and_grads(mdl, example, True, seed)
+            _, grads = model_mod.pack_loss_and_grads(mdl, [example], True, [seed])
             if summed is None:
                 summed = grads
             else:

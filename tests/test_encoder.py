@@ -176,8 +176,8 @@ class TestForward:
         cfg = tiny_config(dropout=0.2)
         params = init_params(cfg, seed=3)
         example = build_example()
-        h1, t1 = forward(params, cfg, [example], train_mode=True, dropout_seed=77)
-        h2, t2 = forward(params, cfg, [example], train_mode=True, dropout_seed=77)
+        h1, t1 = forward(params, cfg, [example], train_mode=True, dropout_seeds=[77])
+        h2, t2 = forward(params, cfg, [example], train_mode=True, dropout_seeds=[77])
         assert np.array_equal(h1, h2)
         g1 = backward(params, cfg, t1, np.ones_like(h1), zero_grads(params))
         g2 = backward(params, cfg, t2, np.ones_like(h2), zero_grads(params))
@@ -188,8 +188,8 @@ class TestForward:
         cfg = tiny_config(dropout=0.5)
         params = init_params(cfg, seed=3)
         example = build_example()
-        h1, _ = forward(params, cfg, [example], train_mode=False, dropout_seed=1)
-        h2, _ = forward(params, cfg, [example], train_mode=False, dropout_seed=2)
+        h1, _ = forward(params, cfg, [example], train_mode=False, dropout_seeds=[1])
+        h2, _ = forward(params, cfg, [example], train_mode=False, dropout_seeds=[2])
         assert np.array_equal(h1, h2)
 
 

@@ -16,26 +16,12 @@ from hypothesis import given, settings, strategies as st
 
 from mrcner import encoder
 from mrcner import model as model_mod
-from mrcner.encoder import EncoderConfig, EncoderError
-from mrcner.heads import ABLATION, CONDITIONED
+from mrcner.encoder import EncoderError
+from mrcner.heads import CONDITIONED
 from mrcner.metrics import score
-from mrcner.mrc_data import CONTEXT_FIRST, QUERY_FIRST, SeqConfig, Triple, Vocab, example_from_triple
+from mrcner.mrc_data import CONTEXT_FIRST, QUERY_FIRST, Triple, example_from_triple
 from mrcner.train import evaluate_model, gold_span_index
-
-WORDS = [f"w{i}" for i in range(12)]
-VOCAB = Vocab(["[PAD]", "[UNK]", "[CLS]", "[SEP]"] + WORDS)
-HEADS = [("mrc", CONDITIONED), ("mrc", ABLATION), ("bio-baseline", None)]
-
-
-def tiny_model(mode, variant, seq_len, order=CONTEXT_FIRST, layers=2, seed=0):
-    cfg = EncoderConfig(vocab_size=VOCAB.size, layers=layers, model_dim=8, heads=2, ffn_dim=16,
-                        max_positions=seq_len)
-    return model_mod.new_model(mode, variant, cfg, SeqConfig(seq_len, order), VOCAB, seed)
-
-
-def triple(context_len, query, sent_id, rng):
-    context = [WORDS[i] for i in rng.integers(0, len(WORDS), context_len)]
-    return Triple(context, query, [], "C", "d", sent_id)
+from helpers import HEADS, VOCAB, WORDS, tiny_model, triple
 
 
 def record_packs(monkeypatch):
@@ -159,12 +145,15 @@ class TestPackArguments:
         with pytest.raises(EncoderError, match="kept row"):
             self.forward([self.ex], keep)
 
-    def test_backward_refuses_any_tape_but_a_whole_one_example_pack(self):
+    def test_backward_takes_whole_packs_and_refuses_kept_row_tapes(self):
         grads = self.mdl.zero_grads()[1]
-        hidden, tape = self.forward([self.ex])
-        encoder.backward(self.mdl.params, self.mdl.encoder_cfg, tape, hidden, grads)
-        for examples, keep in (([self.ex, self.ex], None), ([self.ex], [slice(1, 7)])):
+        for examples in ([self.ex], [self.ex, self.ex]):
+            hidden, tape = self.forward(examples)
+            assert tape["n"] == 9 * len(examples)
+            encoder.backward(self.mdl.params, self.mdl.encoder_cfg, tape, hidden, grads)
+        for examples, keep in (([self.ex, self.ex], [slice(0, 9), slice(1, 7)]),
+                               ([self.ex], [slice(1, 7)])):
             hidden, tape = self.forward(examples, keep)
             assert tape["n"] == 9 * len(examples)
-            with pytest.raises(EncoderError, match="one-example pack"):
+            with pytest.raises(EncoderError, match="pack that keeps every row"):
                 encoder.backward(self.mdl.params, self.mdl.encoder_cfg, tape, hidden, grads)

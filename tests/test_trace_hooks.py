@@ -5,7 +5,7 @@ or a call that bypasses the module attribute would leave a layer silently
 unmeasured, so this runs a tiny MRC and BIO pipeline through the CLI under
 the tracer and checks that every wrapped attribute was called, and so
 recorded a span, and that each example passed through its encoder and head
-layers (in predict, the encoder takes packs of examples).
+layers (in training and predict, the encoder takes packs of examples).
 """
 
 import importlib.util
@@ -46,8 +46,8 @@ def run_pipeline(tmp_path, mode, phase):
 
 def count_calls(patches, calls, encoded, phase):
     """Put a call counter, keyed by phase and attribute, in front of each
-    traced attribute; `encoded` counts, by phase, the examples in the packs
-    that pass through `encoder.forward`."""
+    traced attribute; `encoded` counts, by phase and attribute, the examples
+    in the packs that pass through `encoder.forward` and `encoder.backward`."""
     for namespace, attr, _ in patches:
         traced = getattr(namespace, attr)
         key = f"{namespace.__name__.removeprefix('mrcner.')}.{attr}"
@@ -55,7 +55,9 @@ def count_calls(patches, calls, encoded, phase):
         def counted(*args, _traced=traced, _key=key, **kwargs):
             calls[phase[0], _key] += 1
             if _key == "encoder.forward":
-                encoded[phase[0]] += len(args[2])
+                encoded[phase[0], _key] += len(args[2])
+            elif _key == "encoder.backward":
+                encoded[phase[0], _key] += len(args[2]["rows"])
             return _traced(*args, **kwargs)
 
         setattr(namespace, attr, counted)
@@ -90,10 +92,11 @@ def test_every_wrapped_layer_records_a_span_and_unwraps(tmp_path):
     ):
         steps = calls[f"train:{mode}", "model.example_loss_and_grads"]
         assert steps > 0
-        for key in ["encoder.backward", *head_grads]:
+        assert encoded[f"train:{mode}", "encoder.backward"] == steps, mode
+        for key in head_grads:
             assert calls[f"train:{mode}", key] == steps, (mode, key)
         examples = calls[f"predict:{mode}", "model.predict_example"]
         assert examples > 0
-        assert encoded[f"predict:{mode}"] == examples, mode
+        assert encoded[f"predict:{mode}", "encoder.forward"] == examples, mode
         for key in head_decode:
             assert calls[f"predict:{mode}", key] == examples, (mode, key)

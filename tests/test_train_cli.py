@@ -449,8 +449,8 @@ class TestCli:
                              "spans": []})
         preds = tmp_path / "p.jsonl"
         preds.write_text(record + "\n" + record + "\n")
-        with pytest.raises(CliError, match=r"\('d', 3, 'C'\)"):
-            read_predictions(preds, {})
+        with pytest.raises(CliError, match=r"line 2: duplicate .* \('d', 3, 'C'\)"):
+            read_predictions(preds, {("d", 3, "C"): 4})
 
     @pytest.mark.parametrize("span", [{"start": "3", "end": 5}, {"start": -1, "end": 2},
                                       {"start": 4, "end": 3}, {"start": 1.0, "end": 2},

@@ -250,7 +250,7 @@ def forward(
     scale = 1.0 / math.sqrt(cfg.head_dim)
     for l in range(cfg.layers):
         pre = f"layer{l}."
-        rec: dict[str, Any] = {"q": [], "k": [], "v": [], "probs": []}
+        rec: dict[str, Any] = {"attention": []}
         # Every row is queried and carried on, except in the last layer when
         # only some rows are kept.
         last = l == cfg.layers - 1 and kept_rows is not None
@@ -265,11 +265,12 @@ def forward(
         q = a @ params[pre + "wq"] + params[pre + "bq"]
         parts = []
         for qr, r in zip(queried, rows):
-            # Each example keeps its own attention arrays.
-            qh, kh, vh = (_split_heads(m, cfg.heads) for m in (q[qr], k[r], v[r]))
+            qh = _split_heads(q[qr], cfg.heads)
+            kh = _split_heads(k[r], cfg.heads)
+            vh = _split_heads(v[r], cfg.heads)
             probs = softmax(qh @ kh.transpose(0, 2, 1) * scale, axis=-1)
-            for name, arr in zip(("q", "k", "v", "probs"), (qh, kh, vh, probs)):
-                rec[name].append(arr)
+            if for_backward:  # each example keeps its own attention arrays
+                rec["attention"].append((qh, kh, vh, probs))
             parts.append(_merge_heads(probs @ vh))
         rec["ctx"] = ctx = _stack(parts)
         o = ctx @ params[pre + "wo"] + params[pre + "bo"]
@@ -391,7 +392,7 @@ def backward(
         do = dx * rec["attn_drop"] if tape["dropout"] else dx
         dctx = affine_grads(pre, "wo", rec["ctx"], do)
         per_example = []
-        for r, probs, q, k, v in zip(rows, rec["probs"], rec["q"], rec["k"], rec["v"]):
+        for r, (q, k, v, probs) in zip(rows, rec["attention"]):
             dctx_h = _split_heads(dctx[r], cfg.heads)
             dprobs = dctx_h @ v.transpose(0, 2, 1)
             dv = probs.transpose(0, 2, 1) @ dctx_h

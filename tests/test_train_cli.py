@@ -471,6 +471,8 @@ class TestCli:
 
     @pytest.mark.parametrize("line, message", [
         ("{not json", "line 2 is not JSON"),
+        ('{"origin": {"doc_id": "", "sent_id": 7}, "entity_type": "C", "spans": []}',
+         "line 2: prediction references unknown sentence ('', 7, 'C')"),
         ('[{"spans": []}]', "line 2: prediction line must be dict"),
         ('{"origin": {"doc_id": "d", "sent_id": 0}, "entity_type": "C"}',
          "line 2: the record has no 'spans' key"),
@@ -644,13 +646,68 @@ class TestCli:
         write_triples(synth_triples(5), triples_path)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"epochs": 1, "seq_len": 64, "model_dim": 16,
-                                      "heads": 2, "ffn_dim": 32}))
+                                      "heads": 2, "ffn_dim": 32, "dropout": 0}))
         ckpt = tmp_path / "m.ckpt"
         assert run_cli("train", "--train", triples_path, "--out", ckpt,
                        "--config", config, "--epochs", 2) == 0
         manifest = json.loads((tmp_path / "m.ckpt.manifest.json").read_text())
         assert manifest["config"]["epochs"] == 2  # flag wins
         assert manifest["config"]["model_dim"] == 16
+        assert manifest["config"]["dropout"] == 0  # an int is a float field's value
+
+    @pytest.mark.parametrize("config, error, message", [
+        ({"epochs": True}, "TrainingError", "config field epochs must be int, got True"),
+        ({"min_count": True}, "TrainingError", "config field min_count must be int, got True"),
+        ({"seq_len": 32.5}, "TrainingError", "config field seq_len must be int, got 32.5"),
+        ({"batch_size": 2.5}, "TrainingError", "config field batch_size must be int, got 2.5"),
+        ({"learning_rate": "x"}, "TrainingError",
+         "config field learning_rate must be float or int, got 'x'"),
+        ({"early_stop_f1": False}, "TrainingError",
+         "config field early_stop_f1 must be float or int or null, got False"),
+        (["epochs", 1], "CliError", "a train config must be a JSON object"),
+    ])
+    def test_train_refuses_a_config_value_of_another_type_naming_the_field(
+            self, tmp_path, capsys, config, error, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        # The triples file does not exist: reading it would fail differently.
+        assert run_cli("train", "--train", tmp_path / "missing.jsonl", "--out",
+                       tmp_path / "m.ckpt", "--config", path) == 1
+        diagnostic = json.loads(capsys.readouterr().err)
+        assert diagnostic["error"] == error
+        assert message in diagnostic["message"]
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("reader", ["corpus", "inventory", "triples", "predictions"])
+    def test_a_byte_that_is_not_utf8_names_its_file_and_line(self, tmp_path, capsys, reader):
+        corpus = tmp_path / "corpus.conll"
+        corpus.write_text(corpus_to_conll(make_separable_corpus(3)))
+        triples = tmp_path / "t.jsonl"
+        write_triples(synth_triples(3), triples)
+        preds = tmp_path / "p.jsonl"
+        preds.write_text("".join(
+            json.dumps({"origin": {"doc_id": t.doc_id, "sent_id": t.sent_id},
+                        "entity_type": t.entity_type, "spans": []}) + "\n"
+            for t in read_triples(triples)))
+        out = tmp_path / "out"
+        bad, error, argv = {
+            "corpus": (corpus, "CorpusError",
+                       ["convert", "--input", corpus, "--entity-type", "CHEMICAL", "--out", out]),
+            "inventory": (tmp_path / "pool.conll", "CorpusError",
+                          ["convert", "--input", corpus, "--entity-type", "CHEMICAL",
+                           "--inventory-from", tmp_path / "pool.conll", "--out", out]),
+            "triples": (triples, "MrcDataError", ["train", "--train", triples, "--out", out]),
+            "predictions": (preds, "CliError", ["evaluate", "--gold", triples,
+                                                "--predictions", preds, "--out", out]),
+        }[reader]
+        lines = (corpus if reader == "inventory" else bad).read_bytes().split(b"\n")
+        lines[2] = lines[2][:2] + b"\xff" + lines[2][2:]
+        bad.write_bytes(b"\n".join(lines))
+        assert run_cli(*argv) == 1
+        diagnostic = json.loads(capsys.readouterr().err)
+        assert diagnostic == {"error": error, "message": f"{bad}, line 3: byte 0xff is not "
+                                                         "UTF-8 (invalid start byte)"}
+        assert not out.exists()
 
     def test_significance_command(self, tmp_path, capsys):
         a = tmp_path / "a.json"

@@ -37,8 +37,9 @@ other threads, which a fork could deadlock. Workers inherit the model and the
 examples through the fork and return only spans, reassembled in input order,
 so the output is the same at every worker count. Each worker's chunk, and
 the whole input when nothing is forked, goes through `predict_in_process`,
-which encodes each of its `packs` with one `encoder.forward` call, keeping each example's context rows and the
-[SEP] after them, then decodes each example from its context rows with
+which encodes each of its `packs` with one `encoder.forward` call, keeping
+each example's context rows and the [SEP] after them, then decodes each
+example from its context rows with
 `predict_example(model, example, h_ctx)`. Train's dev evaluation calls
 `predict_in_process` and never forks: no benchmark workload has a dev split
 big enough to fork.

@@ -7,9 +7,9 @@ example at a time in batch order, into one gradient vector laid out like the
 model's parameter vector. The sum is the one per-example runs would give, bit
 for bit; it is averaged and Adam steps the whole vector, so results are
 deterministic for a given seed. Each example's dropout masks come from its
-own seed, whatever pack it lands in. The checkpoint kept is the one with the best dev F1 (ties
-resolved to the earliest epoch), and that epoch's dev report is the
-manifest's final metrics.
+own seed, whatever pack it lands in. The checkpoint kept is the one with the
+best dev F1 (ties resolved to the earliest epoch), and that epoch's dev
+report is the manifest's final metrics.
 """
 
 from __future__ import annotations
@@ -80,9 +80,9 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        """The config of a JSON object's fields; an unknown field, or a value
-        whose type is not exactly its field's (no booleans for numbers, an
-        int for a float), is a TrainingError that names the field."""
+        """The config of a JSON object's fields. An unknown field, or a value
+        whose type is not exactly its field's (a boolean is no number; an int
+        passes for a float), is a TrainingError that names the field."""
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise TrainingError(f"unknown config fields: {sorted(unknown)}")

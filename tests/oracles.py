@@ -99,8 +99,8 @@ def relative_error(a, b, floor=1e-7):
 def dense_reference_training(mdl, batches, cfg):
     """Training arithmetic without the flat parameter store, as the reference
     for bit identity. Each example gets its own dense gradient dict (fresh
-    zeros, from a one-example pack), the dicts are summed in batch order and averaged, and Adam
-    updates one tensor at a time. `batches` lists (example, dropout_seed)
+    zeros, from a one-example pack), the dicts are summed in batch order and
+    averaged, and Adam updates one tensor at a time. `batches` lists (example, dropout_seed)
     pairs per batch; `mdl` is updated in place. Returns Adam's (m, v) by
     tensor name."""
     m = {name: np.zeros_like(arr) for name, arr in model_mod.param_items(mdl)}

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import logging
 import os
 import sys
@@ -16,12 +15,12 @@ from collections.abc import Sequence
 from dataclasses import asdict
 
 from . import model as model_mod
-from .corpus import (CorpusError, Sentence, entity_inventory, open_utf8, parse_conll_with_report,
-                     sentence_to_json)
+from .corpus import (CorpusError, Sentence, dump_json, entity_inventory, open_utf8,
+                     parse_conll_with_report, read_json, sentence_to_json)
 from .heads import ABLATION, CONDITIONED
 from .metrics import EvalError, aggregate, format_pct, score, t_test
-from .mrc_data import (MrcDataError, check_field, example_from_triple, json_spans,
-                       read_triples, triple_from_sentence, write_triples)
+from .mrc_data import (check_field, example_from_triple, json_spans, read_triples,
+                       triple_from_sentence, write_triples)
 from .model import MODE_BIO, MODE_MRC
 from .query import QueryStrategy, build_query
 from .train import TrainConfig, check_mode, gold_span_index, train
@@ -47,15 +46,21 @@ def file_sha256(path) -> str:
 
 def write_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, ensure_ascii=False, separators=(",", ":"), sort_keys=True))
-        fh.write("\n")
+        fh.write(dump_json(payload, sort_keys=True) + "\n")
+
+
+def read_corpus(path, entity_type: str, doc_id: str = ""):
+    """The sentences and parse report of a CoNLL file; a bad line is a
+    CorpusError that names the file."""
+    with open_utf8(path, CorpusError) as fh:
+        try:
+            return parse_conll_with_report(fh, doc_id=doc_id, default_entity_type=entity_type)
+        except CorpusError as exc:
+            raise CorpusError(f"{path}: {exc}") from None
 
 
 def cmd_convert(args) -> int:
-    with open_utf8(args.input, CorpusError) as fh:
-        sentences, report = parse_conll_with_report(
-            fh, doc_id=args.doc_id, default_entity_type=args.entity_type
-        )
+    sentences, report = read_corpus(args.input, args.entity_type, args.doc_id)
 
     query = None
     if args.mode == MODE_MRC:
@@ -69,10 +74,7 @@ def cmd_convert(args) -> int:
                 if os.path.samefile(path, args.input):
                     pool.extend(sentences)
                     continue
-                with open_utf8(path, CorpusError) as fh:
-                    pool.extend(
-                        parse_conll_with_report(fh, default_entity_type=args.entity_type)[0]
-                    )
+                pool.extend(read_corpus(path, args.entity_type)[0])
             inventory = entity_inventory(pool)
         query = build_query(args.entity_type, strategy, inventory, args.seed)
 
@@ -98,7 +100,7 @@ def cmd_convert(args) -> int:
         "entity_type": args.entity_type,
         "strategy": query.strategy.name if query else None,
     }
-    print(json.dumps(summary, separators=(",", ":"), sort_keys=True))
+    print(dump_json(summary, sort_keys=True))
     return 0
 
 
@@ -108,13 +110,7 @@ def cmd_train(args) -> int:
         for name in TrainConfig.__dataclass_fields__
         if getattr(args, name, None) is not None
     }
-    base = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            base = json.load(fh)
-        if not isinstance(base, dict):
-            raise CliError(f"{args.config}: a train config must be a JSON object of "
-                           f"TrainConfig fields, got {type(base).__name__}")
+    base = read_json(args.config, dict, CliError) if args.config else {}
     base.update(overrides)
     config = TrainConfig.from_dict(base)
 
@@ -166,7 +162,7 @@ def cmd_predict(args) -> int:
                     {"start": s.start, "end": s.end, "surface": s.surface} for s in spans
                 ],
             }
-            fh.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n")
+            fh.write(dump_json(record) + "\n")
     return 0
 
 
@@ -177,38 +173,29 @@ def read_predictions(path, context_lengths: dict) -> dict:
     a repeated key, a bad span or a byte that is not UTF-8 is a CliError
     that names the file and the line."""
     predicted = {}
-    with open_utf8(path, CliError) as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            where = f"{path}, line {number}"
-            try:
-                rec = check_field("prediction line", json.loads(line), dict)
-                origin = check_field("prediction origin", rec["origin"], dict)
-                key = (check_field("doc_id", origin["doc_id"], str),
-                       check_field("sent_id", origin["sent_id"], int),
-                       check_field("entity_type", rec["entity_type"], str))
-                spans = json_spans("span", rec["spans"])
-            except json.JSONDecodeError as exc:
-                raise CliError(f"{where} is not JSON: {exc}") from None
-            except KeyError as exc:
-                raise CliError(f"{where}: the record has no {exc} key") from None
-            except MrcDataError as exc:
-                raise CliError(f"{where}: {exc}") from None
-            if key in predicted:
-                raise CliError(f"{where}: duplicate prediction sentence key {key!r}")
-            n_tokens = context_lengths.get(key)
-            if n_tokens is None:
-                raise CliError(f"{where}: prediction references unknown sentence {key!r}")
-            for start, end in spans:
-                # bool is an int subclass, but JSON true/false is no index
-                if not (type(start) is int and type(end) is int and 0 <= start <= end):
-                    raise CliError(f"{where}: sentence {key!r} has span ({start!r}, {end!r}); "
-                                   "a span needs integers with 0 <= start <= end")
-                if end >= n_tokens:
-                    raise CliError(f"{where}: sentence {key!r} has span ({start}, {end}), "
-                                   f"past the end of its {n_tokens}-token context")
-            predicted[key] = spans
+
+    def add(rec: dict) -> None:
+        origin = check_field("prediction origin", rec["origin"], dict)
+        key = (check_field("doc_id", origin["doc_id"], str),
+               check_field("sent_id", origin["sent_id"], int),
+               check_field("entity_type", rec["entity_type"], str))
+        spans = json_spans("span", rec["spans"])
+        if key in predicted:
+            raise CliError(f"duplicate prediction sentence key {key!r}")
+        n_tokens = context_lengths.get(key)
+        if n_tokens is None:
+            raise CliError(f"prediction references unknown sentence {key!r}")
+        for start, end in spans:
+            # bool is an int subclass, but JSON true/false is no index
+            if not (type(start) is int and type(end) is int and 0 <= start <= end):
+                raise CliError(f"sentence {key!r} has span ({start!r}, {end!r}); "
+                               "a span needs integers with 0 <= start <= end")
+            if end >= n_tokens:
+                raise CliError(f"sentence {key!r} has span ({start}, {end}), "
+                               f"past the end of its {n_tokens}-token context")
+        predicted[key] = spans
+
+    read_json(path, add, CliError, lines=True)
     return predicted
 
 
@@ -226,28 +213,18 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _score(value, path) -> float:
-    """A JSON number as an F1 score; booleans and strings are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise EvalError(f"{path}: F1 score {value!r} is not a number")
-    return float(value)
+def _scores(doc: dict, stats: bool) -> list[float]:
+    """The F1 scores of a stats JSON's "runs" list if `stats` and it has one,
+    else the "f1" of a metrics JSON; a score is a number, not a boolean."""
+    runs = check_field("runs", doc["runs"], list) if stats and "runs" in doc else [doc["f1"]]
+    return [float(check_field("F1 score", v, int, float)) for v in runs]
 
 
 def read_runs(paths) -> list[float]:
     """One stats JSON with a "runs" list, or several metrics JSONs with "f1"."""
-    if len(paths) == 1:
-        with open(paths[0], encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if isinstance(doc, dict) and "runs" in doc:
-            return [_score(v, paths[0]) for v in doc["runs"]]
-    runs = []
-    for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict) or "f1" not in doc:
-            raise EvalError(f"{path}: expected a metrics JSON with an 'f1' field")
-        runs.append(_score(doc["f1"], path))
-    return runs
+    stats = len(paths) == 1
+    return [run for path in paths
+            for run in read_json(path, lambda doc: _scores(doc, stats), EvalError)]
 
 
 def cmd_significance(args) -> int:
@@ -350,7 +327,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - single CLI error boundary
         diagnostic = {"error": type(exc).__name__, "message": str(exc)}
         diagnostic.update(getattr(exc, "details", {}))
-        print(json.dumps(diagnostic, ensure_ascii=False), file=sys.stderr)
+        print(dump_json(diagnostic), file=sys.stderr)
         log.debug("command failed", exc_info=True)
         return 1
 

@@ -8,6 +8,7 @@ between label sequences and typed entity spans in both directions.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -42,6 +43,52 @@ def open_utf8(path, error: type[Exception]):
                 raise error(f"{path}, line {line}: byte {data[exc.start]:#04x} is not UTF-8 "
                             f"({exc.reason})") from None
             raise
+
+
+def _finite_float(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+# The one JSON decoder, and encoder by `sort_keys`, of every file mrcner reads
+# or writes: NaN, Infinity and 1e999 are refused, and so is a non-finite float.
+_DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_finite_float)
+_ENCODERS = [json.JSONEncoder(ensure_ascii=False, allow_nan=False, separators=(",", ":"),
+                              sort_keys=sort_keys) for sort_keys in (False, True)]
+
+
+def dump_json(value, sort_keys: bool = False) -> str:
+    """`value` as compact JSON with non-ASCII characters unescaped."""
+    return _ENCODERS[sort_keys].encode(value)
+
+
+def parse_json(where: str, text: str | bytes, build, error: type[Exception]):
+    """`build` of the JSON object `text` holds (bytes are read as UTF-8).
+    Text that is not a JSON object, and a KeyError or ValueError from
+    `build`, are `error` naming `where`."""
+    try:
+        value = _DECODER.decode(text if isinstance(text, str) else text.decode("utf-8"))
+    except ValueError as exc:
+        raise error(f"{where} is not JSON: {exc}") from None
+    if type(value) is not dict:
+        raise error(f"{where} is not a JSON object")
+    try:
+        return build(value)
+    except KeyError as exc:
+        raise error(f"{where}: the record has no {exc} key") from None
+    except ValueError as exc:
+        raise error(f"{where}: {exc}") from None
+
+
+def read_json(path, build, error: type[Exception], lines: bool = False):
+    """`parse_json` of the UTF-8 file `path`, or with `lines` a list of it
+    for each non-blank line; `error` names the file (and the line)."""
+    with open_utf8(path, error) as fh:
+        if not lines:
+            return parse_json(str(path), fh.read(), build, error)
+        return [parse_json(f"{path}, line {number}", line, build, error)
+                for number, line in enumerate(fh, 1) if line.strip()]
 
 
 @dataclass(frozen=True)
@@ -296,4 +343,4 @@ def sentence_to_json(sentence: Sentence) -> str:
             for s in sentence.spans()
         ],
     }
-    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+    return dump_json(record)

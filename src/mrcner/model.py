@@ -52,12 +52,11 @@ numbers. Loading builds the head class, configs, vocabulary and shapes from
 the header (a value they refuse is a ModelError naming its key), checks the
 header against them and the blob's length against the store, then reads the
 blob from the file into a new store, with no other copy of it in memory.
-Files are byte-stable for a fixed seed.
+A ModelError about a file names it. Files are byte-stable for a fixed seed.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import multiprocessing
 import os
@@ -70,7 +69,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import baseline, encoder, heads
-from .corpus import EntitySpan
+from .corpus import EntitySpan, dump_json, parse_json
 from .encoder import EncoderConfig
 from .mrc_data import MrcExample, SeqConfig, Vocab
 
@@ -175,11 +174,6 @@ def new_model(
         for name, arr in encoder.init_tensors(np.random.default_rng(draw_seed), shapes).items():
             mdl.params[prefix + name][...] = arr
     return mdl
-
-
-def param_items(model: ModelState) -> list[tuple[str, np.ndarray]]:
-    """All trainable tensors in a fixed, deterministic order."""
-    return list(model.params.items())
 
 
 def packs(examples: Iterable[MrcExample]) -> Iterator[list[MrcExample]]:
@@ -320,7 +314,7 @@ def save_checkpoint(model: ModelState, path) -> None:
         "tensors": [[name, list(arr.shape)] for name, arr in model.params.items()],
     }
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode("utf-8"))
+        fh.write(dump_json(header).encode("utf-8"))
         fh.write(b"\n")
         fh.write(model.flat.astype("<f8", copy=False))  # no bytes copy of the store
 
@@ -341,27 +335,24 @@ def load_checkpoint(path) -> ModelState:
     and vocabulary imply and its blob against the store's size, then read
     the blob into a new parameter store."""
     with open(path, "rb") as fh:
-        mdl = _empty_model_of_header(fh.readline())
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise ModelError(f"{path} does not start with a header line")
+        mdl = parse_json(f"{path}, header line", line, _empty_model_of_header, ModelError)
         n_bytes = 8 * mdl.flat.size
         blob_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
         if blob_bytes == n_bytes:
             blob_bytes = fh.readinto(memoryview(mdl.flat).cast("B"))
         if blob_bytes != n_bytes:
-            raise ModelError(f"checkpoint holds {blob_bytes} parameter bytes, "
+            raise ModelError(f"{path} holds {blob_bytes} parameter bytes, "
                              f"the model's {mdl.flat.size} float64 values need {n_bytes}")
     if not np.little_endian:
         mdl.flat.byteswap(inplace=True)  # the blob is little-endian
     return mdl
 
 
-def _empty_model_of_header(line: bytes) -> ModelState:
-    """The zeroed model a checkpoint's header line describes, or ModelError."""
-    try:
-        header = json.loads(line.decode("utf-8")) if line.endswith(b"\n") else None
-    except ValueError as exc:
-        raise ModelError(f"checkpoint header line is not JSON: {exc}") from None
-    if not isinstance(header, dict):
-        raise ModelError("checkpoint does not start with a JSON object header line")
+def _empty_model_of_header(header: dict) -> ModelState:
+    """The zeroed model a checkpoint's header object describes, or ModelError."""
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise ModelError(f"unsupported checkpoint version {header.get('format_version')!r}")
 
@@ -390,7 +381,3 @@ def _empty_model_of_header(line: bytes) -> ModelState:
 
 def copy_params(model: ModelState) -> np.ndarray:
     return model.flat.copy()
-
-
-def restore_params(model: ModelState, snapshot: np.ndarray) -> None:
-    model.flat[...] = snapshot

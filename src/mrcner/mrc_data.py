@@ -9,7 +9,6 @@ takes the context-first one with an empty query part.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from types import NoneType
@@ -17,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import EntitySpan, Sentence, are_words, bio_to_spans, open_utf8
+from .corpus import EntitySpan, Sentence, are_words, bio_to_spans, dump_json, read_json
 from .query import QuerySpec
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
@@ -159,24 +158,16 @@ class Triple:
             "entity_type": self.entity_type,
             "origin": {"doc_id": self.doc_id, "sent_id": self.sent_id},
         }
-        return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+        return dump_json(record)
 
     @classmethod
-    def from_json(cls, line: str) -> "Triple":
-        """The triple of one JSON line; a line that is not a JSON object with
-        the triple's keys is a MrcDataError."""
-        try:
-            rec = check_field("triple line", json.loads(line), dict)
-            origin = check_field("triple origin", rec["origin"], dict)
-            answers = json_spans("triple answer", rec["answers"])
-            fields = {"context": rec["context"], "query": rec["query"],
-                      "entity_type": rec["entity_type"], "doc_id": origin["doc_id"],
-                      "sent_id": origin["sent_id"]}
-        except KeyError as exc:
-            raise MrcDataError(f"triple line has no {exc} key") from None
-        except json.JSONDecodeError as exc:
-            raise MrcDataError(f"triple line is not JSON: {exc}") from None
-        return cls(answers=answers, **fields)
+    def from_record(cls, rec: dict) -> "Triple":
+        """The triple of one JSON line's object; KeyError names a missing key,
+        MrcDataError a value of the wrong type."""
+        origin = check_field("triple origin", rec["origin"], dict)
+        answers = json_spans("triple answer", rec["answers"])
+        return cls(rec["context"], rec["query"], answers, rec["entity_type"],
+                   origin["doc_id"], origin["sent_id"])
 
 
 def triple_from_sentence(
@@ -309,15 +300,7 @@ def project_predictions(
 def read_triples(path) -> list[Triple]:
     """The triples of a JSON-lines file; a bad line, or a byte that is not
     UTF-8, is a MrcDataError that names the file and the line."""
-    triples = []
-    with open_utf8(path, MrcDataError) as fh:
-        for number, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    triples.append(Triple.from_json(line))
-                except MrcDataError as exc:
-                    raise MrcDataError(f"{path}, line {number}: {exc}") from None
-    return triples
+    return read_json(path, Triple.from_record, MrcDataError, lines=True)
 
 
 def write_triples(triples: Iterable[Triple], path) -> None:

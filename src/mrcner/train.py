@@ -15,6 +15,7 @@ report is the manifest's final metrics.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field, asdict
@@ -66,11 +67,16 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         _check_types({"early_stop_f1": self.early_stop_f1})
-        for name in ("batch_size", "learning_rate", "min_count"):
-            if getattr(self, name) <= 0:
-                raise TrainingError(f"config field {name} must be positive")
-        if self.epochs < 0 or self.warmup_steps < 0:
-            raise TrainingError("epochs and warmup_steps must be non-negative")
+        # A comparison with NaN is false, so each rule refuses it too.
+        for rule, ok, names in (
+                ("finite and positive", lambda v: 0 < v < math.inf,
+                 ("batch_size", "learning_rate", "min_count", "adam_eps")),
+                ("non-negative", lambda v: v >= 0, ("epochs", "warmup_steps")),
+                ("in [0, 1)", lambda v: 0 <= v < 1, ("beta1", "beta2")),
+                ("in [0, 1] or null", lambda v: v is None or 0 <= v <= 1, ("early_stop_f1",))):
+            for name in names:
+                if not ok(value := getattr(self, name)):
+                    raise TrainingError(f"config field {name} must be {rule}, got {value!r}")
         if not isinstance(self.mode, str) or self.mode not in model_mod.HEADS:
             raise TrainingError(f"unknown mode {self.mode!r}; expected one of {sorted(model_mod.HEADS)}")
         # The sequence and encoder configs and the head check their own fields.
@@ -316,7 +322,7 @@ def train(
 
     # The restored parameters are the best epoch's, bit for bit, so its dev
     # report is what evaluating them again would give.
-    model_mod.restore_params(mdl, best_snapshot)
+    mdl.flat[...] = best_snapshot
     if best_report is not None:
         manifest.final_metrics = asdict(best_report)
     manifest.wall_clock_sec = time.monotonic() - started

@@ -103,8 +103,8 @@ def dense_reference_training(mdl, batches, cfg):
     averaged, and Adam updates one tensor at a time. `batches` lists (example, dropout_seed)
     pairs per batch; `mdl` is updated in place. Returns Adam's (m, v) by
     tensor name."""
-    m = {name: np.zeros_like(arr) for name, arr in model_mod.param_items(mdl)}
-    v = {name: np.zeros_like(arr) for name, arr in model_mod.param_items(mdl)}
+    m = {name: np.zeros_like(arr) for name, arr in mdl.params.items()}
+    v = {name: np.zeros_like(arr) for name, arr in mdl.params.items()}
     for step, batch in enumerate(batches, start=1):
         summed = None
         for example, seed in batch:
@@ -121,7 +121,7 @@ def dense_reference_training(mdl, batches, cfg):
             lr *= min(1.0, step / cfg.warmup_steps)
         b1c = 1.0 - cfg.beta1**step
         b2c = 1.0 - cfg.beta2**step
-        for name, arr in model_mod.param_items(mdl):
+        for name, arr in mdl.params.items():
             g = summed[name]
             m[name] *= cfg.beta1
             m[name] += (1.0 - cfg.beta1) * g

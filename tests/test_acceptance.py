@@ -98,7 +98,7 @@ def test_03_model_gradients_match_finite_differences():
 
             _, grads = model_mod.pack_loss_and_grads(mdl, [example], train_mode=False)
             fd_rng = np.random.default_rng(29)
-            for name, arr in model_mod.param_items(mdl):
+            for name, arr in mdl.params.items():
                 flat = arr.reshape(-1)
                 gflat = grads[name].reshape(-1)
                 n_pick = min(200, flat.size)

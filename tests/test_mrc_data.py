@@ -167,7 +167,7 @@ class TestProjection:
 class TestTripleJson:
     def test_round_trip(self, meloxicam_sentence):
         triple = triple_from_sentence(meloxicam_sentence, chem_query())
-        clone = Triple.from_json(triple.to_json())
+        clone = Triple.from_record(json.loads(triple.to_json()))
         assert clone == triple
 
     def test_schema(self, meloxicam_sentence):
@@ -199,7 +199,7 @@ class TestTripleJson:
                            "answers": [{"start": s, "end": e} for s, e in answers],
                            "entity_type": "C", "origin": {"doc_id": "d", "sent_id": 4}})
         with pytest.raises(MrcDataError, match=message):
-            Triple.from_json(line)
+            Triple.from_record(json.loads(line))
 
     def test_query_free_triple_needs_an_entity_type(self, meloxicam_sentence):
         with pytest.raises(MrcDataError, match="entity type"):
@@ -249,17 +249,17 @@ class TestTripleFields:
             Triple(**{**GOOD_FIELDS, "context": ("a", "b")})
 
     @pytest.mark.parametrize("line, message", [
-        ("{", "triple line is not JSON"),
-        ("[1]", "triple line must be dict"),
-        (json.dumps({"context": ["a"]}), "triple line has no 'origin' key"),
+        ("{", " is not JSON: "),
+        ("[1]", " is not a JSON object"),
+        (json.dumps({"context": ["a"]}), ": the record has no 'origin' key"),
         (triple_line({**GOOD_FIELDS, "answers": {"start": 0, "end": 0}}),
-         "triple answers must be list"),
-        (triple_line({**GOOD_FIELDS, "answers": [[0, 0]]}), "triple answer must be dict"),
+         ": triple answers must be list"),
+        (triple_line({**GOOD_FIELDS, "answers": [[0, 0]]}), ": triple answer must be dict"),
     ])
     def test_a_line_of_the_wrong_shape_is_refused(self, tmp_path, line, message):
         path = tmp_path / "t.jsonl"
         path.write_text(line + "\n")
-        with pytest.raises(MrcDataError, match=re.escape(f"{path}, line 1: {message}")):
+        with pytest.raises(MrcDataError, match=re.escape(f"{path}, line 1{message}")):
             read_triples(path)
 
     def test_valid_fields_still_load(self, tmp_path):

@@ -35,9 +35,9 @@ def tiny_config(**overrides):
 
 
 def assert_store_layout(mdl):
-    """Every tensor is a view of `flat`, laid out in param_items order."""
+    """Every tensor is a view of `flat`, laid out in `params` order."""
     offset = 0
-    for name, arr in model_mod.param_items(mdl):
+    for name, arr in mdl.params.items():
         assert np.shares_memory(arr, mdl.flat), name
         assert np.array_equal(mdl.flat[offset : offset + arr.size], arr.ravel()), name
         offset += arr.size
@@ -56,7 +56,7 @@ def test_new_and_loaded_models_share_one_store(tmp_path):
 
     snapshot = model_mod.copy_params(mdl)
     mdl.flat += 1.0
-    model_mod.restore_params(mdl, snapshot)
+    mdl.flat[...] = snapshot
     assert np.array_equal(mdl.flat, loaded.flat)
 
 
@@ -126,11 +126,10 @@ def test_training_matches_dense_reference_bit_for_bit(monkeypatch, overrides):
     m, v = dense_reference_training(reference, batches, cfg)
 
     assert not np.array_equal(trained.flat, initial)
-    for (name, got), (_, expected) in zip(model_mod.param_items(trained),
-                                          model_mod.param_items(reference)):
+    for (name, got), (_, expected) in zip(trained.params.items(), reference.params.items()):
         assert np.array_equal(got, expected), name
     (optimizer,) = optimizers
     assert optimizer.step_count == len(batches)
-    names = [name for name, _ in model_mod.param_items(reference)]
+    names = [name for name, _ in reference.params.items()]
     assert np.array_equal(optimizer.m, np.concatenate([m[n].ravel() for n in names]))
     assert np.array_equal(optimizer.v, np.concatenate([v[n].ravel() for n in names]))

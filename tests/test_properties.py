@@ -119,7 +119,7 @@ def test_convert_then_evaluate_loses_no_span(sentences, convert_args):
 
 @st.composite
 def on_disk_triple(draw):
-    """A triple as `Triple.from_json` accepts it: sorted, non-overlapping
+    """A triple as `Triple.from_record` accepts it: sorted, non-overlapping
     answers inside the context, with or without a query."""
     n = draw(st.integers(1, 24))
     answers, cursor = [], 0
@@ -132,7 +132,7 @@ def on_disk_triple(draw):
         cursor = end + 1
     query = draw(st.one_of(st.none(), st.integers(1, 6).map(lambda k: " ".join(["q"] * k))))
     triple = Triple([f"t{i}" for i in range(n)], query, answers, TARGET, "d", 0)
-    return Triple.from_json(triple.to_json())
+    return Triple.from_record(json.loads(triple.to_json()))
 
 
 @settings(max_examples=60, deadline=None)

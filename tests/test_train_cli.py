@@ -73,7 +73,7 @@ class TestTraining:
             cfg.seq_config(), mdl.vocab, cfg.seed,
         )
         for (name, arr), (_, expected) in zip(
-            model_mod.param_items(mdl), model_mod.param_items(fresh)
+            mdl.params.items(), fresh.params.items()
         ):
             assert np.array_equal(arr, expected), name
         assert len(manifest.dev_f1_curve) == 1
@@ -122,6 +122,27 @@ class TestTraining:
         with pytest.raises(error, match=message):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("learning_rate", math.nan, "finite and positive"),
+        ("learning_rate", math.inf, "finite and positive"),
+        ("learning_rate", 0.0, "finite and positive"),
+        ("batch_size", 0, "finite and positive"),
+        ("min_count", 0, "finite and positive"),
+        ("adam_eps", -1.0, "finite and positive"),
+        ("adam_eps", math.inf, "finite and positive"),
+        ("epochs", -1, "non-negative"),
+        ("warmup_steps", -1, "non-negative"),
+        ("beta1", 1.0, r"in \[0, 1\)"),
+        ("beta1", -0.1, r"in \[0, 1\)"),
+        ("beta2", math.nan, r"in \[0, 1\)"),
+        ("early_stop_f1", math.nan, r"in \[0, 1\] or null"),
+        ("early_stop_f1", 1.5, r"in \[0, 1\] or null"),
+        ("early_stop_f1", -math.inf, r"in \[0, 1\] or null"),
+    ])
+    def test_a_number_out_of_range_is_refused_naming_the_field(self, field, value, rule):
+        with pytest.raises(TrainingError, match=f"config field {field} must be {rule}, got"):
+            TrainConfig(**{field: value})
+
     @pytest.mark.parametrize("epochs, early_stop_f1", [(10, None), (10, 0.7), (0, None)],
                              ids=["best-before-last", "early-stop", "no-epochs"])
     def test_final_metrics_match_a_fresh_dev_evaluation(self, epochs, early_stop_f1):
@@ -153,7 +174,7 @@ class TestCheckpoint:
         model_mod.save_checkpoint(mdl, path)
         loaded = model_mod.load_checkpoint(path)
         for (name, arr), (_, arr2) in zip(
-            model_mod.param_items(mdl), model_mod.param_items(loaded)
+            mdl.params.items(), loaded.params.items()
         ):
             assert np.array_equal(arr, arr2), name
         assert loaded.vocab.id_to_token == mdl.vocab.id_to_token
@@ -274,7 +295,7 @@ class TestCheckpoint:
         del header["tensors"]
         header["format_version"] = 1
         header["params"] = {name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-                            for name, arr in model_mod.param_items(mdl)}
+                            for name, arr in mdl.params.items()}
         path = tmp_path / "v1.json"
         path.write_text(json.dumps(header, separators=(",", ":")) + "\n")
         with pytest.raises(ModelError, match="unsupported checkpoint version 1"):
@@ -473,7 +494,7 @@ class TestCli:
         ("{not json", "line 2 is not JSON"),
         ('{"origin": {"doc_id": "", "sent_id": 7}, "entity_type": "C", "spans": []}',
          "line 2: prediction references unknown sentence ('', 7, 'C')"),
-        ('[{"spans": []}]', "line 2: prediction line must be dict"),
+        ('[{"spans": []}]', "line 2 is not a JSON object"),
         ('{"origin": {"doc_id": "d", "sent_id": 0}, "entity_type": "C"}',
          "line 2: the record has no 'spans' key"),
         ('{"origin": {"doc_id": "d", "sent_id": 0}, "entity_type": "C", "spans": {"a": 1}}',
@@ -664,7 +685,12 @@ class TestCli:
          "config field learning_rate must be float or int, got 'x'"),
         ({"early_stop_f1": False}, "TrainingError",
          "config field early_stop_f1 must be float or int or null, got False"),
-        (["epochs", 1], "CliError", "a train config must be a JSON object"),
+        (["epochs", 1], "CliError", "config.json is not a JSON object"),
+        ({"adam_eps": -1.0}, "TrainingError",
+         "config field adam_eps must be finite and positive, got -1.0"),
+        ({"beta2": 1}, "TrainingError", "config field beta2 must be in [0, 1), got 1"),
+        ({"early_stop_f1": 2}, "TrainingError",
+         "config field early_stop_f1 must be in [0, 1] or null, got 2"),
     ])
     def test_train_refuses_a_config_value_of_another_type_naming_the_field(
             self, tmp_path, capsys, config, error, message):
@@ -677,6 +703,37 @@ class TestCli:
         assert diagnostic["error"] == error
         assert message in diagnostic["message"]
         assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("flag, value, error, message", [
+        ("--early-stop-f1", "nan", "TrainingError",
+         "config field early_stop_f1 must be in [0, 1] or null, got nan"),
+        ("--learning-rate", "inf", "TrainingError",
+         "config field learning_rate must be finite and positive, got inf"),
+        ("--dropout", "nan", "EncoderError", "dropout must be in [0, 1), got nan"),
+    ])
+    def test_train_refuses_a_flag_out_of_range_before_reading_a_file(
+            self, tmp_path, capsys, flag, value, error, message):
+        # The triples file does not exist: reading it would fail differently.
+        assert run_cli("train", "--train", tmp_path / "missing.jsonl", "--out",
+                       tmp_path / "m.ckpt", flag, value) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": error, "message": message}
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("reader", ["corpus", "inventory"])
+    def test_a_line_with_the_wrong_column_count_names_its_file(self, tmp_path, capsys, reader):
+        corpus, pool, out = tmp_path / "corpus.conll", tmp_path / "pool.conll", tmp_path / "out"
+        text = corpus_to_conll(make_separable_corpus(3))
+        corpus.write_text(text)
+        lines = text.split("\n")
+        lines[4] = "a b c"
+        bad = corpus if reader == "corpus" else pool
+        bad.write_text("\n".join(lines))
+        assert run_cli("convert", "--input", corpus, "--entity-type", "CHEMICAL",
+                       "--inventory-from", pool, "--out", out) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "CorpusError",
+            "message": f"{bad}: line 5: expected two columns (token, label), got 'a b c'"}
+        assert not out.exists()
 
     @pytest.mark.parametrize("reader", ["corpus", "inventory", "triples", "predictions"])
     def test_a_byte_that_is_not_utf8_names_its_file_and_line(self, tmp_path, capsys, reader):
@@ -752,6 +809,15 @@ class TestCli:
         assert str(a) in diagnostic["message"]
         assert not out.exists()
 
+    def test_significance_refuses_runs_that_are_not_a_list(self, tmp_path, capsys):
+        a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "sig.json"
+        a.write_text(json.dumps({"runs": [0.5, 0.6, 0.7]}))
+        b.write_text(json.dumps({"runs": 5}))
+        assert run_cli("significance", "--a", a, "--b", b, "--out", out) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "EvalError", "message": f"{b}: runs must be list, got 5"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("runs", [[True, False, True], [0.5, 0.6, "0.7"], [0.5, None, 0.7]])
     def test_significance_refuses_runs_that_are_not_numbers(self, tmp_path, capsys, runs):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -761,7 +827,7 @@ class TestCli:
         assert run_cli("significance", "--a", a, "--b", b, "--out", out) == 1
         diagnostic = json.loads(capsys.readouterr().err)
         assert diagnostic["error"] == "EvalError"
-        assert str(b) in diagnostic["message"] and "not a number" in diagnostic["message"]
+        assert str(b) in diagnostic["message"] and "F1 score must be int or float" in diagnostic["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("f1", [True, "0.93", [0.93]])
@@ -774,7 +840,8 @@ class TestCli:
         assert run_cli("significance", "--a", *paths[:2], "--b", *paths[2:], "--out", out) == 1
         diagnostic = json.loads(capsys.readouterr().err)
         assert diagnostic["error"] == "EvalError"
-        assert str(paths[-1]) in diagnostic["message"] and "not a number" in diagnostic["message"]
+        assert (str(paths[-1]) in diagnostic["message"]
+                and "F1 score must be int or float" in diagnostic["message"])
         assert not out.exists()
 
     def test_errors_exit_nonzero_with_json_diagnostics(self, tmp_path, capsys):

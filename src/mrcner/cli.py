@@ -215,9 +215,14 @@ def cmd_evaluate(args) -> int:
 
 def _scores(doc: dict, stats: bool) -> list[float]:
     """The F1 scores of a stats JSON's "runs" list if `stats` and it has one,
-    else the "f1" of a metrics JSON; a score is a number, not a boolean."""
+    else the "f1" of a metrics JSON; a score is a number, not a boolean, in
+    [0, 100], which holds both the ratio and the percent scale."""
     runs = check_field("runs", doc["runs"], list) if stats and "runs" in doc else [doc["f1"]]
-    return [float(check_field("F1 score", v, int, float)) for v in runs]
+    scores = [float(check_field("F1 score", v, int, float)) for v in runs]
+    for score in scores:
+        if not 0 <= score <= 100:
+            raise EvalError(f"F1 score {score!r} is outside [0, 100]")
+    return scores
 
 
 def read_runs(paths) -> list[float]:

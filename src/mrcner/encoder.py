@@ -6,8 +6,8 @@ while attention runs per example. It returns the rows the caller keeps of
 each example (all of them by default) plus an activation tape. backward()
 takes the tape of a pack that kept every row, and an upstream gradient of
 those rows, and adds exact reverse-mode gradients for every parameter into
-the gradient arrays it is given, one example at a time, each with the bits
-it has when its example is a pack of its own. The tape keeps each
+each example's gradient sink, one example at a time, each with the bits it
+has when its example is a pack of its own. The tape keeps each
 feed-forward's GELU input and its normal cdf, so backward computes GELU's
 derivative without a second `erf`.
 Blocks are pre-norm (attention, then GELU feed-forward), with a final layer norm.
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -330,14 +330,20 @@ def backward(
     cfg: EncoderConfig,
     tape: dict[str, Any],
     grad_h: np.ndarray,
-    grads: dict[str, np.ndarray],
-) -> dict[str, np.ndarray]:
+    grads: dict[str, np.ndarray] | Sequence[dict],
+) -> dict[str, np.ndarray] | Sequence[dict]:
     """Exact gradients of a scalar loss with upstream gradient grad_h (with
     respect to the (n_real, model_dim) H of forward) for every parameter,
-    added into `grads` (arrays keyed and shaped like `params`, such as
-    `ModelState.zero_grads()`'s views), which is returned. The tape is that
-    of a pack that keeps every row, and the loss is the sum of its
+    added into each example's gradient sink; `grads` is returned. The tape
+    is that of a pack that keeps every row, and the loss is the sum of its
     examples' losses.
+
+    A sink is a dict of arrays keyed and shaped like `params`, such as
+    `ModelState.zero_grads()`'s views, except that its "tok_emb" may be a
+    list: the example's token-embedding gradient is then appended to it as
+    (ids, rows), the ids it touches and their summed rows, for someone to
+    add with `grad[ids] += rows`. `grads` is one sink that every example
+    adds into, or a sequence of one sink per example.
 
     Layer-norm input gradients, GELU's derivative, residual adds and dropout
     run once over the pack's stacked rows. Everything else runs per example,
@@ -355,10 +361,13 @@ def backward(
     n, rows = tape["n"], tape["rows"]
     if grad_h.shape != (n, cfg.model_dim):
         raise EncoderError(f"grad shape {grad_h.shape} != H shape {(n, cfg.model_dim)}")
+    sinks = [grads] * len(rows) if isinstance(grads, dict) else grads
+    if len(sinks) != len(rows):
+        raise EncoderError(f"{len(sinks)} gradient sinks for {len(rows)} examples")
 
     def add_each(name: str, per_example) -> None:
-        for g in per_example:
-            grads[name] += g
+        for sink, g in zip(sinks, per_example):
+            sink[name] += g
 
     def layer_norm_grads(pre: str, dy, xhat, istd) -> np.ndarray:
         dx, dgain, dbias = layer_norm_backward(dy, xhat, istd, params[pre + "g"], rows)
@@ -407,21 +416,25 @@ def backward(
 
     if tape["dropout"]:
         dx = dx * tape["emb_drop"]
-    for r in rows:
+    for r, sink in zip(rows, sinks):
         d_emb = dx[r]
-        grads["emb_bias"] += d_emb.sum(axis=0)
-        grads["pos_emb"][: r.stop - r.start] += d_emb
-        _add_rows(grads["tok_emb"], tape["ids"][r], d_emb)
-        _add_rows(grads["seg_emb"], tape["segs"][r], d_emb)
+        sink["emb_bias"] += d_emb.sum(axis=0)
+        sink["pos_emb"][: r.stop - r.start] += d_emb
+        _add_rows(sink["tok_emb"], tape["ids"][r], d_emb)
+        _add_rows(sink["seg_emb"], tape["segs"][r], d_emb)
     return grads
 
 
-def _add_rows(grad: np.ndarray, ids: np.ndarray, dx: np.ndarray) -> None:
-    """grad[i] += the sum of the rows of dx whose id is i, for each id seen.
+def _add_rows(grad, ids: np.ndarray, dx: np.ndarray) -> None:
+    """grad[i] += the sum of the rows of dx whose id is i, for each id seen;
+    into a list, appends (the ids seen, their sums) instead.
 
     Summing per id first makes a repeated id add (a + b) to its row, as a
     per-example gradient summed into a batch would, not (row + a) + b."""
     unique, inverse = np.unique(ids, return_inverse=True)
     per_id = np.zeros((unique.size, dx.shape[1]))
     np.add.at(per_id, inverse, dx)
-    grad[unique] += per_id
+    if isinstance(grad, list):
+        grad.append((unique, per_id))
+    else:
+        grad[unique] += per_id

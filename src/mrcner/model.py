@@ -14,26 +14,30 @@ Parameters live in one store: `ModelState.flat` is a single contiguous
 float64 vector holding every trainable tensor in checkpoint order (the
 encoder's, then the head's as `head.<name>`), and `ModelState.params` maps
 each name to its view, laid out by `flat_store`; the head is built over its
-`head.*` views. `new_model` fills each view with its `encoder.init_tensors`
-draw (the encoder's from `seed`, the head's from `seed + 1`), and
-`load_checkpoint` reads the blob into `flat`. Gradients
-use the same layout, so training sums a batch in one vector that it zeroes
-once per batch. Training cuts each batch into `packs` and runs
+`head.*` views. `flat_store` takes the vector from an allocator of zeroed
+vectors, so training can build the store in memory it shares with a forked
+helper. `new_model` fills each view with its `encoder.init_tensors` draw (the
+encoder's from `seed`, the head's from `seed + 1`), and `load_checkpoint`
+reads the blob into `flat`. Gradients use the same layout, so training sums
+a batch in one vector. Training cuts a batch's examples into `packs` and runs
 `pack_loss_and_grads` on each: one `encoder.forward` of the pack, then
-`example_loss_and_grads(model, example, h_ctx, grads)` for each example, the
+`example_loss_and_grads(model, example, h_ctx, sink)` for each example, the
 head's step, given h_ctx, the encoder's rows of the example's context, then
 one `encoder.backward` of the pack. Each adds every example's gradients into
-the views it is given one example at a time, in pack order (embedding
-gradients only into the rows the example's ids touch). Adam (`train.Adam`)
-stays dense over that vector, and a parameter snapshot is one vector copy.
+that example's gradient sink, one example at a time, in pack order
+(embedding gradients only into the rows the example's ids touch): views of
+the batch's vector, or of a slot of the helper's (`train`). Adam
+(`train.Adam`) stays dense over that vector, and a parameter snapshot is one
+vector copy.
 
 Prediction shares no state between examples, so `predict_examples` (used by
 `predict`) decodes its examples in forked worker processes, one per usable
 CPU as long as each has MIN_WORKER_EXAMPLES examples to do; a worker takes
 the next chunk of CHUNK_EXAMPLES whenever it finishes one. It runs in this
-process instead on a one-CPU machine, where the OS does not report usable
-CPUs (no `os.sched_getaffinity` outside Linux), and when the process runs
-other threads, which a fork could deadlock. Workers inherit the model and the
+process instead where `fork_cpus` reports one CPU: on a one-CPU machine,
+where the OS does not report usable CPUs (no `os.sched_getaffinity` outside
+Linux), and when the process runs other threads, which a fork could
+deadlock. Workers inherit the model and the
 examples through the fork and return only spans, reassembled in input order,
 so the output is the same at every worker count. Each worker's chunk, and
 the whole input when nothing is forked, goes through `predict_in_process`,
@@ -60,7 +64,6 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import zip_longest
@@ -119,10 +122,10 @@ class ModelState:
     params: dict[str, np.ndarray]  # every tensor's view of `flat`, in store order
     head: heads.SpanHeadParams | baseline.BioHeadParams
 
-    def zero_grads(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """A zeroed gradient vector laid out like `flat`, with its views keyed
-        like `params`."""
-        return flat_store({name: arr.shape for name, arr in self.params.items()})
+    def zero_grads(self, zeros=np.zeros) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """A zeroed gradient vector from `zeros(size)`, laid out like `flat`,
+        with its views keyed like `params`."""
+        return flat_store({name: arr.shape for name, arr in self.params.items()}, zeros)
 
 
 def _head_class(mode: str):
@@ -131,10 +134,11 @@ def _head_class(mode: str):
     return HEADS[mode]
 
 
-def flat_store(shapes: dict[str, tuple]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """One zeroed contiguous float64 vector holding a tensor per name of
-    `shapes`, in that order, and a view of it per name."""
-    flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+def flat_store(shapes: dict[str, tuple], zeros=np.zeros) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """One contiguous float64 vector holding a tensor per name of `shapes`, in
+    that order, and a view of it per name. The vector is `zeros(size)`, a
+    zeroed one; `train` passes an allocator of shared memory."""
+    flat = zeros(sum(math.prod(shape) for shape in shapes.values()))
     views, offset = {}, 0
     for name, shape in shapes.items():
         size = math.prod(shape)
@@ -143,14 +147,14 @@ def flat_store(shapes: dict[str, tuple]) -> tuple[np.ndarray, dict[str, np.ndarr
     return flat, views
 
 
-def _empty_model(encoder_cfg, seq_cfg, vocab, head_cls, variant) -> ModelState:
-    """A model over a zeroed store of every tensor in checkpoint order, head
-    tensors as `head.<name>`; the head is built over those views. Refuses a
-    variant the head does not have."""
+def _empty_model(encoder_cfg, seq_cfg, vocab, head_cls, variant, zeros=np.zeros) -> ModelState:
+    """A model over a zeroed store from `zeros(size)` of every tensor in
+    checkpoint order, head tensors as `head.<name>`; the head is built over
+    those views. Refuses a variant the head does not have."""
     shapes = encoder.param_shapes(encoder_cfg)
     head_shapes = head_cls.shapes(encoder_cfg.model_dim, variant)
     shapes.update((f"head.{name}", shape) for name, shape in head_shapes.items())
-    flat, params = flat_store(shapes)
+    flat, params = flat_store(shapes, zeros)
     head = head_cls(**{name: params[f"head.{name}"] for name in head_shapes}, variant=variant)
     return ModelState(encoder_cfg, seq_cfg, vocab, flat, params, head)
 
@@ -162,12 +166,13 @@ def new_model(
     seq_cfg: SeqConfig,
     vocab: Vocab,
     seed: int,
+    zeros=np.zeros,
 ) -> ModelState:
     """A model of `mode` with freshly drawn parameters: the encoder's from
-    `seed`, the head's from `seed + 1`. Refuses a variant the head does not
-    have (HeadError)."""
+    `seed`, the head's from `seed + 1`, in a store from `zeros(size)`.
+    Refuses a variant the head does not have (HeadError)."""
     head_cls = _head_class(mode)
-    mdl = _empty_model(encoder_cfg, seq_cfg, vocab, head_cls, head_variant)
+    mdl = _empty_model(encoder_cfg, seq_cfg, vocab, head_cls, head_variant, zeros)
     enc_shapes = encoder.param_shapes(encoder_cfg)
     head_shapes = head_cls.shapes(encoder_cfg.model_dim, head_variant)
     for prefix, shapes, draw_seed in (("", enc_shapes, seed), ("head.", head_shapes, seed + 1)):
@@ -198,27 +203,30 @@ def pack_loss_and_grads(
     pack: Sequence[MrcExample],
     train_mode: bool = True,
     dropout_seeds: Sequence[int] | None = None,
-    grads: dict[str, np.ndarray] | None = None,
-) -> tuple[list[float], dict[str, np.ndarray]]:
+    grads: dict[str, np.ndarray] | Sequence[dict] | None = None,
+) -> tuple[list[float], dict[str, np.ndarray] | Sequence[dict]]:
     """Forward, each example's head step (`example_loss_and_grads`), then
     backward, for a pack of examples that keeps every row; `dropout_seeds`
-    holds one seed per example. Each example's gradients are added into
-    `grads` (views keyed like `model.params`, e.g. from
-    `model.zero_grads()`), or into zeroed ones when none are given, one
-    example at a time in pack order, with the bits the example's gradients
-    have in a pack of its own. Returns (each example's loss, grads)."""
+    holds one seed per example. Each example's gradients are added into its
+    gradient sink (see `encoder.backward`): `grads` is one sink that every
+    example adds into (views keyed like `model.params`, e.g. from
+    `model.zero_grads()`), zeroed ones when None, or a sequence of one sink
+    per example. Examples add one at a time in pack order, with the bits
+    their gradients have in a pack of their own. Returns (each example's
+    loss, grads)."""
     if grads is None:
         grads = model.zero_grads()[1]
+    sinks = [grads] * len(pack) if isinstance(grads, dict) else grads
     hidden, tape = encoder.forward(
         model.params, model.encoder_cfg, pack, None, train_mode, dropout_seeds
     )
     grad_h = np.zeros_like(hidden)
     losses = []
-    for ex, rows in zip(pack, tape["rows"]):
+    for ex, rows, sink in zip(pack, tape["rows"], sinks):
         ctx = slice(rows.start + ex.context_range[0], rows.start + ex.context_range[1] + 1)
-        loss, grad_h[ctx] = example_loss_and_grads(model, ex, hidden[ctx], grads)
+        loss, grad_h[ctx] = example_loss_and_grads(model, ex, hidden[ctx], sink)
         losses.append(loss)
-    encoder.backward(model.params, model.encoder_cfg, tape, grad_h, grads)
+    encoder.backward(model.params, model.encoder_cfg, tape, grad_h, sinks)
     return losses, grads
 
 
@@ -275,8 +283,8 @@ def predict_examples(model: ModelState, examples: Sequence[MrcExample]) -> list[
     finish; a worker that dies raises `BrokenProcessPool`. No worker
     outlives the call.
     """
-    workers = min(len(examples) // MIN_WORKER_EXAMPLES, _usable_cpus())
-    if workers <= 1 or threading.active_count() > 1:
+    workers = min(len(examples) // MIN_WORKER_EXAMPLES, fork_cpus())
+    if workers <= 1:
         return predict_in_process(model, examples)
     cuts = [*range(0, len(examples), CHUNK_EXAMPLES), len(examples)]
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
@@ -285,9 +293,27 @@ def predict_examples(model: ModelState, examples: Sequence[MrcExample]) -> list[
     return [spans for chunk in chunks for spans in chunk]
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where the OS does not say."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+def fork_cpus() -> int:
+    """CPUs that processes forked from this one may share: the CPUs this
+    process may run on, or 1 where the OS does not say (no
+    `os.sched_getaffinity` outside Linux, or no /proc/self/task) and while
+    this process runs another thread, native ones included.
+
+    A fork could deadlock on a lock another thread holds. And a BLAS library
+    that runs threads of its own runs them in every forked process too,
+    where they compete for the CPUs: on a 2-vCPU host whose OpenBLAS ran two
+    threads, forked predict of predict-long's 1200 test examples took
+    11.5-28.8 s against 4.8-6.0 s in process (1.8-2.0 s forked with one
+    BLAS thread), and train-mrc's `train` took 14.5 s with a helper against
+    3.3 s without."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    try:
+        if len(os.listdir("/proc/self/task")) > 1:
+            return 1
+    except OSError:
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 _work: tuple[ModelState, Sequence[MrcExample]] | None = None  # set in forked workers only
@@ -333,7 +359,10 @@ def _from_header(header: dict, key: str, build):
 def load_checkpoint(path) -> ModelState:
     """Read a checkpoint, checking its header against the shapes its configs
     and vocabulary imply and its blob against the store's size, then read
-    the blob into a new parameter store."""
+    the blob into a new parameter store and check that every parameter is
+    finite. A finite dot product of the store with itself shows that; only
+    when it is not (a NaN, an infinity, or values above ~1e154 in magnitude,
+    whose squares overflow) is each parameter checked."""
     with open(path, "rb") as fh:
         line = fh.readline()
         if not line.endswith(b"\n"):
@@ -348,6 +377,10 @@ def load_checkpoint(path) -> ModelState:
                              f"the model's {mdl.flat.size} float64 values need {n_bytes}")
     if not np.little_endian:
         mdl.flat.byteswap(inplace=True)  # the blob is little-endian
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow falls to the exact check
+        square = mdl.flat @ mdl.flat
+    if not np.isfinite(square) and not np.isfinite(mdl.flat).all():
+        raise ModelError(f"{path} holds a parameter that is NaN or infinite")
     return mdl
 
 

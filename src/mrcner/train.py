@@ -10,16 +10,37 @@ deterministic for a given seed. Each example's dropout masks come from its
 own seed, whatever pack it lands in. The checkpoint kept is the one with the
 best dev F1 (ties resolved to the earliest epoch), and that epoch's dev
 report is the manifest's final metrics.
+
+Training runs on two CPUs where `model.fork_cpus()` reports at least two:
+on Linux, while this process runs no other thread, a BLAS library's
+included. `train` then forks one helper process, which shares the
+model's store, the gradient vector and Adam's moments with it through
+anonymous shared mappings made before the fork. For each batch, this process
+trains the leading examples into the gradient vector, while the helper
+trains the trailing ones, each into its own zeroed gradient slot that holds
+every tensor but the token embeddings; it sends back their losses and each
+one's token-embedding rows. This process adds the rows, and each process
+adds the slots, in batch order, into one part of the gradient vector, then
+averages and Adam-steps that part. Every tensor receives exactly one
+addition per example and 0 + g = g, so the sum, and every parameter, has the
+bits it has on one CPU. Losses are checked in batch order, so the first
+non-finite one reported is the one one CPU reports, and an error the helper
+raises is raised here as itself. Dev evaluation runs in this process alone.
+The helper exits when `train` returns or raises, and is reaped; a helper
+that dies is a TrainingError naming its exit status. Elsewhere the same
+steps run in this process alone.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import mmap
+import multiprocessing
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field, asdict
-from itertools import islice
 from typing import Sequence, get_args, get_type_hints
 
 import numpy as np
@@ -33,6 +54,30 @@ from .mrc_data import (MrcDataError, MrcExample, SeqConfig, Triple, Vocab, check
 from .model import MODE_MRC, ModelState
 
 log = logging.getLogger(__name__)
+
+# The cost, in microseconds, of training an example of n real rows: fixed +
+# per_row * n + per_row_squared * n * n (`_example_cost`). Where a helper
+# process trains, each batch is cut where its examples' costs split in half;
+# the cut changes which process trains an example, never what it computes.
+# Fitted on a 2-vCPU x86-64 host with one BLAS thread, training the default
+# model (2 layers, width 64, feed-forward 256) on examples of 8 to 128 rows
+# in packs of up to 8. With this cut, this process waited 0.1-0.34 s of a
+# 2.6-2.9 s train-mrc `train` for the helper's examples, as a batch splits
+# only between whole examples.
+SPLIT_COST = (750.0, 26.0, 0.35)
+
+# Most examples of a batch the helper trains. Each takes a gradient slot
+# holding every tensor but the token embeddings (108k float64 values, 0.9 MB,
+# for the default model at seq_len 128), so larger batches leave the rest to
+# this process.
+MAX_SLOTS = 31
+
+# Adam's step over one element of the parameter vector costs about
+# FINISH_COST times adding one slot's element into the gradient and zeroing
+# it; `_Steps.cut` weighs the two processes' parts of the vector by it. On
+# train-mrc, weighing them instead of halving the vector cut this process's
+# wait for the helper's part from 0.11-0.16 s to 0.01-0.02 s per `train`.
+FINISH_COST = 5.0
 
 
 class TrainingError(RuntimeError):
@@ -67,6 +112,14 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         _check_types({"early_stop_f1": self.early_stop_f1})
+        # An int passes for a float; one too large for a float is refused here,
+        # not by an OverflowError in Adam's first step.
+        for name in _FLOAT_FIELDS:
+            if isinstance(value := getattr(self, name), int):
+                try:
+                    setattr(self, name, float(value))
+                except OverflowError:
+                    raise TrainingError(f"config field {name} is too large for a float") from None
         # A comparison with NaN is false, so each rule refuses it too.
         for rule, ok, names in (
                 ("finite and positive", lambda v: 0 < v < math.inf,
@@ -121,6 +174,7 @@ _FIELD_TYPES = {
                 for t in ((float, int) if hint is float else (hint,)))
     for name, hint in get_type_hints(TrainConfig).items()
 }
+_FLOAT_FIELDS = [name for name, types in _FIELD_TYPES.items() if float in types]
 
 
 def _check_types(values: dict) -> None:
@@ -152,19 +206,23 @@ class RunManifest:
 class Adam:
     """Dense Adam over one flat parameter vector, with linear warmup to a
     constant learning rate. Every element's moments decay on every step,
-    whether or not its gradient is zero (no lazy, row-sparse variant)."""
+    whether or not its gradient is zero (no lazy, row-sparse variant). The
+    moments are vectors from `zeros(size)`. Every operation is
+    element-wise, so stepping the vector in parts gives the bits stepping it
+    whole does, and two processes that share the moments may each step a
+    part."""
 
-    def __init__(self, size: int, cfg: TrainConfig):
+    def __init__(self, size: int, cfg: TrainConfig, zeros=np.zeros):
         self.cfg = cfg
         self.step_count = 0
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        self.m = zeros(size)
+        self.v = zeros(size)
         self._a = np.empty(size)
         self._b = np.empty(size)
 
-    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray, part: slice = slice(None)) -> None:
         """params -= lr * (m / b1c) / (sqrt(v / b2c) + eps), in place, with the
-        operations in that order."""
+        operations in that order, over the elements in `part`."""
         self.step_count += 1
         c = self.cfg
         lr = c.learning_rate
@@ -172,7 +230,8 @@ class Adam:
             lr *= min(1.0, self.step_count / c.warmup_steps)
         b1c = 1.0 - c.beta1**self.step_count
         b2c = 1.0 - c.beta2**self.step_count
-        a, b, m, v = self._a, self._b, self.m, self.v
+        a, b, m, v = self._a[part], self._b[part], self.m[part], self.v[part]
+        params, grads = params[part], grads[part]
         m *= c.beta1
         m += np.multiply(1.0 - c.beta1, grads, out=a)
         v *= c.beta2
@@ -226,6 +285,192 @@ def evaluate_model(model: ModelState, examples: Sequence[MrcExample],
     return score(gold, predicted)
 
 
+def _shared_zeros(size: int) -> np.ndarray:
+    """A zeroed float64 vector over an anonymous shared mapping, which a
+    process forked from this one shares instead of copying."""
+    return np.frombuffer(mmap.mmap(-1, 8 * size), count=size)
+
+
+def _example_cost(n: int) -> float:
+    """What training an example of n real rows costs, in the units of
+    SPLIT_COST."""
+    fixed, per_row, per_row_squared = SPLIT_COST
+    return fixed + per_row * n + per_row_squared * n * n
+
+
+class _Steps:
+    """Training steps over state in anonymous shared mappings, so that a
+    helper forked from this process (`_Helper`) shares it: the model's
+    store, the gradient vector, Adam's moments and one gradient slot per
+    tail example. A slot holds every tensor but `tok_emb`, which leads the
+    store (`encoder.param_shapes`), so the slots cover `grad_flat[rest:]`.
+    The gradient vector and the slots are zero between steps: `finish`
+    zeroes what it has added and stepped."""
+
+    def __init__(self, mdl: ModelState, examples: Sequence[MrcExample], config: TrainConfig):
+        self.mdl, self.examples = mdl, examples
+        self.costs = [_example_cost(int(ex.attention_mask.sum())) for ex in examples]
+        self.grad_flat, self.grads = mdl.zero_grads(_shared_zeros)
+        self.optimizer = Adam(mdl.flat.size, config, _shared_zeros)
+        self.rest = self.grads["tok_emb"].size
+        shapes = {name: g.shape for name, g in self.grads.items() if name != "tok_emb"}
+        self.slots = [model_mod.flat_store(shapes, _shared_zeros)
+                      for _ in range(min(config.batch_size, len(examples), MAX_SLOTS + 1) - 1)]
+
+    def step(self, epoch: int, batch: list[int], seeds: list[int],
+             helper: "_Helper | None") -> list[float]:
+        """One Adam step on the examples of `batch`, given their dropout
+        seeds; returns their losses in batch order.
+
+        With a helper, this process trains the batch's leading examples into
+        the gradient vector while the helper trains the rest into its slots.
+        This process then adds the helper's token-embedding rows in batch
+        order, and each process adds the slots into one part of the vector,
+        averages it and steps it.
+        """
+        lead = len(batch) if helper is None else self.lead_count(batch)
+        if helper is not None:
+            helper.call("tail", epoch, batch[lead:], seeds[lead:])
+        losses = self.run(epoch, batch[:lead], seeds[:lead], [self.grads] * lead)
+        if helper is None:
+            self.finish(slice(None), 0, len(batch))
+            return losses
+        tail_losses, token_rows = helper.result()
+        for pairs in token_rows:
+            for ids, rows in pairs:
+                self.grads["tok_emb"][ids] += rows
+        cut = self.cut(len(tail_losses))
+        helper.call("finish", slice(cut, None), len(tail_losses), len(batch))
+        self.finish(slice(0, cut), len(tail_losses), len(batch))
+        helper.result()
+        return losses + tail_losses
+
+    def lead_count(self, batch: list[int]) -> int:
+        """How many leading examples of `batch` this process trains: those
+        whose cost's midpoint lies in the first half of the batch's cost, at
+        least one, and all but MAX_SLOTS at most."""
+        costs = [self.costs[j] for j in batch]
+        half, done, lead = sum(costs) / 2, 0.0, 0
+        for cost in costs:
+            if done + cost / 2 >= half:
+                break
+            done += cost
+            lead += 1
+        return max(lead, 1, len(batch) - len(self.slots))
+
+    def run(self, epoch: int, indexes: list[int], seeds: list[int], sinks: list) -> list[float]:
+        """Each example's loss, in order, after adding its gradients into its
+        sink; TrainingError at the first loss that is not finite."""
+        examples = [self.examples[j] for j in indexes]
+        losses: list[float] = []
+        for pack in model_mod.packs(examples):
+            done = slice(len(losses), len(losses) + len(pack))
+            pack_losses, _ = model_mod.pack_loss_and_grads(
+                self.mdl, pack, True, seeds[done], sinks[done])
+            for ex, loss in zip(pack, pack_losses):
+                if not np.isfinite(loss):
+                    raise TrainingError(f"non-finite loss at epoch {epoch}, example "
+                                        f"{ex.origin[0]}/{ex.origin[1]}")
+            losses += pack_losses
+        return losses
+
+    def tail(self, epoch: int, indexes: list[int], seeds: list[int]):
+        """Trains the examples into the slots, one each; returns (their
+        losses, the (ids, rows) pairs of each one's token-embedding
+        gradient)."""
+        sinks = [{**views, "tok_emb": []} for _, views in self.slots[: len(indexes)]]
+        losses = self.run(epoch, indexes, seeds, sinks)
+        return losses, [sink["tok_emb"] for sink in sinks]
+
+    def cut(self, n_slots: int) -> int:
+        """Where this process's part of the vector ends when `n_slots` slots
+        are added: half of `finish`'s cost, counting FINISH_COST per element
+        and one per slot added into it."""
+        size, rest = self.grad_flat.size, self.rest
+        half = (FINISH_COST * size + n_slots * (size - rest)) / 2
+        if FINISH_COST * rest >= half:
+            return int(half / FINISH_COST)
+        return int((half + n_slots * rest) / (FINISH_COST + n_slots))
+
+    def finish(self, part: slice, n_slots: int, batch_size: int) -> None:
+        """Adds the first `n_slots` slots, in order, into the gradient
+        vector's `part`, divides that part by `batch_size`, steps the
+        parameters in it, and zeroes it for the next batch."""
+        start, stop, _ = part.indices(self.grad_flat.size)
+        first = min(max(start, self.rest), stop)  # the part's first element a slot covers
+        for flat, _ in self.slots[:n_slots]:
+            piece = flat[first - self.rest : stop - self.rest]
+            self.grad_flat[first:stop] += piece
+            piece[...] = 0.0
+        self.grad_flat[part] /= batch_size
+        self.optimizer.step(self.mdl.flat, self.grad_flat, part)
+        self.grad_flat[part] = 0.0
+
+
+class _Helper:
+    """A process forked from this one that runs `_Steps` methods for it.
+    `call` sends a method's name and arguments; `result` waits for what it
+    returned, and raises here what it raised there, or a TrainingError
+    naming the helper's exit status if it died. The helper exits when the
+    pipe closes: after `close`, which also reaps it, or when this process
+    dies."""
+
+    def __init__(self, steps: _Steps):
+        self._conn, theirs = multiprocessing.Pipe()
+        self._pid = os.fork()
+        if self._pid == 0:
+            status = 1
+            try:
+                self._conn.close()
+                _serve(theirs, steps)
+                status = 0
+            finally:
+                os._exit(status)
+        theirs.close()
+
+    def call(self, name: str, *args) -> None:
+        try:
+            self._conn.send((name, args))
+        except OSError:
+            raise self._died() from None
+
+    def result(self):
+        try:
+            reply = self._conn.recv()
+        except (EOFError, OSError):
+            raise self._died() from None
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
+
+    def _died(self) -> TrainingError:
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        return TrainingError(f"the training helper process exited with status "
+                             f"{os.waitstatus_to_exitcode(status)}")
+
+    def close(self) -> None:
+        self._conn.close()
+        if self._pid is not None:
+            os.waitpid(self._pid, 0)
+            self._pid = None
+
+
+def _serve(conn, steps: _Steps) -> None:
+    """Runs each call that arrives on `conn` and sends back what it returned
+    or raised, until the pipe closes."""
+    while True:
+        try:
+            name, args = conn.recv()
+        except EOFError:
+            return
+        try:
+            result = getattr(steps, name)(*args)
+        except Exception as exc:  # raised again by the caller
+            result = exc
+        conn.send(result)
+
+
 def train(
     config: TrainConfig,
     train_triples: Sequence[Triple],
@@ -251,9 +496,9 @@ def train(
     dev_gold = gold_span_index(dev_triples)
 
     mdl = model_mod.new_model(config.mode, config.model_head_variant(),
-                              config.encoder_config(vocab.size), seq_cfg, vocab, config.seed)
-    optimizer = Adam(mdl.flat.size, config)
-    grad_flat, grads = mdl.zero_grads()
+                              config.encoder_config(vocab.size), seq_cfg, vocab, config.seed,
+                              _shared_zeros)
+    steps = _Steps(mdl, train_examples, config)
 
     hashes = dataset_hashes or {}
     manifest = RunManifest(
@@ -284,41 +529,35 @@ def train(
         best_report = eval_dev(0)
         manifest.best_epoch = 0
 
-    for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(len(train_examples))
-        epoch_loss = 0.0
-        for batch_start in range(0, len(order), config.batch_size):
-            batch = order[batch_start : batch_start + config.batch_size]
-            grad_flat.fill(0.0)
-            seeds = iter([(config.seed * 1_000_003 + epoch * 997 + int(j)) % (2**31)
-                          for j in batch])
-            for pack in model_mod.packs([train_examples[int(j)] for j in batch]):
-                losses, _ = model_mod.pack_loss_and_grads(
-                    mdl, pack, True, list(islice(seeds, len(pack))), grads
-                )
-                for ex, loss in zip(pack, losses):
-                    if not np.isfinite(loss):
-                        raise TrainingError(
-                            f"non-finite loss at epoch {epoch}, example "
-                            f"{ex.origin[0]}/{ex.origin[1]}"
-                        )
+    helper = None
+    try:
+        if model_mod.fork_cpus() > 1:
+            helper = _Helper(steps)
+        for epoch in range(config.epochs):
+            order = shuffle_rng.permutation(len(train_examples))
+            epoch_loss = 0.0
+            for batch_start in range(0, len(order), config.batch_size):
+                batch = [int(j) for j in order[batch_start : batch_start + config.batch_size]]
+                seeds = [(config.seed * 1_000_003 + epoch * 997 + j) % (2**31) for j in batch]
+                for loss in steps.step(epoch, batch, seeds, helper):
                     epoch_loss += loss
-            grad_flat /= len(batch)
-            optimizer.step(mdl.flat, grad_flat)
-        mean_loss = epoch_loss / len(train_examples)
-        manifest.loss_curve.append(mean_loss)
+            mean_loss = epoch_loss / len(train_examples)
+            manifest.loss_curve.append(mean_loss)
 
-        report = eval_dev(epoch)
-        f1 = report.f1 if report is not None else 0.0
-        # Without dev data there is nothing to select on; keep the latest.
-        if f1 > best_f1 or report is None:
-            best_f1, best_report = f1, report
-            manifest.best_epoch = epoch
-            best_snapshot = model_mod.copy_params(mdl)
-        log.info("epoch %d mean loss %.6f", epoch, mean_loss)
-        if config.early_stop_f1 is not None and f1 >= config.early_stop_f1:
-            log.info("early stop: dev F1 %.4f reached target", f1)
-            break
+            report = eval_dev(epoch)
+            f1 = report.f1 if report is not None else 0.0
+            # Without dev data there is nothing to select on; keep the latest.
+            if f1 > best_f1 or report is None:
+                best_f1, best_report = f1, report
+                manifest.best_epoch = epoch
+                best_snapshot = model_mod.copy_params(mdl)
+            log.info("epoch %d mean loss %.6f", epoch, mean_loss)
+            if config.early_stop_f1 is not None and f1 >= config.early_stop_f1:
+                log.info("early stop: dev F1 %.4f reached target", f1)
+                break
+    finally:
+        if helper is not None:
+            helper.close()
 
     # The restored parameters are the best epoch's, bit for bit, so its dev
     # report is what evaluating them again would give.

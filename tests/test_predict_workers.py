@@ -11,7 +11,6 @@ fork at all.
 import json
 import multiprocessing
 import os
-import signal
 import threading
 
 import pytest
@@ -38,17 +37,9 @@ def cpus(monkeypatch):
     return set_cpus
 
 
-@pytest.fixture(autouse=True)
-def deadline():
-    """Fail a test that hangs (say, on a pool waiting for a dead worker)
-    instead of stalling the suite."""
-    def expire(signum, frame):
-        raise TimeoutError("test still running after 120 s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(120)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
+# Fail a test that hangs (say, on a pool waiting for a dead worker) instead
+# of stalling the suite.
+pytestmark = pytest.mark.usefixtures("deadline")
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import shutil
+import struct
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -142,6 +143,12 @@ class TestTraining:
     def test_a_number_out_of_range_is_refused_naming_the_field(self, field, value, rule):
         with pytest.raises(TrainingError, match=f"config field {field} must be {rule}, got"):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["learning_rate", "beta1", "beta2", "adam_eps", "dropout",
+                                       "early_stop_f1"])
+    def test_an_integer_too_large_for_a_float_is_refused_naming_the_field(self, field):
+        with pytest.raises(TrainingError, match=f"config field {field} is too large for a float"):
+            TrainConfig(**{field: 10**400})
 
     @pytest.mark.parametrize("epochs, early_stop_f1", [(10, None), (10, 0.7), (0, None)],
                              ids=["best-before-last", "early-stop", "no-epochs"])
@@ -328,6 +335,31 @@ class TestCheckpoint:
         assert diagnostic["error"] == "ModelError"
         assert "parameter bytes" in diagnostic["message"]
         assert not (tmp_path / "p.jsonl").exists()
+
+    @pytest.mark.parametrize("name, value", [
+        ("head.w_start", math.nan), ("head.b_end", -math.inf), ("tok_emb", math.inf),
+        ("layer0.ffn_w2", math.nan)])
+    def test_predict_refuses_a_checkpoint_with_a_non_finite_parameter(self, tmp_path, capsys,
+                                                                     name, value):
+        path, header, blob = self.saved_tiny_model(tmp_path)
+        _, span = self.tensor_bytes(header, name)
+        blob[span.stop - 8 : span.stop] = struct.pack("<d", value)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(blob))
+        triples_path = tmp_path / "t.jsonl"
+        write_triples(synth_triples(3), triples_path)
+        assert run_cli("predict", "--checkpoint", path, "--triples", triples_path,
+                       "--out", tmp_path / "p.jsonl") == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ModelError", "message": f"{path} holds a parameter that is NaN or infinite"}
+        assert not (tmp_path / "p.jsonl").exists()
+
+    def test_a_checkpoint_of_huge_finite_parameters_loads(self, tmp_path):
+        # Their squares overflow the fast check; each one is finite.
+        path, header, blob = self.saved_tiny_model(tmp_path)
+        _, span = self.tensor_bytes(header, "head.w_start")
+        blob[span] = struct.pack("<d", 1e300) * ((span.stop - span.start) // 8)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(blob))
+        assert model_mod.load_checkpoint(path).params["head.w_start"].max() == 1e300
 
     @pytest.mark.parametrize("edit, named, saved", [
         pytest.param(lambda h: h.pop("mode"), "lacks 'mode'", ("mrc", "conditioned"),
@@ -691,6 +723,8 @@ class TestCli:
         ({"beta2": 1}, "TrainingError", "config field beta2 must be in [0, 1), got 1"),
         ({"early_stop_f1": 2}, "TrainingError",
          "config field early_stop_f1 must be in [0, 1] or null, got 2"),
+        ({"learning_rate": 10**400}, "TrainingError",
+         "config field learning_rate is too large for a float"),
     ])
     def test_train_refuses_a_config_value_of_another_type_naming_the_field(
             self, tmp_path, capsys, config, error, message):
@@ -829,6 +863,24 @@ class TestCli:
         assert diagnostic["error"] == "EvalError"
         assert str(b) in diagnostic["message"] and "F1 score must be int or float" in diagnostic["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("runs, bad", [([1e300, -1e300, 1e300], 1e300),
+                                           ([0.5, 100.5, 0.7], 100.5), ([0.5, 0.6, -0.1], -0.1)])
+    def test_significance_refuses_an_f1_outside_0_to_100(self, tmp_path, capsys, runs, bad):
+        a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "sig.json"
+        a.write_text(json.dumps({"runs": runs}))
+        b.write_text(json.dumps({"runs": [0.5, 0.6, 0.7]}))
+        assert run_cli("significance", "--a", a, "--b", b, "--out", out) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "EvalError", "message": f"{a}: F1 score {bad!r} is outside [0, 100]"}
+        assert not out.exists()
+
+    def test_significance_takes_f1_on_either_scale(self, tmp_path):
+        a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "sig.json"
+        a.write_text(json.dumps({"runs": [0, 0.5, 1]}))
+        b.write_text(json.dumps({"runs": [99.5, 100, 100]}))
+        assert run_cli("significance", "--a", a, "--b", b, "--out", out) == 0
+        assert json.loads(out.read_text())["p"] < 0.05
 
     @pytest.mark.parametrize("f1", [True, "0.93", [0.93]])
     def test_significance_refuses_a_metrics_f1_that_is_not_a_number(self, tmp_path, capsys, f1):

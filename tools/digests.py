@@ -12,10 +12,11 @@ workload's splits with `perfbench/corpus_gen.py` (lexicon seed N, split seed
 `mrcner.cli.main` with the workload's arguments, as the benchmark does. BLAS
 is pinned as in `perfbench/run.py`.
 
-Where `os.sched_setaffinity` exists, each run also predicts a second time
-with this process pinned to one CPU, which keeps `predict` in process
-instead of forking workers, then restores the process's CPUs. If the two
-prediction files differ, the script exits 1.
+Where `os.sched_setaffinity` exists, each run also trains and predicts a
+second time with this process pinned to one CPU, which keeps `train` from
+forking its helper and `predict` from forking workers, then restores the
+process's CPUs. If the two checkpoints, the two manifests (without
+`wall_clock_sec`) or the two prediction files differ, the script exits 1.
 
 Three more runs reach paths no workload does. Each is train-mrc's pipeline
 with one epoch of training: one with the ablation end head, one with
@@ -61,6 +62,14 @@ def on_one_cpu(call):
         os.sched_setaffinity(0, cpus)
 
 
+def manifest_without_clock(checkpoint: str) -> bytes:
+    """The sorted JSON of a checkpoint's manifest without `wall_clock_sec`,
+    the only field that changes between runs."""
+    manifest = json.loads(Path(f"{checkpoint}.manifest.json").read_text())
+    del manifest["wall_clock_sec"]
+    return json.dumps(manifest, sort_keys=True).encode()
+
+
 def workload_digests(workload, seed: int) -> dict[str, str]:
     """Run the workload's pipeline in the current directory; returns the
     digest of each artifact by name."""
@@ -81,28 +90,34 @@ def workload_digests(workload, seed: int) -> dict[str, str]:
     for split in splits:
         mrcner("convert", "--input", f"{split}.conll", "--entity-type", cg.ENTITY_TYPE,
                "--out", f"{split}.jsonl", *workload.convert_args)
-    train_args = ["--train", "train.jsonl", "--out", "model.ckpt", *workload.train_args]
+    train_args = ["--train", "train.jsonl", *workload.train_args]
     if "dev" in splits:
         train_args += ["--dev", "dev.jsonl"]
     if workload.config:
         Path("config.json").write_text(json.dumps(workload.config))
         train_args += ["--config", "config.json"]
-    mrcner("train", *train_args)
+    mrcner("train", "--out", "model.ckpt", *train_args)
     test = f"{workload.predict_split}.jsonl"
     mrcner("predict", "--checkpoint", "model.ckpt", "--triples", test, "--out", "pred.jsonl")
     if hasattr(os, "sched_setaffinity"):
+        on_one_cpu(lambda: mrcner("train", "--out", "model-one-cpu.ckpt", *train_args))
         on_one_cpu(lambda: mrcner("predict", "--checkpoint", "model.ckpt", "--triples", test,
                                   "--out", "pred-one-cpu.jsonl"))
-        if Path("pred-one-cpu.jsonl").read_bytes() != Path("pred.jsonl").read_bytes():
-            raise RuntimeError(f"{workload.name}: predictions on one CPU differ from those "
-                               f"on {len(os.sched_getaffinity(0))}")
+        for what, one_cpu, all_cpus in (
+                ("checkpoints", Path("model-one-cpu.ckpt").read_bytes(),
+                 Path("model.ckpt").read_bytes()),
+                ("manifests", manifest_without_clock("model-one-cpu.ckpt"),
+                 manifest_without_clock("model.ckpt")),
+                ("predictions", Path("pred-one-cpu.jsonl").read_bytes(),
+                 Path("pred.jsonl").read_bytes())):
+            if one_cpu != all_cpus:
+                raise RuntimeError(f"{workload.name}: {what} on one CPU differ from those "
+                                   f"on {len(os.sched_getaffinity(0))}")
     mrcner("evaluate", "--gold", test, "--predictions", "pred.jsonl", "--out", "metrics.json")
 
-    manifest = json.loads(Path("model.ckpt.manifest.json").read_text())
-    del manifest["wall_clock_sec"]
     digests = {f"{split} triples": sha256(Path(f"{split}.jsonl").read_bytes()) for split in splits}
     digests["checkpoint"] = sha256(Path("model.ckpt").read_bytes())
-    digests["manifest without wall_clock_sec"] = sha256(json.dumps(manifest, sort_keys=True).encode())
+    digests["manifest without wall_clock_sec"] = sha256(manifest_without_clock("model.ckpt"))
     digests["predictions"] = sha256(Path("pred.jsonl").read_bytes())
     digests["metrics"] = sha256(Path("metrics.json").read_bytes())
     return digests

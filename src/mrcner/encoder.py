@@ -105,8 +105,12 @@ def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Returns (x * cdf, cdf), cdf being the standard normal cdf of x.
 
     Halving is exact, so x * cdf equals 0.5 * x * (1 + erf(x / sqrt 2)) bit
-    for bit."""
-    cdf = 0.5 * (1.0 + erf(x / _SQRT2))
+    for bit. The cdf is built in one buffer, with the operations of
+    0.5 * (1 + erf(x / sqrt 2)) in that order."""
+    cdf = np.divide(x, _SQRT2)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     return x * cdf, cdf
 
 
@@ -141,10 +145,12 @@ def layer_norm_backward(dy, xhat, istd, gain, rows):
     return dx, dgain, dbias
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """The softmax of x along `axis`, written into `out` (which may be x
+    itself), or into a new array when it is None."""
+    e = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(e, out=e)
+    return np.divide(e, e.sum(axis=axis, keepdims=True), out=e)
 
 
 def softmax_backward(dp: np.ndarray, p: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -268,7 +274,9 @@ def forward(
             qh = _split_heads(q[qr], cfg.heads)
             kh = _split_heads(k[r], cfg.heads)
             vh = _split_heads(v[r], cfg.heads)
-            probs = softmax(qh @ kh.transpose(0, 2, 1) * scale, axis=-1)
+            scores = qh @ kh.transpose(0, 2, 1)
+            scores *= scale
+            probs = softmax(scores, axis=-1, out=scores)
             if for_backward:  # each example keeps its own attention arrays
                 rec["attention"].append((qh, kh, vh, probs))
             parts.append(_merge_heads(probs @ vh))

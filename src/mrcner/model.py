@@ -44,9 +44,10 @@ the whole input when nothing is forked, goes through `predict_in_process`,
 which encodes each of its `packs` with one `encoder.forward` call, keeping
 each example's context rows and the [SEP] after them, then decodes each
 example from its context rows with
-`predict_example(model, example, h_ctx)`. Train's dev evaluation calls
-`predict_in_process` and never forks: no benchmark workload has a dev split
-big enough to fork.
+`predict_example(model, example, h_ctx)`. Train's dev evaluation creates no
+pool: where `train` runs a helper process, the helper runs
+`predict_in_process` on a trailing part of the dev examples and the
+training process on the rest (`train.evaluate_model`).
 
 A checkpoint (format v2) is one UTF-8 JSON header line, then the
 little-endian float64 bytes of `ModelState.flat`. The header holds the mode,
@@ -61,6 +62,7 @@ A ModelError about a file names it. Files are byte-stable for a fixed seed.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import multiprocessing
 import os
@@ -86,6 +88,8 @@ MODE_BIO = baseline.BioHeadParams.mode
 # one BLAS thread, creating and joining a 2-worker fork pool cost 19-33 ms
 # (median; 43 ms at p90). The cheapest examples here (about 12 real tokens,
 # BIO head) take 0.6 ms each: 100 of them ran 0.66x as fast forked, 400 1.43x.
+# Train's dev evaluation creates no pool: it shares the training helper that
+# is already running, so any number of dev examples is split.
 MIN_WORKER_EXAMPLES = 200
 
 # Examples a forked worker takes at a time; it takes the next chunk when it
@@ -305,15 +309,47 @@ def fork_cpus() -> int:
     threads, forked predict of predict-long's 1200 test examples took
     11.5-28.8 s against 4.8-6.0 s in process (1.8-2.0 s forked with one
     BLAS thread), and train-mrc's `train` took 14.5 s with a helper against
-    3.3 s without."""
+    3.3 s without.
+
+    OpenBLAS stops its threads in a process that forks until its next
+    threaded call, so after any fork the task list can show one thread
+    where BLAS runs two; the thread count OpenBLAS reports
+    (`_openblas_threads`) is asked too."""
     if not hasattr(os, "sched_getaffinity"):
         return 1
     try:
-        if len(os.listdir("/proc/self/task")) > 1:
+        if len(os.listdir("/proc/self/task")) > 1 or _openblas_threads() > 1:
             return 1
     except OSError:
         return 1
     return len(os.sched_getaffinity(0))
+
+
+# The thread-count getters of OpenBLAS builds: scipy-openblas's 64-bit one
+# (numpy's wheels) and 32-bit one (scipy's), a 64-bit one and the plain one.
+_OPENBLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                            "openblas_get_num_threads64_", "openblas_get_num_threads")
+
+
+def _openblas_threads() -> int:
+    """The most threads any OpenBLAS library loaded in this process (found
+    in /proc/self/maps) will run, or 1 where none exposes a thread-count
+    getter."""
+    with open("/proc/self/maps") as fh:
+        paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line.lower()}
+    most = 1
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_THREAD_GETTERS:
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                most = max(most, getter())
+                break
+    return most
 
 
 _work: tuple[ModelState, Sequence[MrcExample]] | None = None  # set in forked workers only

@@ -18,14 +18,18 @@ model's store, the gradient vector and Adam's moments with it through
 anonymous shared mappings made before the fork. For each batch, this process
 trains the leading examples into the gradient vector, while the helper
 trains the trailing ones, each into its own zeroed gradient slot that holds
-every tensor but the token embeddings; it sends back their losses and each
-one's token-embedding rows. This process adds the rows, and each process
-adds the slots, in batch order, into one part of the gradient vector, then
-averages and Adam-steps that part. Every tensor receives exactly one
-addition per example and 0 + g = g, so the sum, and every parameter, has the
-bits it has on one CPU. Losses are checked in batch order, so the first
-non-finite one reported is the one one CPU reports, and an error the helper
-raises is raised here as itself. Dev evaluation runs in this process alone.
+every tensor but the token embeddings; it sends back their losses, each
+one's token-embedding rows and the seconds it took. The batch is cut where
+the two processes' estimated seconds come out even: each example's cost
+from its real rows, weighed by how fast each process has measured so far.
+This process adds the rows, and each process adds the slots, in batch
+order, into one part of the gradient vector, then averages and Adam-steps
+that part, block by block. Every tensor receives exactly one addition per
+example and 0 + g = g, so the sum, and every parameter, has the bits it has
+on one CPU. Losses are checked in batch order, so the first non-finite one
+reported is the one one CPU reports, and an error the helper raises is
+raised here as itself. Each epoch's dev evaluation is cut the same way:
+the helper predicts the trailing dev examples and this process the rest.
 The helper exits when `train` returns or raises, and is reaped; a helper
 that dies is a TrainingError naming its exit status. Elsewhere the same
 steps run in this process alone.
@@ -57,13 +61,15 @@ log = logging.getLogger(__name__)
 
 # The cost, in microseconds, of training an example of n real rows: fixed +
 # per_row * n + per_row_squared * n * n (`_example_cost`). Where a helper
-# process trains, each batch is cut where its examples' costs split in half;
-# the cut changes which process trains an example, never what it computes.
-# Fitted on a 2-vCPU x86-64 host with one BLAS thread, training the default
-# model (2 layers, width 64, feed-forward 256) on examples of 8 to 128 rows
-# in packs of up to 8. With this cut, this process waited 0.1-0.34 s of a
-# 2.6-2.9 s train-mrc `train` for the helper's examples, as a batch splits
-# only between whole examples.
+# process trains, each batch, and each epoch's dev examples, are cut where
+# the two processes' costs, weighed by their measured speeds (`_Steps.ratio`),
+# come out even; the cut changes which process handles an example, never
+# what it computes. Fitted on a 2-vCPU x86-64 host with one BLAS thread,
+# training the default model (2 layers, width 64, feed-forward 256) on
+# examples of 8 to 128 rows in packs of up to 8. Cutting at half the cost,
+# this process waited 0.1-0.34 s of a 2.6-2.9 s train-mrc `train` for the
+# helper's examples: a batch splits only between whole examples, and the
+# two CPUs ran at different speeds.
 SPLIT_COST = (750.0, 26.0, 0.35)
 
 # Most examples of a batch the helper trains. Each takes a gradient slot
@@ -78,6 +84,25 @@ MAX_SLOTS = 31
 # train-mrc, weighing them instead of halving the vector cut this process's
 # wait for the helper's part from 0.11-0.16 s to 0.01-0.02 s per `train`.
 FINISH_COST = 5.0
+
+# The weight of each step's measured speed ratio in `_Steps.ratio`, an
+# exponential average. On train-mrc (seed-22 data, six in-process `train`
+# calls each, 2-vCPU x86-64 host, one BLAS thread), this process waited
+# 0.22-0.41 s per `train` for the helper at weight 0 (the costs alone),
+# 0.18-0.25 s at 0.1, 0.23-0.30 s at 0.25 and 0.19-0.50 s at 0.5, where one
+# step's noise moves the ratio most.
+SPEED_WEIGHT = 0.1
+
+# Elements of the parameter vector that `Adam.step` steps at a time (256 KiB
+# per float64 array), so that a block's gradient, slots, moments, parameters
+# and two work vectors stay in cache through the step's dozen passes. On a
+# 2-vCPU x86-64 host (2 MB L2 per core), `_Steps.finish` over the 493k
+# parameters of a train-mrc-sized model (6000 tokens), in two parts with four slots,
+# took a median 8.4 ms per step in blocks of 4096 elements, 6.6 ms in 8192,
+# 5.6 ms in 16384, 5.4 ms in 32768, 5.5 ms in 65536 and 6.5 ms unblocked
+# (seven rounds of 40 steps); at 173k parameters, 2.3 ms in 32768 and
+# unblocked alike.
+STEP_BLOCK = 32768
 
 
 class TrainingError(RuntimeError):
@@ -208,21 +233,26 @@ class Adam:
     constant learning rate. Every element's moments decay on every step,
     whether or not its gradient is zero (no lazy, row-sparse variant). The
     moments are vectors from `zeros(size)`. Every operation is
-    element-wise, so stepping the vector in parts gives the bits stepping it
-    whole does, and two processes that share the moments may each step a
-    part."""
+    element-wise, so stepping the vector in parts, and each part in blocks,
+    gives the bits stepping it whole does, and two processes that share the
+    moments may each step a part."""
 
     def __init__(self, size: int, cfg: TrainConfig, zeros=np.zeros):
         self.cfg = cfg
         self.step_count = 0
         self.m = zeros(size)
         self.v = zeros(size)
-        self._a = np.empty(size)
-        self._b = np.empty(size)
+        self._a = np.empty(min(size, STEP_BLOCK))
+        self._b = np.empty_like(self._a)
 
-    def step(self, params: np.ndarray, grads: np.ndarray, part: slice = slice(None)) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray, part: slice, prepare) -> None:
         """params -= lr * (m / b1c) / (sqrt(v / b2c) + eps), in place, with the
-        operations in that order, over the elements in `part`."""
+        operations in that order, over the elements in `part`, which leaves
+        the gradient there zeroed for the next step. The learning rate and
+        bias corrections are computed once; the part is stepped in blocks of
+        STEP_BLOCK elements, and `prepare(block)` first finishes the block's
+        gradient, so each block stays in cache from the gradient's last
+        additions to its zeroing."""
         self.step_count += 1
         c = self.cfg
         lr = c.learning_rate
@@ -230,19 +260,25 @@ class Adam:
             lr *= min(1.0, self.step_count / c.warmup_steps)
         b1c = 1.0 - c.beta1**self.step_count
         b2c = 1.0 - c.beta2**self.step_count
-        a, b, m, v = self._a[part], self._b[part], self.m[part], self.v[part]
-        params, grads = params[part], grads[part]
-        m *= c.beta1
-        m += np.multiply(1.0 - c.beta1, grads, out=a)
-        v *= c.beta2
-        np.multiply(1.0 - c.beta2, grads, out=a)
-        v += np.multiply(a, grads, out=a)
-        np.divide(m, b1c, out=a)
-        np.multiply(lr, a, out=a)
-        np.divide(v, b2c, out=b)
-        np.sqrt(b, out=b)
-        b += c.adam_eps
-        params -= np.divide(a, b, out=a)
+        start, stop, _ = part.indices(params.size)
+        for first in range(start, stop, STEP_BLOCK):
+            block = slice(first, min(first + STEP_BLOCK, stop))
+            prepare(block)
+            n = block.stop - block.start
+            a, b, m, v = self._a[:n], self._b[:n], self.m[block], self.v[block]
+            p, g = params[block], grads[block]
+            m *= c.beta1
+            m += np.multiply(1.0 - c.beta1, g, out=a)
+            v *= c.beta2
+            np.multiply(1.0 - c.beta2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, b1c, out=a)
+            np.multiply(lr, a, out=a)
+            np.divide(v, b2c, out=b)
+            np.sqrt(b, out=b)
+            b += c.adam_eps
+            p -= np.divide(a, b, out=a)
+            g[...] = 0.0
 
 
 def build_vocab_from_triples(triples: Sequence[Triple], min_count: int) -> Vocab:
@@ -277,11 +313,26 @@ def gold_span_index(triples: Sequence[Triple]) -> dict[tuple[str, int, str], lis
 
 
 def evaluate_model(model: ModelState, examples: Sequence[MrcExample],
-                   gold: dict[tuple[str, int, str], list[tuple[int, int]]]) -> EvalReport:
-    """Entity-level scores of the model's predictions on `examples`, made in
-    this process (`model.predict_in_process`), against `gold`."""
-    predicted = {ex.origin: [(s.start, s.end) for s in spans]
-                 for ex, spans in zip(examples, model_mod.predict_in_process(model, examples))}
+                   gold: dict[tuple[str, int, str], list[tuple[int, int]]],
+                   helper: "_Helper | None" = None) -> EvalReport:
+    """Entity-level scores of the model's predictions on `examples` against
+    `gold`, made by `model.predict_in_process` in this process, or, given
+    `train`'s helper, whose steps hold `examples` as their dev examples, in
+    both processes: the helper predicts a trailing part, cut as a batch is
+    (`_lead_count`), while this process predicts the rest. An example's
+    spans do not depend on the examples packed with it, so the report is
+    the one this process gives alone."""
+    cut = len(examples)
+    if helper is not None:
+        costs = [_example_cost(int(ex.attention_mask.sum())) for ex in examples]
+        cut = _lead_count(costs, helper.steps.ratio, min(1, cut))
+        if cut < len(examples):
+            helper.call("predict", cut)
+    spans = model_mod.predict_in_process(model, examples[:cut])
+    if cut < len(examples):
+        spans += helper.result()
+    predicted = {ex.origin: [(s.start, s.end) for s in example_spans]
+                 for ex, example_spans in zip(examples, spans)}
     return score(gold, predicted)
 
 
@@ -298,6 +349,23 @@ def _example_cost(n: int) -> float:
     return fixed + per_row * n + per_row_squared * n * n
 
 
+def _lead_count(costs: list[float], ratio: float, least: int) -> int:
+    """How many leading items of `costs`, at least `least`, this process
+    takes so that the larger of the two processes' estimated times is
+    least (the fewest such items): the sum of its items' costs, and `ratio`
+    times the sum of the rest's, `ratio` being the helper's seconds per unit
+    of cost over this process's."""
+    total = sum(costs)
+    done = sum(costs[:least])
+    best, lead = max(done, ratio * (total - done)), least
+    for i in range(least, len(costs)):
+        done += costs[i]
+        estimate = max(done, ratio * (total - done))
+        if estimate < best:
+            best, lead = estimate, i + 1
+    return lead
+
+
 class _Steps:
     """Training steps over state in anonymous shared mappings, so that a
     helper forked from this process (`_Helper`) shares it: the model's
@@ -305,10 +373,18 @@ class _Steps:
     tail example. A slot holds every tensor but `tok_emb`, which leads the
     store (`encoder.param_shapes`), so the slots cover `grad_flat[rest:]`.
     The gradient vector and the slots are zero between steps: `finish`
-    zeroes what it has added and stepped."""
+    zeroes what it has added and stepped. `dev` holds the dev examples,
+    which the helper predicts a part of (`predict`).
 
-    def __init__(self, mdl: ModelState, examples: Sequence[MrcExample], config: TrainConfig):
-        self.mdl, self.examples = mdl, examples
+    `ratio` estimates the helper's seconds per unit of `_example_cost` over
+    this process's: an exponential average, weighted SPEED_WEIGHT, of what
+    each step measured, from 1. It decides who trains an example, never
+    what it computes."""
+
+    def __init__(self, mdl: ModelState, examples: Sequence[MrcExample], config: TrainConfig,
+                 dev: Sequence[MrcExample] = ()):
+        self.mdl, self.examples, self.dev = mdl, examples, dev
+        self.ratio = 1.0
         self.costs = [_example_cost(int(ex.attention_mask.sum())) for ex in examples]
         self.grad_flat, self.grads = mdl.zero_grads(_shared_zeros)
         self.optimizer = Adam(mdl.flat.size, config, _shared_zeros)
@@ -323,19 +399,26 @@ class _Steps:
         seeds; returns their losses in batch order.
 
         With a helper, this process trains the batch's leading examples into
-        the gradient vector while the helper trains the rest into its slots.
-        This process then adds the helper's token-embedding rows in batch
-        order, and each process adds the slots into one part of the vector,
-        averages it and steps it.
+        the gradient vector while the helper trains the rest into its slots;
+        the seconds each took update `ratio`. This process then adds the
+        helper's token-embedding rows in batch order, and each process adds
+        the slots into one part of the vector, averages it and steps it.
         """
         lead = len(batch) if helper is None else self.lead_count(batch)
         if helper is not None:
             helper.call("tail", epoch, batch[lead:], seeds[lead:])
+        started = time.perf_counter()
         losses = self.run(epoch, batch[:lead], seeds[:lead], [self.grads] * lead)
         if helper is None:
             self.finish(slice(None), 0, len(batch))
             return losses
-        tail_losses, token_rows = helper.result()
+        lead_seconds = time.perf_counter() - started
+        tail_losses, token_rows, tail_seconds = helper.result()
+        if len(batch) > lead:
+            lead_cost = sum(self.costs[j] for j in batch[:lead])
+            tail_cost = sum(self.costs[j] for j in batch[lead:])
+            measured = (tail_seconds / tail_cost) / (lead_seconds / lead_cost)
+            self.ratio += SPEED_WEIGHT * (measured - self.ratio)
         for pairs in token_rows:
             for ids, rows in pairs:
                 self.grads["tok_emb"][ids] += rows
@@ -346,17 +429,12 @@ class _Steps:
         return losses + tail_losses
 
     def lead_count(self, batch: list[int]) -> int:
-        """How many leading examples of `batch` this process trains: those
-        whose cost's midpoint lies in the first half of the batch's cost, at
-        least one, and all but MAX_SLOTS at most."""
-        costs = [self.costs[j] for j in batch]
-        half, done, lead = sum(costs) / 2, 0.0, 0
-        for cost in costs:
-            if done + cost / 2 >= half:
-                break
-            done += cost
-            lead += 1
-        return max(lead, 1, len(batch) - len(self.slots))
+        """How many leading examples of `batch` this process trains: the
+        prefix that evens out the two processes' estimated seconds
+        (`_lead_count` at `ratio`), of at least one example, and of all but
+        MAX_SLOTS at most."""
+        return _lead_count([self.costs[j] for j in batch], self.ratio,
+                           max(1, len(batch) - len(self.slots)))
 
     def run(self, epoch: int, indexes: list[int], seeds: list[int], sinks: list) -> list[float]:
         """Each example's loss, in order, after adding its gradients into its
@@ -377,10 +455,15 @@ class _Steps:
     def tail(self, epoch: int, indexes: list[int], seeds: list[int]):
         """Trains the examples into the slots, one each; returns (their
         losses, the (ids, rows) pairs of each one's token-embedding
-        gradient)."""
+        gradient, the seconds that took)."""
+        started = time.perf_counter()
         sinks = [{**views, "tok_emb": []} for _, views in self.slots[: len(indexes)]]
         losses = self.run(epoch, indexes, seeds, sinks)
-        return losses, [sink["tok_emb"] for sink in sinks]
+        return losses, [sink["tok_emb"] for sink in sinks], time.perf_counter() - started
+
+    def predict(self, start: int) -> list:
+        """The spans of the dev examples from `start` on, in order."""
+        return model_mod.predict_in_process(self.mdl, self.dev[start:])
 
     def cut(self, n_slots: int) -> int:
         """Where this process's part of the vector ends when `n_slots` slots
@@ -394,17 +477,19 @@ class _Steps:
 
     def finish(self, part: slice, n_slots: int, batch_size: int) -> None:
         """Adds the first `n_slots` slots, in order, into the gradient
-        vector's `part`, divides that part by `batch_size`, steps the
-        parameters in it, and zeroes it for the next batch."""
-        start, stop, _ = part.indices(self.grad_flat.size)
-        first = min(max(start, self.rest), stop)  # the part's first element a slot covers
-        for flat, _ in self.slots[:n_slots]:
-            piece = flat[first - self.rest : stop - self.rest]
-            self.grad_flat[first:stop] += piece
-            piece[...] = 0.0
-        self.grad_flat[part] /= batch_size
-        self.optimizer.step(self.mdl.flat, self.grad_flat, part)
-        self.grad_flat[part] = 0.0
+        vector's `part`, zeroing them, divides that part by `batch_size`,
+        steps the parameters in it and zeroes it for the next batch, one
+        block of the Adam step at a time."""
+
+        def prepare(block: slice) -> None:
+            first = min(max(block.start, self.rest), block.stop)  # the first a slot covers
+            for flat, _ in self.slots[:n_slots]:
+                piece = flat[first - self.rest : block.stop - self.rest]
+                self.grad_flat[first : block.stop] += piece
+                piece[...] = 0.0
+            self.grad_flat[block] /= batch_size
+
+        self.optimizer.step(self.mdl.flat, self.grad_flat, part, prepare)
 
 
 class _Helper:
@@ -416,6 +501,7 @@ class _Helper:
     dies."""
 
     def __init__(self, steps: _Steps):
+        self.steps = steps
         self._conn, theirs = multiprocessing.Pipe()
         self._pid = os.fork()
         if self._pid == 0:
@@ -498,7 +584,7 @@ def train(
     mdl = model_mod.new_model(config.mode, config.model_head_variant(),
                               config.encoder_config(vocab.size), seq_cfg, vocab, config.seed,
                               _shared_zeros)
-    steps = _Steps(mdl, train_examples, config)
+    steps = _Steps(mdl, train_examples, config, dev_examples)
 
     hashes = dataset_hashes or {}
     manifest = RunManifest(
@@ -515,11 +601,12 @@ def train(
     best_report: EvalReport | None = None
     best_snapshot = model_mod.copy_params(mdl)
     shuffle_rng = np.random.default_rng(config.seed)
+    helper = None
 
     def eval_dev(epoch: int) -> EvalReport | None:
         if not dev_examples:
             return None
-        report = evaluate_model(mdl, dev_examples, dev_gold)
+        report = evaluate_model(mdl, dev_examples, dev_gold, helper)
         manifest.dev_f1_curve.append(report.f1)
         log.info("epoch %d dev P/R/F1 = %.4f/%.4f/%.4f",
                  epoch, report.precision, report.recall, report.f1)
@@ -529,7 +616,6 @@ def train(
         best_report = eval_dev(0)
         manifest.best_epoch = 0
 
-    helper = None
     try:
         if model_mod.fork_cpus() > 1:
             helper = _Helper(steps)

@@ -3,11 +3,14 @@
 Where `model.fork_cpus()` reports two CPUs (Linux, two usable CPUs, no
 other thread, a BLAS library's included, which `tests/conftest.py` sees to),
 `train` forks one helper per call. The helper trains each batch's trailing
-examples into gradient slots that this process adds in batch order, and
-each process steps a part of Adam's vector. These tests train
-with the helper and again pinned to one CPU, where none is forked, and
-require the same checkpoint and manifest bytes, the same error for an
-example the helper trains, and no process left behind however `train` ends.
+examples into gradient slots that this process adds in batch order, each
+process steps a part of Adam's vector, block by block, and the helper
+predicts the trailing part of each epoch's dev examples. Batches and dev
+examples are cut by cost, weighed by the two processes' measured speeds.
+These tests train with the helper and again pinned to one CPU, where none
+is forked, and require the same checkpoint and manifest bytes, at any speed
+ratio, the same error for an example the helper trains or predicts, and no
+process left behind however `train` ends.
 """
 
 import importlib
@@ -58,6 +61,49 @@ def two_processes():
     """Skips a test where `train` would fork no helper."""
     if model_mod.fork_cpus() < 2:
         pytest.skip("needs two usable CPUs and a process that runs one thread")
+
+
+@pytest.fixture
+def pinned_ratio(monkeypatch):
+    """Pins `_Steps.ratio`, the helper's measured seconds per unit of cost
+    over this process's, at the value given, and returns the (batch size,
+    lead count) of every batch split; each lead count is checked against
+    its bounds."""
+    leads = []
+    start, lead_count = train_mod._Steps.__init__, train_mod._Steps.lead_count
+
+    def pin(ratio):
+        monkeypatch.setattr(train_mod, "SPEED_WEIGHT", 0.0)
+
+        def pinned(self, *args):
+            start(self, *args)
+            self.ratio = ratio
+
+        def checked(self, batch):
+            lead = lead_count(self, batch)
+            assert max(1, len(batch) - train_mod.MAX_SLOTS) <= lead <= len(batch)
+            leads.append((len(batch), lead))
+            return lead
+
+        monkeypatch.setattr(train_mod._Steps, "__init__", pinned)
+        monkeypatch.setattr(train_mod._Steps, "lead_count", checked)
+        return leads
+
+    return pin
+
+
+@pytest.fixture
+def helper_calls(monkeypatch):
+    """The names of the `_Steps` methods this process asks the helper to run."""
+    calls = []
+    call = train_mod._Helper.call
+
+    def recording(self, name, *args):
+        calls.append(name)
+        call(self, name, *args)
+
+    monkeypatch.setattr(train_mod._Helper, "call", recording)
+    return calls
 
 
 @pytest.fixture
@@ -134,6 +180,37 @@ def test_an_example_longer_than_a_pack_trains_as_on_one_cpu(tmp_path, helpers_fo
     assert forked == alone
 
 
+@pytest.mark.usefixtures("two_processes")
+@pytest.mark.parametrize("n_dev", [0, 1, 2, 7])
+@pytest.mark.parametrize("mode", ["mrc", "bio-baseline"])
+def test_dev_evaluation_with_the_helper_matches_one_cpu(mode, n_dev, tmp_path, pinned_ratio,
+                                                        helper_calls):
+    pinned_ratio(1.0)
+    config = train_mod.TrainConfig(seq_len=32, mode=mode, **TINY)
+    train_triples = triples_of(mode, [5, 9, 4, 12, 6, 8, 10, 7, 3, 11])
+    dev_triples = triples_of(mode, [8, 14, 5, 20, 3, 9, 11][:n_dev], seed=1)
+    forked = trained_bytes(config, train_triples, dev_triples, tmp_path)
+    # Each of the two epochs' dev evaluations splits two or more examples.
+    assert helper_calls.count("predict") == (2 if n_dev >= 2 else 0)
+    alone = on_one_cpu(lambda: trained_bytes(config, train_triples, dev_triples, tmp_path))
+    assert forked == alone
+
+
+@pytest.mark.usefixtures("two_processes")
+@pytest.mark.parametrize("ratio", [0.01, 100.0])
+def test_a_pinned_speed_ratio_trains_as_on_one_cpu(ratio, tmp_path, pinned_ratio, helper_calls):
+    leads = pinned_ratio(ratio)
+    config = train_mod.TrainConfig(seq_len=32, batch_size=4, **TINY)
+    train_triples = triples_of(config.mode, [5, 9, 4, 12, 6, 8, 10, 7, 3, 11])
+    dev_triples = triples_of(config.mode, [8, 14, 5, 20, 3], seed=1)
+    forked = trained_bytes(config, train_triples, dev_triples, tmp_path)
+    # A slow helper gets nothing; a fast one all but the first example.
+    assert leads and all(lead == (n if ratio > 1 else 1) for n, lead in leads)
+    assert helper_calls.count("predict") == (0 if ratio > 1 else 2)
+    alone = on_one_cpu(lambda: trained_bytes(config, train_triples, dev_triples, tmp_path))
+    assert forked == alone
+
+
 def first_batch(config, train_triples):
     """The triples of the first batch, in the order they are trained: the
     helper trains the last of them, this process the first."""
@@ -176,6 +253,37 @@ def test_an_error_is_raised_as_on_one_cpu(monkeypatch, tmp_path, helpers_forked,
     with pytest.raises(EncoderError) as alone:
         on_one_cpu(lambda: train_mod.train(config, train_triples, []))
     assert int(pid_file.read_text()) == os.getpid()
+    assert str(forked.value) == str(alone.value)
+
+
+@pytest.mark.usefixtures("two_processes")
+def test_an_error_predicting_the_helpers_dev_part_is_raised_as_on_one_cpu(
+        monkeypatch, tmp_path, pinned_ratio, helper_calls):
+    pinned_ratio(1.0)
+    config = train_mod.TrainConfig(seq_len=32, **TINY)
+    train_triples = triples_of(config.mode, [5, 9, 4, 12, 6, 8, 10, 7, 3, 11])
+    dev_triples = triples_of(config.mode, [8, 14, 5, 20, 3], seed=1)
+    last = dev_triples[-1]
+    pid_file = tmp_path / "pid"
+    decode = model_mod.predict_example
+
+    def failing(model, example, h_ctx):
+        if example.origin[:2] == (last.doc_id, last.sent_id):
+            pid_file.write_text(str(os.getpid()))
+            raise ValueError(f"cannot decode {example.origin}")
+        return decode(model, example, h_ctx)
+
+    monkeypatch.setattr(model_mod, "predict_example", failing)
+    with pytest.raises(ValueError) as forked:
+        train_mod.train(config, train_triples, dev_triples)
+    assert_no_child_process()
+    assert helper_calls.count("predict") == 1
+    assert int(pid_file.read_text()) != os.getpid()
+
+    with pytest.raises(ValueError) as alone:
+        on_one_cpu(lambda: train_mod.train(config, train_triples, dev_triples))
+    assert int(pid_file.read_text()) == os.getpid()
+    assert type(forked.value) is type(alone.value)
     assert str(forked.value) == str(alone.value)
 
 
@@ -242,6 +350,26 @@ def test_a_blas_thread_keeps_train_and_predict_in_one_process():
     assert cpus == 1
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_blas_threads_parked_by_a_fork_keep_train_and_predict_in_one_process():
+    # OpenBLAS stops its threads in a process that forks, until its next
+    # threaded call, so only OpenBLAS's own count shows them.
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": str(SRC)}
+    code = ("import os, numpy; "
+            "from mrcner import model; "
+            "threads = len(os.listdir('/proc/self/task')); "
+            "pid = os.fork(); "
+            "pid or os._exit(0); "
+            "os.waitpid(pid, 0); "
+            "print(threads, model.fork_cpus())")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60, check=True).stdout.split()
+    threads, cpus = int(out[0]), int(out[1])
+    if threads == 1:
+        pytest.skip("BLAS started no thread of its own")
+    assert cpus == 1
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
 def test_one_cpu_forks_no_helper(helpers_forked):
     config = train_mod.TrainConfig(seq_len=32, **TINY)
@@ -264,3 +392,41 @@ def test_each_process_trains_about_half_of_a_batchs_cost():
     assert steps.lead_count([0]) == 1  # nothing for the helper
     # 64 equal costs would leave 32 to the helper, which has 31 slots.
     assert steps.lead_count([*range(12, 68), *range(8)]) == 64 - train_mod.MAX_SLOTS
+    # A helper three times as slow per unit of cost gets a quarter of the
+    # cost; three times as fast, three quarters.
+    steps.ratio = 3.0
+    assert steps.lead_count(list(range(8))) == 6
+    steps.ratio = 1 / 3
+    assert steps.lead_count(list(range(8))) == 2
+
+
+@pytest.mark.parametrize("part", ["across tok_emb's end", "ragged"])
+def test_a_blocked_finish_has_the_bits_of_an_unblocked_one(monkeypatch, part):
+    config = train_mod.TrainConfig(seq_len=32, batch_size=4, **TINY)
+    examples = [SimpleNamespace(attention_mask=np.ones(n)) for n in (5, 9, 4, 12)]
+
+    def finished(block):
+        """Parameters, moments, gradient and slots after two steps that
+        finish `part` with three slots."""
+        monkeypatch.setattr(train_mod, "STEP_BLOCK", block)
+        mdl = model_mod.new_model(config.mode, config.model_head_variant(),
+                                  config.encoder_config(VOCAB.size), config.seq_config(), VOCAB,
+                                  config.seed, train_mod._shared_zeros)
+        steps = train_mod._Steps(mdl, examples, config)
+        size, rest = steps.grad_flat.size, steps.rest
+        cut = {"across tok_emb's end": slice(rest - 100, None),
+               "ragged": slice(7, size - 11)}[part]
+        rng = np.random.default_rng(0)
+        for _ in range(2):
+            steps.grad_flat[...] = rng.normal(size=size)
+            for flat, _ in steps.slots:
+                flat[...] = rng.normal(size=flat.size)
+            steps.finish(cut, 3, 4)
+        return [mdl.flat, steps.optimizer.m, steps.optimizer.v, steps.grad_flat,
+                *(flat for flat, _ in steps.slots)]
+
+    unblocked = finished(10**9)
+    blocked = finished(97)
+    assert len(unblocked[0]) > 97 * 10
+    for whole, in_blocks in zip(unblocked, blocked):
+        assert np.array_equal(whole, in_blocks)

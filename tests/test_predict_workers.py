@@ -4,8 +4,8 @@ Predict forks one worker per usable CPU once the input holds at least
 `MIN_WORKER_EXAMPLES` examples per worker. The output must not depend on the
 worker count, no worker may outlive the command, a worker's failure must
 fail the command instead of hanging it, and small inputs, one-CPU or
-non-Linux machines, threaded callers and train's dev evaluation must not
-fork at all.
+non-Linux machines and threaded callers must not fork at all. Train's dev
+evaluation creates no pool: it shares train's own helper process.
 """
 
 import json

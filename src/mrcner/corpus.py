@@ -277,19 +277,23 @@ def parse_conll_with_report(
 
     A blank line ends a sentence. Each line is split on a tab when it has
     one, otherwise on a whitespace run (the released BioNER files vary).
-    Invalid I labels are repaired and counted.
+    Invalid I labels are repaired and counted. Equal tokens of one call are
+    one `str` object, so a sentence holds a pointer per token and the call
+    one string per distinct token.
     """
     report = ParseReport()
     sentences: list[Sentence] = []
     tokens: list[str] = []
     raw_labels: list[str] = []
+    share = {}.setdefault  # each distinct token's first string, for this call only
 
     def flush() -> None:
         if not tokens:
             return
         labels, repairs = repair_bio(raw_labels, default_entity_type)
         report.repaired_labels += repairs
-        sentences.append(Sentence(list(tokens), labels, doc_id=doc_id, sent_id=len(sentences)))
+        sentences.append(Sentence(list(map(share, tokens, tokens)), labels, doc_id=doc_id,
+                                  sent_id=len(sentences)))
         report.sentences += 1
         report.tokens += len(tokens)
         tokens.clear()

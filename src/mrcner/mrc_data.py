@@ -161,13 +161,23 @@ class Triple:
         return dump_json(record)
 
     @classmethod
-    def from_record(cls, rec: dict) -> "Triple":
+    def from_record(cls, rec: dict, strings: dict | None = None) -> "Triple":
         """The triple of one JSON line's object; KeyError names a missing key,
-        MrcDataError a value of the wrong type."""
+        MrcDataError a value of the wrong type. Its context tokens, query,
+        entity type and doc id are taken from `strings` where an equal string
+        is there already, and added to it otherwise."""
         origin = check_field("triple origin", rec["origin"], dict)
         answers = json_spans("triple answer", rec["answers"])
-        return cls(rec["context"], rec["query"], answers, rec["entity_type"],
-                   origin["doc_id"], origin["sent_id"])
+        share = ({} if strings is None else strings).setdefault
+        context = rec["context"]
+        if type(context) is list:
+            try:
+                context = list(map(share, context, context))
+            except TypeError:  # an unhashable token, which the triple refuses
+                pass
+        query, entity_type, doc_id = (share(s, s) if type(s) is str else s
+                                      for s in (rec["query"], rec["entity_type"], origin["doc_id"]))
+        return cls(context, query, answers, entity_type, doc_id, origin["sent_id"])
 
 
 def triple_from_sentence(
@@ -299,8 +309,11 @@ def project_predictions(
 
 def read_triples(path) -> list[Triple]:
     """The triples of a JSON-lines file; a bad line, or a byte that is not
-    UTF-8, is a MrcDataError that names the file and the line."""
-    return read_json(path, Triple.from_record, MrcDataError, lines=True)
+    UTF-8, is a MrcDataError that names the file and the line. Equal strings
+    of one file are one `str` object, so a triple holds a pointer per token
+    and the file one string per distinct token."""
+    strings: dict[str, str] = {}  # for this call only, unlike sys.intern's table
+    return read_json(path, lambda rec: Triple.from_record(rec, strings), MrcDataError, lines=True)
 
 
 def write_triples(triples: Iterable[Triple], path) -> None:

@@ -157,6 +157,12 @@ class TrainConfig:
                     raise TrainingError(f"config field {name} must be {rule}, got {value!r}")
         if not isinstance(self.mode, str) or self.mode not in model_mod.HEADS:
             raise TrainingError(f"unknown mode {self.mode!r}; expected one of {sorted(model_mod.HEADS)}")
+        # The manifest records head_variant as given; the BIO head has no variant,
+        # so only the default, which its manifests have always written, passes.
+        if self.mode != MODE_MRC and self.head_variant != CONDITIONED:
+            raise TrainingError(f"config field head_variant must be {CONDITIONED!r} (the default) "
+                                f"in {self.mode} mode, whose head has no variant; "
+                                f"got {self.head_variant!r}")
         # The sequence and encoder configs and the head check their own fields.
         self.seq_config()
         self.encoder_config(1)

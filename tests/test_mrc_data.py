@@ -229,6 +229,7 @@ class TestTripleFields:
         ("context", ["a", ""], "triple d/0: context token 1 ('') is not a non-empty string"),
         ("context", ["a", "\u00a0"], "triple d/0: context token 1 ('\\xa0') is not a"),
         ("context", ["a", 5], "triple d/0: context token 1 (5) is not a non-empty string"),
+        ("context", ["a", ["b"]], "triple d/0: context token 1 (['b']) is not a non-empty"),
         ("query", 5, "triple d/0: query must be str or null, got 5"),
         ("entity_type", None, "triple d/0: entity_type must be str, got None"),
         ("doc_id", 3, "triple 3/0: doc_id must be str, got 3"),

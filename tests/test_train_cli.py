@@ -497,6 +497,27 @@ class TestCli:
         assert diagnostic == {"error": "HeadError", "message": "unknown head variant 'bogus'"}
         assert not (tmp_path / "m.ckpt").exists()
 
+    BIO_ABLATION = {"error": "TrainingError",
+                    "message": "config field head_variant must be 'conditioned' (the default) in "
+                               "bio-baseline mode, whose head has no variant; got 'ablation'"}
+
+    def test_bio_train_refuses_the_head_variant_flag_before_reading_triples(self, tmp_path, capsys):
+        # The triples file does not exist: reading it would fail differently.
+        assert run_cli("train", "--train", tmp_path / "missing.jsonl", "--out",
+                       tmp_path / "m.ckpt", "--mode", "bio-baseline",
+                       "--head-variant", "ablation") == 1
+        assert json.loads(capsys.readouterr().err) == self.BIO_ABLATION
+        assert not (tmp_path / "m.ckpt").exists()
+        assert not (tmp_path / "m.ckpt.manifest.json").exists()
+
+    def test_bio_train_refuses_a_config_head_variant_before_reading_triples(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mode": "bio-baseline", "head_variant": "ablation"}))
+        assert run_cli("train", "--train", tmp_path / "missing.jsonl", "--out",
+                       tmp_path / "m.ckpt", "--config", config) == 1
+        assert json.loads(capsys.readouterr().err) == self.BIO_ABLATION
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_duplicate_prediction_keys_rejected(self, tmp_path):
         record = json.dumps({"origin": {"doc_id": "d", "sent_id": 3}, "entity_type": "C",
                              "spans": []})

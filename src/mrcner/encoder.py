@@ -1,7 +1,7 @@
 """A small trainable transformer encoder in plain numpy, float64 throughout.
 
-forward() encodes a pack: a sequence of examples whose real (unpadded)
-rows are stacked into one matrix, so every row-wise step runs once per pack,
+forward() encodes a pack: a sequence of examples whose rows are stacked
+into one matrix, so every row-wise step runs once per pack,
 while attention runs per example. It returns the rows the caller keeps of
 each example (all of them by default) plus an activation tape. backward()
 takes the tape of a pack that kept every row, and an upstream gradient of
@@ -12,9 +12,8 @@ feed-forward's GELU input and its normal cdf, so backward computes GELU's
 derivative without a second `erf`.
 Blocks are pre-norm (attention, then GELU feed-forward), with a final layer norm.
 
-Token, position, and segment embeddings are summed at the input; padding is
-handled by running the real (unpadded) prefix only, which is equivalent to
-key-masking suffix pads and keeps pad content out of every context row.
+Token, position, and segment embeddings are summed at the input. An example
+holds only its real rows, no padding, so no attention mask is needed.
 """
 
 from __future__ import annotations
@@ -167,15 +166,6 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(n, h * hd)
 
 
-def _real_length(mask: np.ndarray) -> int:
-    n = int(mask.sum())
-    if n == 0:
-        raise EncoderError("example has no unmasked positions")
-    if mask[:n].min() != 1:
-        raise EncoderError("attention mask must be contiguous (suffix padding only)")
-    return n
-
-
 def _stack(parts: list[np.ndarray]) -> np.ndarray:
     """The parts' rows stacked; a single part is returned itself, not copied."""
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -220,11 +210,13 @@ def forward(
     """
     if not examples:
         raise EncoderError("a pack needs at least one example")
-    lengths = [_real_length(np.asarray(ex.attention_mask)) for ex in examples]
+    lengths = [len(ex.input_ids) for ex in examples]
+    if min(lengths) == 0:
+        raise EncoderError("an example has no rows")
     if max(lengths) > cfg.max_positions:
         raise EncoderError(f"sequence length {max(lengths)} exceeds max_positions {cfg.max_positions}")
-    ids = _stack([np.asarray(ex.input_ids)[:n] for ex, n in zip(examples, lengths)])
-    segs = _stack([np.asarray(ex.segment_ids)[:n] for ex, n in zip(examples, lengths)])
+    ids = _stack([np.asarray(ex.input_ids) for ex in examples])
+    segs = _stack([np.asarray(ex.segment_ids) for ex in examples])
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise EncoderError(f"token id out of range for vocab size {cfg.vocab_size}")
     rows = _row_slices(lengths)  # each example's rows in the stack

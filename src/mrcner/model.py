@@ -175,24 +175,23 @@ def new_model(
     """A model of `mode` with freshly drawn parameters: the encoder's from
     `seed`, the head's from `seed + 1`, in a store from `zeros(size)`.
     Refuses a variant the head does not have (HeadError)."""
-    head_cls = _head_class(mode)
-    mdl = _empty_model(encoder_cfg, seq_cfg, vocab, head_cls, head_variant, zeros)
-    enc_shapes = encoder.param_shapes(encoder_cfg)
-    head_shapes = head_cls.shapes(encoder_cfg.model_dim, head_variant)
-    for prefix, shapes, draw_seed in (("", enc_shapes, seed), ("head.", head_shapes, seed + 1)):
+    mdl = _empty_model(encoder_cfg, seq_cfg, vocab, _head_class(mode), head_variant, zeros)
+    for is_head, draw_seed in ((False, seed), (True, seed + 1)):
+        views = {name: v for name, v in mdl.params.items() if name.startswith("head.") == is_head}
+        shapes = {name: v.shape for name, v in views.items()}
         for name, arr in encoder.init_tensors(np.random.default_rng(draw_seed), shapes).items():
-            mdl.params[prefix + name][...] = arr
+            views[name][...] = arr
     return mdl
 
 
 def packs(examples: Iterable[MrcExample]) -> Iterator[list[MrcExample]]:
     """Consecutive examples in packs, in order: a pack takes examples one at
-    a time while it holds at most PACK_ROWS real rows, and an example longer
-    than that makes a pack of its own."""
+    a time while it holds at most PACK_ROWS rows (`len(input_ids)` each),
+    and an example longer than that makes a pack of its own."""
     pack: list[MrcExample] = []
     rows = 0
     for ex in examples:
-        n = int(ex.attention_mask.sum())
+        n = len(ex.input_ids)
         if pack and rows + n > PACK_ROWS:
             yield pack
             pack, rows = [], 0

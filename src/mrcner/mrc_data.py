@@ -70,7 +70,8 @@ class Vocab:
 
 @dataclass(frozen=True)
 class SeqConfig:
-    """Padded sequence length and segment order of the combined input."""
+    """Sequence budget and segment order of the combined input: an example
+    holds at most seq_len rows, its context truncated to fit."""
 
     seq_len: int = 128
     order: str = CONTEXT_FIRST
@@ -202,7 +203,10 @@ def triple_from_sentence(
 
 @dataclass
 class MrcExample:
-    """A padded input sequence with per-context-token start/end target bits.
+    """An input sequence of only its real rows, at most seq_len of them and
+    no padding, with per-context-token start/end target bits; its length,
+    `len(input_ids)`, is the one row count the encoder, packs and training
+    costs read.
 
     y_start / y_end are indexed by context position, which by construction
     equals the sentence token index of the (possibly truncated) context.
@@ -210,7 +214,6 @@ class MrcExample:
 
     input_ids: np.ndarray
     segment_ids: np.ndarray
-    attention_mask: np.ndarray
     context_range: tuple[int, int]
     y_start: np.ndarray
     y_end: np.ndarray
@@ -224,12 +227,19 @@ class MrcExample:
         first, last = self.context_range
         return last - first + 1
 
+    @property
+    def attention_mask(self) -> np.ndarray:
+        """Ones over every row, all of them real. Nothing in mrcner reads it;
+        it is kept for `perfbench/tracing.py`, which counts real rows with it."""
+        return np.ones(len(self.input_ids), dtype=np.int64)
+
 
 def example_from_triple(triple: Triple, vocab: Vocab, cfg: SeqConfig) -> MrcExample:
     """Lay out [CLS] context [SEP] query [SEP] or the query-first variant
-    [CLS] query [SEP] context [SEP], pad to seq_len, and place start/end
-    target bits from the answers. A triple without a query takes the
-    context-first layout with an empty query part: [CLS] context [SEP].
+    [CLS] query [SEP] context [SEP] in at most seq_len rows, with no
+    padding, and place start/end target bits from the answers. A triple
+    without a query takes the context-first layout with an empty query
+    part: [CLS] context [SEP].
 
     Context that does not fit is truncated at the tail; answers falling
     wholly or partly past the truncation point are dropped and counted.
@@ -258,13 +268,7 @@ def example_from_triple(triple: Triple, vocab: Vocab, cfg: SeqConfig) -> MrcExam
         ids = [CLS_ID] + q_part + ctx_ids + [SEP_ID]
         ctx_first = first_segment = 1 + len(q_part)
 
-    n_real = len(ids)
-    segments = [0] * first_segment + [1] * (n_real - first_segment)
-    mask = [1] * n_real
-    pad = cfg.seq_len - n_real
-    ids += [PAD_ID] * pad
-    segments += [0] * pad
-    mask += [0] * pad
+    segments = [0] * first_segment + [1] * (len(ids) - first_segment)
 
     y_start = np.zeros(n_ctx, dtype=np.int64)
     y_end = np.zeros(n_ctx, dtype=np.int64)
@@ -278,7 +282,6 @@ def example_from_triple(triple: Triple, vocab: Vocab, cfg: SeqConfig) -> MrcExam
     return MrcExample(
         input_ids=np.asarray(ids, dtype=np.int64),
         segment_ids=np.asarray(segments, dtype=np.int64),
-        attention_mask=np.asarray(mask, dtype=np.int64),
         context_range=(ctx_first, ctx_first + n_ctx - 1),
         y_start=y_start,
         y_end=y_end,

@@ -325,13 +325,12 @@ def evaluate_model(model: ModelState, examples: Sequence[MrcExample],
     `gold`, made by `model.predict_in_process` in this process, or, given
     `train`'s helper, whose steps hold `examples` as their dev examples, in
     both processes: the helper predicts a trailing part, cut as a batch is
-    (`_lead_count`), while this process predicts the rest. An example's
-    spans do not depend on the examples packed with it, so the report is
-    the one this process gives alone."""
+    (`_lead_count` over the steps' `dev_costs`), while this process
+    predicts the rest. An example's spans do not depend on the examples
+    packed with it, so the report is the one this process gives alone."""
     cut = len(examples)
     if helper is not None:
-        costs = [_example_cost(int(ex.attention_mask.sum())) for ex in examples]
-        cut = _lead_count(costs, helper.steps.ratio, min(1, cut))
+        cut = _lead_count(helper.steps.dev_costs, helper.steps.ratio, min(1, cut))
         if cut < len(examples):
             helper.call("predict", cut)
     spans = model_mod.predict_in_process(model, examples[:cut])
@@ -380,7 +379,8 @@ class _Steps:
     store (`encoder.param_shapes`), so the slots cover `grad_flat[rest:]`.
     The gradient vector and the slots are zero between steps: `finish`
     zeroes what it has added and stepped. `dev` holds the dev examples,
-    which the helper predicts a part of (`predict`).
+    which the helper predicts a part of (`predict`); `costs` and
+    `dev_costs` hold each training and dev example's `_example_cost`.
 
     `ratio` estimates the helper's seconds per unit of `_example_cost` over
     this process's: an exponential average, weighted SPEED_WEIGHT, of what
@@ -391,7 +391,8 @@ class _Steps:
                  dev: Sequence[MrcExample] = ()):
         self.mdl, self.examples, self.dev = mdl, examples, dev
         self.ratio = 1.0
-        self.costs = [_example_cost(int(ex.attention_mask.sum())) for ex in examples]
+        self.costs = [_example_cost(len(ex.input_ids)) for ex in examples]
+        self.dev_costs = [_example_cost(len(ex.input_ids)) for ex in dev]
         self.grad_flat, self.grads = mdl.zero_grads(_shared_zeros)
         self.optimizer = Adam(mdl.flat.size, config, _shared_zeros)
         self.rest = self.grads["tok_emb"].size

@@ -70,9 +70,9 @@ def reference_softmax_row(row):
 
 
 def reference_forward(params, cfg, example):
-    n = int(np.asarray(example.attention_mask).sum())
-    ids = np.asarray(example.input_ids)[:n]
-    segs = np.asarray(example.segment_ids)[:n]
+    n = len(example.input_ids)
+    ids = np.asarray(example.input_ids)
+    segs = np.asarray(example.segment_ids)
     d, nh, hd = cfg.model_dim, cfg.heads, cfg.head_dim
 
     x = np.empty((n, d))
@@ -132,27 +132,13 @@ class TestForward:
                 arr[...] = 0.0
         example = build_example()
         hidden, _ = forward(params, cfg, [example])
-        n = int(example.attention_mask.sum())
-        ids = example.input_ids[:n]
-        segs = example.segment_ids[:n]
+        n = len(example.input_ids)
+        ids = example.input_ids
+        segs = example.segment_ids
         emb = (params["tok_emb"][ids] + params["emb_bias"]
                + params["pos_emb"][:n] + params["seg_emb"][segs])
         expected, _, _ = layer_norm(emb, params["final_ln_g"], params["final_ln_b"])
         assert np.allclose(hidden, expected, atol=1e-12)
-
-    def test_pad_content_cannot_reach_context_rows(self):
-        cfg = tiny_config()
-        params = init_params(cfg, seed=1)
-        example = build_example()
-        h1, _ = forward(params, cfg, [example])
-        # rewrite ids under the padding (still PAD-masked) and rerun
-        tampered = build_example()
-        n = int(tampered.attention_mask.sum())
-        tampered.input_ids[n + 1] = 7
-        tampered.input_ids[n + 3] = 9
-        h2, _ = forward(params, cfg, [tampered])
-        first, last = example.context_range
-        assert np.array_equal(h1[first : last + 1], h2[first : last + 1])
 
     def test_matches_straight_line_reference(self):
         cfg = tiny_config()
@@ -160,7 +146,7 @@ class TestForward:
         example = build_example(n_ctx=9, seq_len=16, query="w0 w1")
         hidden, _ = forward(params, cfg, [example])
         expected = reference_forward(params, cfg, example)
-        n = int(example.attention_mask.sum())
+        n = len(example.input_ids)
         assert n == 16 - 2  # nearly full window
         err = np.abs(hidden - expected) / np.maximum(np.abs(expected), 1e-12)
         assert err.max() <= 1e-10
@@ -208,7 +194,7 @@ class TestBackward:
         params = init_params(cfg, seed=9)
         example = build_example(n_ctx=4, seq_len=12, query="w0 w1")
         rng = np.random.default_rng(17)
-        weights = rng.normal(size=(int(example.attention_mask.sum()), cfg.model_dim))
+        weights = rng.normal(size=(len(example.input_ids), cfg.model_dim))
 
         def scalar_loss():
             hidden, _ = forward(params, cfg, [example])

@@ -68,14 +68,12 @@ class TestMakeExample:
         triple = triple_from_sentence(meloxicam_sentence, chem_query())
         vocab = build_vocab_from_triples([triple], 1)
         ex = example_from_triple(triple, vocab, SeqConfig(32))
-        assert len(ex.input_ids) == 32
+        # [CLS] + 6 context + [SEP] + 6 query + [SEP] = 15 rows, no padding
+        assert len(ex.input_ids) == len(ex.segment_ids) == 15
         assert ex.input_ids[0] == CLS_ID
         assert ex.context_range == (1, 6)
-        # [CLS] + 6 context + [SEP] + 6 query + [SEP] = 15 real positions
-        assert int(ex.attention_mask.sum()) == 15
         assert ex.input_ids[7] == SEP_ID and ex.input_ids[14] == SEP_ID
-        assert list(ex.segment_ids[:8]) == [0] * 8
-        assert list(ex.segment_ids[8:15]) == [1] * 7
+        assert list(ex.segment_ids) == [0] * 8 + [1] * 7
         assert list(ex.y_start) == [1, 0, 0, 0, 0, 0]
         assert list(ex.y_start) == list(ex.y_end)
         assert ex.gold_spans == [EntitySpan(0, 0, "CHEMICAL", "Meloxicam")]
@@ -94,11 +92,11 @@ class TestMakeExample:
         assert list(np.flatnonzero(ex.y_end)) == [4, 9]
         assert int(ex.y_start.sum()) == int(ex.y_end.sum()) == len(ex.gold_spans)
 
-    def test_mask_discipline(self, meloxicam_sentence):
+    def test_no_padding_rows(self, meloxicam_sentence):
         triple = triple_from_sentence(meloxicam_sentence, chem_query())
         vocab = build_vocab_from_triples([triple], 1)
         ex = example_from_triple(triple, vocab, SeqConfig(32))
-        assert ((ex.input_ids == PAD_ID) == (ex.attention_mask == 0)).all()
+        assert len(ex.input_ids) == 15 and PAD_ID not in ex.input_ids
         first, last = ex.context_range
         assert len(ex.y_start) == last - first + 1
 
@@ -132,7 +130,7 @@ class TestMakeExample:
         triple = triple_from_sentence(meloxicam_sentence, None, entity_type="CHEMICAL")
         vocab = build_vocab_from_triples([triple], 1)
         ex = example_from_triple(triple, vocab, SeqConfig(16))
-        assert int(ex.attention_mask.sum()) == 8  # [CLS] + 6 + [SEP]
+        assert len(ex.input_ids) == 8  # [CLS] + 6 + [SEP]
         assert not ex.segment_ids.any()
 
 

@@ -42,7 +42,7 @@ def check_packs(mdl, examples, calls):
     most PACK_ROWS real rows (an example with more goes alone), and every
     kept row has the bits of the same row in a one-example pack."""
     assert [id(ex) for pack, _, _ in calls for ex in pack] == [id(ex) for ex in examples]
-    rows = [[int(ex.attention_mask.sum()) for ex in pack] for pack, _, _ in calls]
+    rows = [[len(ex.input_ids) for ex in pack] for pack, _, _ in calls]
     for i, pack_rows in enumerate(rows):
         assert sum(pack_rows) <= model_mod.PACK_ROWS or len(pack_rows) == 1
         if i + 1 < len(rows):
@@ -92,11 +92,11 @@ def test_packs_break_at_pack_rows(mode, variant):
     rng = np.random.default_rng(1)
     examples = [example_from_triple(triple(n - overhead, query, i, rng), VOCAB, mdl.seq_cfg)
                 for i, n in enumerate(rows)]
-    assert [int(ex.attention_mask.sum()) for ex in examples] == rows
+    assert [len(ex.input_ids) for ex in examples] == rows
     with pytest.MonkeyPatch.context() as patch:
         calls = record_packs(patch)
         predicted = model_mod.predict_in_process(mdl, examples)
-    assert [sum(int(ex.attention_mask.sum()) for ex in pack) for pack, _, _ in calls] == [
+    assert [sum(len(ex.input_ids) for ex in pack) for pack, _, _ in calls] == [
         cap, cap - 3, 7, cap + 44]
     check_packs(mdl, examples, calls)
     assert predicted == [model_mod.predict_in_process(mdl, [ex])[0] for ex in examples]

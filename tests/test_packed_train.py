@@ -101,6 +101,6 @@ def test_training_packs_break_at_pack_rows(mode, variant, dropout):
     examples = [example_from_triple(triple(n - overhead, query, i, rng, [(0, 0)]), VOCAB,
                                     mdl.seq_cfg)
                 for i, n in enumerate(rows)]
-    assert [int(ex.attention_mask.sum()) for ex in examples] == rows
+    assert [len(ex.input_ids) for ex in examples] == rows
     sizes = assert_packs_train_as_alone(mdl, examples, list(range(len(rows))))
     assert sizes == [len(first), 3, 1]

@@ -383,7 +383,7 @@ def test_each_process_trains_about_half_of_a_batchs_cost():
                               config.encoder_config(VOCAB.size), config.seq_config(), VOCAB,
                               config.seed)
     rows = [10] * 8 + [100, 4, 4, 4] + [10] * 56
-    steps = train_mod._Steps(mdl, [SimpleNamespace(attention_mask=np.ones(n)) for n in rows],
+    steps = train_mod._Steps(mdl, [SimpleNamespace(input_ids=np.ones(n)) for n in rows],
                              config)
     assert len(steps.slots) == train_mod.MAX_SLOTS
     assert steps.lead_count(list(range(8))) == 4  # equal costs: half each
@@ -403,7 +403,7 @@ def test_each_process_trains_about_half_of_a_batchs_cost():
 @pytest.mark.parametrize("part", ["across tok_emb's end", "ragged"])
 def test_a_blocked_finish_has_the_bits_of_an_unblocked_one(monkeypatch, part):
     config = train_mod.TrainConfig(seq_len=32, batch_size=4, **TINY)
-    examples = [SimpleNamespace(attention_mask=np.ones(n)) for n in (5, 9, 4, 12)]
+    examples = [SimpleNamespace(input_ids=np.ones(n)) for n in (5, 9, 4, 12)]
 
     def finished(block):
         """Parameters, moments, gradient and slots after two steps that

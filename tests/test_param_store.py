@@ -111,7 +111,7 @@ def test_training_matches_dense_reference_bit_for_bit(monkeypatch, overrides):
     vocab = train_mod.build_vocab_from_triples(triples, cfg.min_count)
     examples = [example_from_triple(t, vocab, cfg.seq_config()) for t in triples]
     repeated = [ex for ex in examples
-                if (np.bincount(ex.input_ids[: int(ex.attention_mask.sum())]) > 1).any()]
+                if (np.bincount(ex.input_ids) > 1).any()]
     assert repeated, "no context repeats a token id"
     reference = model_mod.new_model(cfg.mode, cfg.model_head_variant(), cfg.encoder_config(vocab.size),
                                     cfg.seq_config(), vocab, cfg.seed)

@@ -3,9 +3,10 @@
 No span is lost or invented between the corpus file and the F1 number:
 the answers in the triples are exactly the corpus's spans of the target
 type, gold scored against itself is perfect, a sentence key that appears
-twice is refused instead of overwritten, and truncating a context to the
-sequence budget counts every answer it drops. A checkpoint gives back
-every parameter bit for bit, whatever finite float it holds.
+twice is refused instead of overwritten, truncating a context to the
+sequence budget counts every answer it drops, and an example holds only
+its real rows. A checkpoint gives back every parameter bit for bit,
+whatever finite float it holds.
 """
 
 import io
@@ -22,7 +23,9 @@ from mrcner import model as model_mod
 from mrcner.cli import main
 from mrcner.encoder import EncoderConfig
 from mrcner.mrc_data import (
+    CLS_ID,
     CONTEXT_FIRST,
+    PAD_ID,
     QUERY_FIRST,
     SPECIALS,
     SeqConfig,
@@ -149,6 +152,31 @@ def test_truncation_drops_are_counted_exactly(triple):
         assert kept == [(s, e) for s, e in triple.answers if e < ex.n_context]
         assert all(0 <= s <= e < ex.n_context for s, e in kept)
         assert int(ex.y_start.sum()) == int(ex.y_end.sum()) == len(kept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(on_disk_triple())
+def test_an_example_holds_only_its_real_rows(triple):
+    vocab = Vocab(list(SPECIALS) + ["q"] + [f"t{i}" for i in range(24)])
+    query_rows = len(triple.query.split()) + 1 if triple.query is not None else 0  # and [SEP]
+    overhead = 2 + query_rows
+    for order in (CONTEXT_FIRST, QUERY_FIRST):
+        for seq_len in range(max(4, overhead + 1), overhead + len(triple.context) + 3):
+            ex = example_from_triple(triple, vocab, SeqConfig(seq_len, order))
+            n_context = min(len(triple.context), seq_len - overhead)
+            n = len(ex.input_ids)
+            assert len(ex.segment_ids) == n == 2 + n_context + query_rows <= seq_len
+            assert PAD_ID not in ex.input_ids
+            assert ex.input_ids[0] == CLS_ID
+            # Segment 0 holds [CLS] and the first part with its [SEP]; a
+            # query makes a second part, segment 1, so the segments switch
+            # once, after the first part.
+            if order == CONTEXT_FIRST or triple.query is None:
+                first_part = 2 + n_context  # [CLS] context [SEP]
+            else:
+                first_part = 1 + query_rows  # [CLS] query [SEP]
+            assert list(ex.segment_ids) == [0] * first_part + [1] * (n - first_part)
+            assert (first_part < n) == (triple.query is not None)
 
 
 # Finite floats, with signed zeros and subnormals drawn on purpose.

@@ -135,8 +135,8 @@ def cmd_train(args) -> int:
 
 class TripleExamples(Sequence):
     """The model inputs of `triples`, each built when it is indexed, so that
-    predict holds at most one at a time in this process (forked predict
-    workers build their own chunks')."""
+    predict holds at most one pack of them at a time in each process (the
+    helper that `model.predict_examples` forks builds its own chunks')."""
 
     def __init__(self, triples, vocab, seq_cfg) -> None:
         self.triples, self.vocab, self.seq_cfg = triples, vocab, seq_cfg
@@ -171,7 +171,8 @@ def read_predictions(path, context_lengths: dict) -> dict:
     the token count of every gold sentence, and a span must end inside its
     sentence. A line that is not a prediction record, a key the gold lacks,
     a repeated key, a bad span or a byte that is not UTF-8 is a CliError
-    that names the file and the line."""
+    that names the file and the line; a file without a line for every gold
+    sentence is a CliError that names it and the first sentence missing."""
     predicted = {}
 
     def add(rec: dict) -> None:
@@ -196,6 +197,9 @@ def read_predictions(path, context_lengths: dict) -> dict:
         predicted[key] = spans
 
     read_json(path, add, CliError, lines=True)
+    missing = next((key for key in context_lengths if key not in predicted), None)
+    if missing is not None:
+        raise CliError(f"{path} has no prediction for sentence {missing!r}")
     return predicted
 
 

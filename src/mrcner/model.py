@@ -30,22 +30,23 @@ the batch's vector, or of a slot of the helper's (`train`). Adam
 (`train.Adam`) stays dense over that vector, and a parameter snapshot is one
 vector copy.
 
-Prediction shares no state between examples, so `predict_examples` (used by
-`predict`) decodes its examples in forked worker processes, one per usable
-CPU as long as each has MIN_WORKER_EXAMPLES examples to do; a worker takes
-the next chunk of CHUNK_EXAMPLES whenever it finishes one. It runs in this
-process instead where `fork_cpus` reports one CPU: on a one-CPU machine,
-where the OS does not report usable CPUs (no `os.sched_getaffinity` outside
-Linux), and when the process runs other threads, which a fork could
-deadlock. Workers inherit the model and the
-examples through the fork and return only spans, reassembled in input order,
-so the output is the same at every worker count. Each worker's chunk, and
-the whole input when nothing is forked, goes through `predict_in_process`,
-which encodes each of its `packs` with one `encoder.forward` call, keeping
-each example's context rows and the [SEP] after them, then decodes each
-example from its context rows with
-`predict_example(model, example, h_ctx)`. Train's dev evaluation creates no
-pool: where `train` runs a helper process, the helper runs
+Prediction shares no state between examples, so `predict_examples` (used
+by `predict`) shares its examples with a `Helper`: a process forked from
+this one, which inherits the model and the examples and runs methods of a
+target object for it (`train` runs its steps on one too). The two processes
+take chunks of CHUNK_EXAMPLES examples one at a time (`_Chunks`), this one
+from the front and the helper from the back, so the faster takes more; the
+helper sends back only spans, and the spans are joined in input order, so
+the output is the same in one process or two. Nothing is forked below
+2 * MIN_WORKER_EXAMPLES examples, or where `fork_cpus` reports one CPU: on a
+one-CPU machine, where the OS does not report usable CPUs (no
+`os.sched_getaffinity` outside Linux), and when the process runs other
+threads, which a fork could deadlock. Each chunk, and the whole input when
+nothing is forked, goes through `predict_in_process`, which encodes each of
+its `packs` with one `encoder.forward` call, keeping each example's context
+rows and the [SEP] after them, then decodes each example from its context
+rows with `predict_example(model, example, h_ctx)`. Train's dev evaluation
+forks no helper of its own: where `train` runs its helper, the helper runs
 `predict_in_process` on a trailing part of the dev examples and the
 training process on the rest (`train.evaluate_model`).
 
@@ -64,9 +65,9 @@ from __future__ import annotations
 
 import ctypes
 import math
+import mmap
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence
@@ -84,21 +85,27 @@ HEADS = {cls.mode: cls for cls in (heads.SpanHeadParams, baseline.BioHeadParams)
 MODE_MRC = heads.SpanHeadParams.mode
 MODE_BIO = baseline.BioHeadParams.mode
 
-# Fewest examples per forked predict worker. On a 2-CPU x86-64 host with
-# one BLAS thread, creating and joining a 2-worker fork pool cost 19-33 ms
-# (median; 43 ms at p90). The cheapest examples here (about 12 real tokens,
-# BIO head) take 0.6 ms each: 100 of them ran 0.66x as fast forked, 400 1.43x.
-# Train's dev evaluation creates no pool: it shares the training helper that
-# is already running, so any number of dev examples is split.
-MIN_WORKER_EXAMPLES = 200
+# Fewest examples per process for `predict_examples` to fork its helper:
+# three chunks each. Forking, joining and reaping the helper costs ~1.4 ms,
+# and below about six chunks the chunks share the work unevenly. On a shared
+# 2-vCPU x86-64 host with one BLAS thread, on the cheapest examples here
+# (train-bio-short's first n, about 12 real rows, BIO head, 0.23 ms each in
+# process), n = 64 ran 0.62-0.86x as fast forked as in process, 96
+# 0.72-1.08x, 128 0.77-1.13x, 144 1.23-1.38x, 160 1.25-1.28x, 200
+# 1.24-1.43x and 400 1.53-1.54x (medians of 31 alternating calls, two to
+# four runs each). Train's dev evaluation forks nothing: it shares the
+# training helper that is already running, so any number of dev examples is
+# split.
+MIN_WORKER_EXAMPLES = 75
 
-# Examples a forked worker takes at a time; it takes the next chunk when it
-# finishes one, so a worker on a CPU the host slows down does fewer. On a
-# shared 2-vCPU host, with one equal shard per worker, the first worker to
-# finish then sat idle for a median 15% (up to 33%) of the call, a share that
-# changed from call to call; with chunks of 25 the idle share was 1.4% (up to
-# 6%). Chunks of 25 ran as fast as chunks of 50 to 750; chunks of 10 were
-# slower.
+# Examples in each of the chunks that `predict_examples` and its helper take
+# one at a time (`_Chunks`), so that a process on a CPU the host slows down
+# takes fewer. On the host above, one call on predict-long's 1,200 test
+# examples took a median 1.47 s in chunks of 25 against 1.71 s in two fixed
+# halves (four alternating fresh-process rounds of five calls; 1.61 against
+# 1.94 s and 1.83 against 1.95 s in two earlier series), and chunks of 100
+# took 1.71 s where chunks of 25 took 1.61. On train-bio-short's and
+# train-mrc's examples the two splits ran within 6% of each other.
 CHUNK_EXAMPLES = 25
 
 # Most real rows in one pack of examples that predict or training encodes
@@ -276,24 +283,125 @@ def _predict_pack(model: ModelState, pack: list[MrcExample]) -> list[list[Entity
 def predict_examples(model: ModelState, examples: Sequence[MrcExample]) -> list[list[EntitySpan]]:
     """The entity spans of every example, in input order.
 
-    As many workers run as there are usable CPUs, but no more than one per
-    MIN_WORKER_EXAMPLES examples. One worker runs `predict_in_process` here,
-    and so does any count while another thread runs here. More are forked,
-    inheriting the model and the sequence (which may build each example when
-    it is indexed); each takes contiguous chunks of CHUNK_EXAMPLES, one at a
-    time, runs `predict_in_process` on each and sends back only its spans.
-    A worker's exception is raised here as itself once the running chunks
-    finish; a worker that dies raises `BrokenProcessPool`. No worker
-    outlives the call.
+    With at least 2 * MIN_WORKER_EXAMPLES examples where `fork_cpus`
+    reports two CPUs or more, this process forks one `Helper`, which
+    inherits the model and the sequence (which may build each example when
+    it is indexed). The two processes then take the examples' `_Chunks`,
+    this one from the front and the helper from the back, and run
+    `predict_in_process` on each; the helper sends back only spans.
+    Elsewhere this process predicts them all. The error raised is the one
+    one process raises, the first in input order: this process's own once
+    the helper has stopped, else the helper's, as itself; a helper that dies
+    is a HelperError. No helper outlives the call.
     """
-    workers = min(len(examples) // MIN_WORKER_EXAMPLES, fork_cpus())
-    if workers <= 1:
+    if len(examples) < 2 * MIN_WORKER_EXAMPLES or fork_cpus() < 2:
         return predict_in_process(model, examples)
-    cuts = [*range(0, len(examples), CHUNK_EXAMPLES), len(examples)]
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_take_work, initargs=(model, examples)) as pool:
-        chunks = list(pool.map(_predict_chunk, zip(cuts, cuts[1:])))
-    return [spans for chunk in chunks for spans in chunk]
+    chunks = _Chunks(model, examples)
+    helper = Helper(chunks)
+    try:
+        helper.call("predict", False)
+        done = chunks.predict(True)
+        done.update(helper.result())
+    finally:
+        chunks.left[0] = chunks.left[1]  # after an error here, the helper takes no more
+        helper.close()
+    return [spans for i in sorted(done) for spans in done[i]]
+
+
+class _Chunks:
+    """The examples in contiguous chunks of CHUNK_EXAMPLES, which the two
+    processes of `predict_examples` take one at a time, the first from the
+    front and the helper from the back, until none is left. `left` holds
+    the index of the first chunk left and one past the last, in an
+    anonymous shared mapping made before the fork. Each process moves only
+    its own end, so they need no lock: where the ends meet, both processes
+    may take the same chunk, and both get the same spans for it."""
+
+    def __init__(self, model: ModelState, examples: Sequence[MrcExample]):
+        self.model, self.examples = model, examples
+        self.left = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)
+        self.left[1] = -(-len(examples) // CHUNK_EXAMPLES)
+
+    def predict(self, front: bool) -> dict[int, list[list[EntitySpan]]]:
+        """The spans of each chunk this process takes from the front (or
+        the back), by chunk index."""
+        done = {}
+        while self.left[0] < self.left[1]:
+            i = int(self.left[0]) if front else int(self.left[1]) - 1
+            self.left[1 - front] = i + front  # this process's end, past chunk i
+            rows = range(len(self.examples))[i * CHUNK_EXAMPLES : (i + 1) * CHUNK_EXAMPLES]
+            done[i] = predict_in_process(self.model, (self.examples[j] for j in rows))
+        return done
+
+
+class HelperError(RuntimeError):
+    """A helper process that died."""
+
+
+class Helper:
+    """A process forked from this one that runs methods of `target`, which
+    it inherits through the fork, for this one. `call` sends a method's
+    name and arguments; `result` waits for what it returned, and raises here
+    what it raised there, or a HelperError naming the helper's exit status
+    if it died. The helper exits when the pipe closes: after `close`, which
+    also reaps it, or when this process dies. `train` keeps one for a whole
+    call, over its `_Steps`; `predict_examples` forks one per call."""
+
+    def __init__(self, target):
+        self.target = target
+        self._conn, theirs = multiprocessing.Pipe()
+        self._pid = os.fork()
+        if self._pid == 0:
+            status = 1
+            try:
+                self._conn.close()
+                _serve(theirs, target)
+                status = 0
+            finally:
+                os._exit(status)
+        theirs.close()
+
+    def call(self, name: str, *args) -> None:
+        try:
+            self._conn.send((name, args))
+        except OSError:
+            raise self._died() from None
+
+    def result(self):
+        try:
+            reply = self._conn.recv()
+        except (EOFError, OSError):
+            raise self._died() from None
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
+
+    def _died(self) -> HelperError:
+        return HelperError(f"the helper process exited with status {self.close()}")
+
+    def close(self) -> int:
+        """Closes the pipe, which ends the helper, reaps it once, and
+        returns its exit status."""
+        self._conn.close()
+        if self._pid is not None:
+            self._status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+            self._pid = None
+        return self._status
+
+
+def _serve(conn, target) -> None:
+    """Runs each call that arrives on `conn` and sends back what it returned
+    or raised, until the pipe closes."""
+    while True:
+        try:
+            name, args = conn.recv()
+        except EOFError:
+            return
+        try:
+            result = getattr(target, name)(*args)
+        except Exception as exc:  # raised again by the caller
+            result = exc
+        conn.send(result)
 
 
 def fork_cpus() -> int:
@@ -349,19 +457,6 @@ def _openblas_threads() -> int:
                 most = max(most, getter())
                 break
     return most
-
-
-_work: tuple[ModelState, Sequence[MrcExample]] | None = None  # set in forked workers only
-
-
-def _take_work(model: ModelState, examples: Sequence[MrcExample]) -> None:
-    global _work
-    _work = (model, examples)
-
-
-def _predict_chunk(bounds: tuple[int, int]) -> list[list[EntitySpan]]:
-    model, examples = _work
-    return predict_in_process(model, (examples[i] for i in range(*bounds)))
 
 
 def save_checkpoint(model: ModelState, path) -> None:

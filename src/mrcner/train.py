@@ -13,7 +13,8 @@ report is the manifest's final metrics.
 
 Training runs on two CPUs where `model.fork_cpus()` reports at least two:
 on Linux, while this process runs no other thread, a BLAS library's
-included. `train` then forks one helper process, which shares the
+included. `train` then forks one helper process (`model.Helper`, which
+`predict` uses too) that runs `_Steps` methods for it and shares the
 model's store, the gradient vector and Adam's moments with it through
 anonymous shared mappings made before the fork. For each batch, this process
 trains the leading examples into the gradient vector, while the helper
@@ -31,7 +32,7 @@ reported is the one one CPU reports, and an error the helper raises is
 raised here as itself. Each epoch's dev evaluation is cut the same way:
 the helper predicts the trailing dev examples and this process the rest.
 The helper exits when `train` returns or raises, and is reaped; a helper
-that dies is a TrainingError naming its exit status. Elsewhere the same
+that dies is a `model.HelperError` naming its exit status. Elsewhere the same
 steps run in this process alone.
 """
 
@@ -40,8 +41,6 @@ from __future__ import annotations
 import logging
 import math
 import mmap
-import multiprocessing
-import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field, asdict
@@ -320,7 +319,7 @@ def gold_span_index(triples: Sequence[Triple]) -> dict[tuple[str, int, str], lis
 
 def evaluate_model(model: ModelState, examples: Sequence[MrcExample],
                    gold: dict[tuple[str, int, str], list[tuple[int, int]]],
-                   helper: "_Helper | None" = None) -> EvalReport:
+                   helper: model_mod.Helper | None = None) -> EvalReport:
     """Entity-level scores of the model's predictions on `examples` against
     `gold`, made by `model.predict_in_process` in this process, or, given
     `train`'s helper, whose steps hold `examples` as their dev examples, in
@@ -330,7 +329,7 @@ def evaluate_model(model: ModelState, examples: Sequence[MrcExample],
     packed with it, so the report is the one this process gives alone."""
     cut = len(examples)
     if helper is not None:
-        cut = _lead_count(helper.steps.dev_costs, helper.steps.ratio, min(1, cut))
+        cut = _lead_count(helper.target.dev_costs, helper.target.ratio, min(1, cut))
         if cut < len(examples):
             helper.call("predict", cut)
     spans = model_mod.predict_in_process(model, examples[:cut])
@@ -373,7 +372,7 @@ def _lead_count(costs: list[float], ratio: float, least: int) -> int:
 
 class _Steps:
     """Training steps over state in anonymous shared mappings, so that a
-    helper forked from this process (`_Helper`) shares it: the model's
+    helper forked from this process (`model.Helper`) shares it: the model's
     store, the gradient vector, Adam's moments and one gradient slot per
     tail example. A slot holds every tensor but `tok_emb`, which leads the
     store (`encoder.param_shapes`), so the slots cover `grad_flat[rest:]`.
@@ -401,7 +400,7 @@ class _Steps:
                       for _ in range(min(config.batch_size, len(examples), MAX_SLOTS + 1) - 1)]
 
     def step(self, epoch: int, batch: list[int], seeds: list[int],
-             helper: "_Helper | None") -> list[float]:
+             helper: model_mod.Helper | None) -> list[float]:
         """One Adam step on the examples of `batch`, given their dropout
         seeds; returns their losses in batch order.
 
@@ -499,71 +498,6 @@ class _Steps:
         self.optimizer.step(self.mdl.flat, self.grad_flat, part, prepare)
 
 
-class _Helper:
-    """A process forked from this one that runs `_Steps` methods for it.
-    `call` sends a method's name and arguments; `result` waits for what it
-    returned, and raises here what it raised there, or a TrainingError
-    naming the helper's exit status if it died. The helper exits when the
-    pipe closes: after `close`, which also reaps it, or when this process
-    dies."""
-
-    def __init__(self, steps: _Steps):
-        self.steps = steps
-        self._conn, theirs = multiprocessing.Pipe()
-        self._pid = os.fork()
-        if self._pid == 0:
-            status = 1
-            try:
-                self._conn.close()
-                _serve(theirs, steps)
-                status = 0
-            finally:
-                os._exit(status)
-        theirs.close()
-
-    def call(self, name: str, *args) -> None:
-        try:
-            self._conn.send((name, args))
-        except OSError:
-            raise self._died() from None
-
-    def result(self):
-        try:
-            reply = self._conn.recv()
-        except (EOFError, OSError):
-            raise self._died() from None
-        if isinstance(reply, BaseException):
-            raise reply
-        return reply
-
-    def _died(self) -> TrainingError:
-        _, status = os.waitpid(self._pid, 0)
-        self._pid = None
-        return TrainingError(f"the training helper process exited with status "
-                             f"{os.waitstatus_to_exitcode(status)}")
-
-    def close(self) -> None:
-        self._conn.close()
-        if self._pid is not None:
-            os.waitpid(self._pid, 0)
-            self._pid = None
-
-
-def _serve(conn, steps: _Steps) -> None:
-    """Runs each call that arrives on `conn` and sends back what it returned
-    or raised, until the pipe closes."""
-    while True:
-        try:
-            name, args = conn.recv()
-        except EOFError:
-            return
-        try:
-            result = getattr(steps, name)(*args)
-        except Exception as exc:  # raised again by the caller
-            result = exc
-        conn.send(result)
-
-
 def train(
     config: TrainConfig,
     train_triples: Sequence[Triple],
@@ -625,7 +559,7 @@ def train(
 
     try:
         if model_mod.fork_cpus() > 1:
-            helper = _Helper(steps)
+            helper = model_mod.Helper(steps)
         for epoch in range(config.epochs):
             order = shuffle_rng.permutation(len(train_examples))
             epoch_loss = 0.0

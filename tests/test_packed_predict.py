@@ -122,7 +122,7 @@ def test_evaluate_model_scores_the_per_example_predictions(mode, variant, monkey
     def refuse(*args, **kwargs):
         raise AssertionError("dev evaluation forked")
 
-    monkeypatch.setattr(model_mod, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(model_mod.Helper, "__init__", refuse)
     assert evaluate_model(mdl, examples, gold) == score(gold, predicted)
 
 

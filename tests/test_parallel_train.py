@@ -96,13 +96,13 @@ def pinned_ratio(monkeypatch):
 def helper_calls(monkeypatch):
     """The names of the `_Steps` methods this process asks the helper to run."""
     calls = []
-    call = train_mod._Helper.call
+    call = model_mod.Helper.call
 
     def recording(self, name, *args):
         calls.append(name)
         call(self, name, *args)
 
-    monkeypatch.setattr(train_mod._Helper, "call", recording)
+    monkeypatch.setattr(model_mod.Helper, "call", recording)
     return calls
 
 
@@ -110,13 +110,13 @@ def helper_calls(monkeypatch):
 def helpers_forked(monkeypatch):
     """How many training helpers `train` forks."""
     forked = []
-    start = train_mod._Helper.__init__
+    start = model_mod.Helper.__init__
 
-    def counting(self, steps):
+    def counting(self, target):
         forked.append(os.getpid())
-        start(self, steps)
+        start(self, target)
 
-    monkeypatch.setattr(train_mod._Helper, "__init__", counting)
+    monkeypatch.setattr(model_mod.Helper, "__init__", counting)
     return forked
 
 
@@ -288,7 +288,7 @@ def test_an_error_predicting_the_helpers_dev_part_is_raised_as_on_one_cpu(
 
 
 @pytest.mark.usefixtures("two_processes")
-def test_a_helper_that_dies_is_a_training_error_naming_its_status(monkeypatch, helpers_forked):
+def test_a_helper_that_dies_is_a_helper_error_naming_its_status(monkeypatch, helpers_forked):
     config = train_mod.TrainConfig(seq_len=32, **TINY)
     train_triples = triples_of(config.mode, [5, 9, 4, 12, 6, 8, 10, 7, 3, 11])
     parent = os.getpid()
@@ -298,7 +298,7 @@ def test_a_helper_that_dies_is_a_training_error_naming_its_status(monkeypatch, h
             os._exit(3)
 
     fail_at(monkeypatch, first_batch(config, train_triples)[-1], die)
-    with pytest.raises(train_mod.TrainingError, match="helper process exited with status 3"):
+    with pytest.raises(model_mod.HelperError, match="^the helper process exited with status 3$"):
         train_mod.train(config, train_triples, [])
     assert_no_child_process()
     assert len(helpers_forked) == 1

@@ -1,25 +1,31 @@
-"""`model.predict_examples` spreads examples over forked workers.
+"""`model.predict_examples` shares its examples with one forked helper.
 
-Predict forks one worker per usable CPU once the input holds at least
-`MIN_WORKER_EXAMPLES` examples per worker. The output must not depend on the
-worker count, no worker may outlive the command, a worker's failure must
-fail the command instead of hanging it, and small inputs, one-CPU or
-non-Linux machines and threaded callers must not fork at all. Train's dev
-evaluation creates no pool: it shares train's own helper process.
+Where `model.fork_cpus` reports two CPUs and the input holds at least
+`MIN_WORKER_EXAMPLES` examples per process, predict forks one
+`model.Helper`. The two processes take chunks of `CHUNK_EXAMPLES` examples
+one at a time, the calling process from the front and the helper from the
+back. The output must not depend on the process count, no
+helper may outlive the command, an error must be the one one process
+raises, a helper's death must fail the command instead of hanging it, and
+small inputs, one-CPU or non-Linux machines and threaded callers must not
+fork at all. Train's dev evaluation forks no helper of its own: it shares
+train's.
 """
 
 import json
-import multiprocessing
 import os
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mrcner import model as model_mod
 from mrcner.cli import main
 from mrcner.encoder import EncoderError
-from mrcner.mrc_data import example_from_triple, read_triples
-from helpers import corpus_to_conll, make_separable_corpus
+from mrcner.mrc_data import example_from_triple, read_triples, write_triples
+from mrcner.train import _Steps
+from helpers import HEADS, corpus_to_conll, make_separable_corpus, tiny_model, triple
 
 TINY = ["--seq-len", 48, "--layers", 1, "--model-dim", 8, "--heads", 2, "--ffn-dim", 16,
         "--learning-rate", 1e-2, "--seed", 5]
@@ -37,29 +43,38 @@ def cpus(monkeypatch):
     return set_cpus
 
 
-# Fail a test that hangs (say, on a pool waiting for a dead worker) instead
-# of stalling the suite.
+# Fail a test that hangs (say, waiting for a dead helper) instead of stalling
+# the suite.
 pytestmark = pytest.mark.usefixtures("deadline")
 
 
+def spy_on_helpers(monkeypatch):
+    """The targets of the helpers forked, in order."""
+    start, targets = model_mod.Helper.__init__, []
+
+    def spy(self, target):
+        targets.append(target)
+        start(self, target)
+
+    monkeypatch.setattr(model_mod.Helper, "__init__", spy)
+    return targets
+
+
 @pytest.fixture
-def pools(monkeypatch):
-    """Worker counts of the process pools created, in order."""
-    create, created = model_mod.ProcessPoolExecutor, []
-
-    def spy(max_workers, **kwargs):
-        created.append(max_workers)
-        return create(max_workers, **kwargs)
-
-    monkeypatch.setattr(model_mod, "ProcessPoolExecutor", spy)
-    return created
+def helpers(monkeypatch):
+    return spy_on_helpers(monkeypatch)
 
 
 @pytest.fixture
-def no_pool(monkeypatch):
+def no_helper(monkeypatch):
     def refuse(*args, **kwargs):
-        raise RuntimeError("a process pool was created")
-    monkeypatch.setattr(model_mod, "ProcessPoolExecutor", refuse)
+        raise RuntimeError("a helper process was forked")
+    monkeypatch.setattr(model_mod.Helper, "__init__", refuse)
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def convert_corpus(tmp_path, name, n, mode, seed):
@@ -74,7 +89,7 @@ def convert_corpus(tmp_path, name, n, mode, seed):
 @pytest.fixture(scope="module", params=["mrc", "bio-baseline"])
 def corpus(request, tmp_path_factory):
     """A checkpoint trained on a small split, and a test split big enough
-    for two workers."""
+    for two processes."""
     mode = request.param
     tmp_path = tmp_path_factory.mktemp(mode)
     train = convert_corpus(tmp_path, "train", 40, mode, seed=3)
@@ -86,7 +101,7 @@ def corpus(request, tmp_path_factory):
     return tmp_path, mode, train, test, ckpt
 
 
-def test_predict_output_is_byte_identical_at_one_and_two_workers(corpus, cpus, pools):
+def test_predict_output_is_byte_identical_at_one_and_two_workers(corpus, cpus, helpers):
     tmp_path, _, _, test, ckpt = corpus
     outputs = []
     for n in (1, 2):
@@ -94,14 +109,14 @@ def test_predict_output_is_byte_identical_at_one_and_two_workers(corpus, cpus, p
         out = tmp_path / f"pred-{n}.jsonl"
         assert run("predict", "--checkpoint", ckpt, "--triples", test, "--out", out) == 0
         outputs.append(out.read_bytes())
-    assert pools == [2]
+    assert len(helpers) == 1
     assert outputs[0] == outputs[1]
     records = [json.loads(line) for line in outputs[0].splitlines()]
     assert len(records) == len(read_triples(test))
     assert any(r["spans"] for r in records)
 
 
-def test_a_short_last_chunk_keeps_input_order(corpus, cpus, pools):
+def test_a_short_last_chunk_keeps_input_order(corpus, cpus, helpers):
     _, _, _, test, ckpt = corpus
     mdl = model_mod.load_checkpoint(ckpt)
     examples = [example_from_triple(t, mdl.vocab, mdl.seq_cfg) for t in read_triples(test)[:437]]
@@ -109,47 +124,95 @@ def test_a_short_last_chunk_keeps_input_order(corpus, cpus, pools):
     cpus(2)
     assert model_mod.predict_examples(mdl, examples) == [
         model_mod.predict_in_process(mdl, [ex])[0] for ex in examples]
-    assert pools == [2]
+    assert len(helpers) == 1
 
 
-def test_no_worker_outlives_a_successful_predict(corpus, cpus, pools, tmp_path):
+def test_no_worker_outlives_a_successful_predict(corpus, cpus, helpers, tmp_path):
     _, _, _, test, ckpt = corpus
     cpus(2)
     assert run("predict", "--checkpoint", ckpt, "--triples", test,
                "--out", tmp_path / "p.jsonl") == 0
-    assert pools == [2]
-    assert multiprocessing.active_children() == []
+    assert len(helpers) == 1
+    assert_no_child_process()
+
+
+def fail_on(monkeypatch, failing):
+    """Makes `model.predict_example` raise, in either process, for the
+    examples whose sent_id is in `failing`."""
+    predict_example = model_mod.predict_example
+
+    def fail(*args):
+        if args[1].origin[1] in failing:
+            raise EncoderError(f"non-finite activations in example {args[1].origin[1]}")
+        return predict_example(*args)
+
+    monkeypatch.setattr(model_mod, "predict_example", fail)
 
 
 def test_a_worker_error_reaches_the_caller_and_no_worker_outlives_it(
-        corpus, cpus, pools, monkeypatch, capsys, tmp_path):
+        corpus, cpus, helpers, monkeypatch, capsys, tmp_path):
     _, _, _, test, ckpt = corpus
-    predict_example = model_mod.predict_example
-
-    def fail_on_one(*args):
-        if args[1].origin[1] == 450:  # in the 19th of twenty 25-example chunks
-            raise EncoderError("non-finite activations in example 450")
-        return predict_example(*args)
-
-    monkeypatch.setattr(model_mod, "predict_example", fail_on_one)
+    fail_on(monkeypatch, {450})  # in the 19th of twenty chunks, the helper's second
     cpus(2)
     out = tmp_path / "p.jsonl"
     assert run("predict", "--checkpoint", ckpt, "--triples", test, "--out", out) == 1
-    assert pools == [2]
-    assert multiprocessing.active_children() == []
+    assert len(helpers) == 1
+    assert_no_child_process()
     diagnostic = json.loads(capsys.readouterr().err)
     assert diagnostic == {"error": "EncoderError",
                           "message": "non-finite activations in example 450"}
     assert not out.exists()
 
 
+# Example 50 is in the third of the 500 test examples' twenty chunks, which
+# this process takes; the helper takes 450's, the 19th, second.
+@pytest.mark.parametrize("failing", [{50}, {50, 450}])
+def test_an_error_in_this_processs_chunks_is_raised_as_one_process_raises_it(
+        corpus, cpus, helpers, monkeypatch, capsys, tmp_path, failing):
+    _, _, _, test, ckpt = corpus
+    fail_on(monkeypatch, failing)
+    cpus(2)
+    out = tmp_path / "p.jsonl"
+    assert run("predict", "--checkpoint", ckpt, "--triples", test, "--out", out) == 1
+    assert len(helpers) == 1
+    assert_no_child_process()
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "EncoderError", "message": "non-finite activations in example 50"}
+    assert not out.exists()
+
+
+def test_an_error_in_this_process_stops_the_helper_taking_chunks(corpus, cpus, helpers,
+                                                                   monkeypatch, tmp_path):
+    _, _, _, test, ckpt = corpus
+    predict_example, parent = model_mod.predict_example, os.getpid()
+    by_helper = tmp_path / "by-helper"
+
+    def fail_on_first(*args):
+        if args[1].origin[1] == 0:
+            raise EncoderError("non-finite activations in example 0")
+        if os.getpid() != parent:
+            with open(by_helper, "a") as fh:
+                fh.write(f"{args[1].origin[1]}\n")
+        return predict_example(*args)
+
+    monkeypatch.setattr(model_mod, "predict_example", fail_on_first)
+    cpus(2)
+    assert run("predict", "--checkpoint", ckpt, "--triples", test,
+               "--out", tmp_path / "p.jsonl") == 1
+    assert len(helpers) == 1
+    assert_no_child_process()
+    # Left to itself, the helper would take the 19 chunks this process
+    # leaves; it stops after the chunk it holds, if any, when this one fails.
+    assert len(by_helper.read_text().split() if by_helper.exists() else []) <= 250
+
+
 def test_a_dead_worker_fails_the_command_instead_of_hanging(
-        corpus, cpus, pools, monkeypatch, capsys, tmp_path):
+        corpus, cpus, helpers, monkeypatch, capsys, tmp_path):
     _, _, _, test, ckpt = corpus
     predict_example, parent = model_mod.predict_example, os.getpid()
 
     def die_on_one(*args):
-        if args[1].origin[1] == 450:  # in the 19th of twenty 25-example chunks
+        if args[1].origin[1] == 450:  # in the 19th of twenty chunks, the helper's second
             if os.getpid() == parent:
                 raise AssertionError("example 450 was predicted in the parent")
             os._exit(1)
@@ -159,26 +222,27 @@ def test_a_dead_worker_fails_the_command_instead_of_hanging(
     cpus(2)
     assert run("predict", "--checkpoint", ckpt, "--triples", test,
                "--out", tmp_path / "p.jsonl") == 1
-    assert pools == [2]
-    assert multiprocessing.active_children() == []
-    assert json.loads(capsys.readouterr().err)["error"] == "BrokenProcessPool"
+    assert len(helpers) == 1
+    assert_no_child_process()
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "HelperError", "message": "the helper process exited with status 1"}
 
 
-def test_one_cpu_never_forks(corpus, cpus, no_pool, tmp_path):
+def test_one_cpu_never_forks(corpus, cpus, no_helper, tmp_path):
     _, _, _, test, ckpt = corpus
     cpus(1)
     assert run("predict", "--checkpoint", ckpt, "--triples", test,
                "--out", tmp_path / "p.jsonl") == 0
 
 
-def test_without_sched_getaffinity_predict_never_forks(corpus, no_pool, monkeypatch, tmp_path):
+def test_without_sched_getaffinity_predict_never_forks(corpus, no_helper, monkeypatch, tmp_path):
     _, _, _, test, ckpt = corpus
     monkeypatch.delattr(os, "sched_getaffinity")
     assert run("predict", "--checkpoint", ckpt, "--triples", test,
                "--out", tmp_path / "p.jsonl") == 0
 
 
-def test_a_running_thread_keeps_predict_in_process(corpus, cpus, no_pool, tmp_path):
+def test_a_running_thread_keeps_predict_in_process(corpus, cpus, no_helper, tmp_path):
     _, _, _, test, ckpt = corpus
     cpus(2)
     release = threading.Event()
@@ -192,16 +256,45 @@ def test_a_running_thread_keeps_predict_in_process(corpus, cpus, no_pool, tmp_pa
         waiter.join()
 
 
-def test_input_below_the_work_minimum_never_forks(corpus, cpus, no_pool, tmp_path):
-    _, _, train, _, ckpt = corpus
-    assert len(read_triples(train)) < 2 * model_mod.MIN_WORKER_EXAMPLES
+def test_input_below_the_work_minimum_never_forks(corpus, cpus, no_helper, tmp_path):
+    _, _, _, test, ckpt = corpus
+    below = tmp_path / "below.jsonl"
+    write_triples(read_triples(test)[: 2 * model_mod.MIN_WORKER_EXAMPLES - 1], below)
     cpus(2)
-    assert run("predict", "--checkpoint", ckpt, "--triples", train,
+    assert run("predict", "--checkpoint", ckpt, "--triples", below,
                "--out", tmp_path / "p.jsonl") == 0
 
 
-def test_train_dev_evaluation_stays_in_process(corpus, cpus, no_pool, tmp_path):
+def test_train_dev_evaluation_shares_trains_helper(corpus, cpus, helpers, tmp_path):
     _, mode, train, test, _ = corpus
     cpus(2)
     assert run("train", "--train", train, "--dev", test, "--out", tmp_path / "m.ckpt",
                "--mode", mode, "--epochs", 1, *TINY) == 0
+    assert [type(target) for target in helpers] == [_Steps]
+
+
+MIN, CHUNK = model_mod.MIN_WORKER_EXAMPLES, model_mod.CHUNK_EXAMPLES
+# Around the fork's minimum and the chunks' edges: nothing, one example,
+# either side of one process's minimum and of two processes', whole chunks
+# and a short last chunk of one example.
+SIZES = [0, 1, MIN - 1, MIN, 2 * MIN - 1, 2 * MIN, 2 * MIN + 1,
+         CHUNK * (2 * MIN // CHUNK + 1), CHUNK * (2 * MIN // CHUNK + 1) + 1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(head=st.sampled_from(HEADS), size=st.sampled_from(SIZES) | st.integers(0, 2 * MIN + CHUNK),
+       seed=st.integers(0, 2**16))
+def test_predict_examples_on_two_cpus_equals_one_process(head, size, seed):
+    mode, variant = head
+    mdl = tiny_model(mode, variant, seq_len=24, seed=seed % 3)
+    rng = np.random.default_rng(seed)
+    query = "w1 w2" if mode == "mrc" else None
+    examples = [example_from_triple(triple(int(n), query, i, rng), mdl.vocab, mdl.seq_cfg)
+                for i, n in enumerate(rng.integers(1, 20, size))]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        forked = spy_on_helpers(monkeypatch)
+        assert model_mod.predict_examples(mdl, examples) == model_mod.predict_in_process(
+            mdl, examples)
+    assert len(forked) == (size >= 2 * MIN)
+    assert_no_child_process()

@@ -12,6 +12,7 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+from mrcner import model as model_mod
 from mrcner.cli import main
 from helpers import corpus_to_conll, make_separable_corpus
 
@@ -63,7 +64,14 @@ def count_calls(patches, calls, encoded, phase):
         setattr(namespace, attr, counted)
 
 
-def test_every_wrapped_layer_records_a_span_and_unwraps(tmp_path):
+def test_every_wrapped_layer_records_a_span_and_unwraps(tmp_path, monkeypatch):
+    forked, start = Counter(), model_mod.Helper.__init__
+
+    def counting(self, target):
+        forked[phase[0]] += 1
+        start(self, target)
+
+    monkeypatch.setattr(model_mod.Helper, "__init__", counting)
     tracing = load_tracing()
     tracer = tracing.Tracer()
     tracing.install(tracer)
@@ -85,6 +93,10 @@ def test_every_wrapped_layer_records_a_span_and_unwraps(tmp_path):
     assert len(tracer.spans) == sum(calls.values())
     assert tracing.misnested(tracer.spans, tracing.self_times(tracer.spans)) == 0
 
+    # Predict's 6 examples are below the fork's minimum, so this process
+    # predicts, and the tracer sees, every one of them.
+    assert 6 < 2 * model_mod.MIN_WORKER_EXAMPLES
+    assert [p for p in forked if p.startswith("predict:")] == []
     # Every example goes through each of its layers, in training and in predict.
     for mode, head_grads, head_decode in (
         ("mrc", ["heads.span_head_grads"], ["heads.start_logits", "heads.end_logits"]),

@@ -581,6 +581,27 @@ class TestCli:
         assert diagnostic["message"].startswith(f"{preds}, {message}")
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("kept, missing", [(2, ("d", 2, "C")), (0, ("d", 0, "C"))])
+    def test_evaluate_refuses_a_predictions_file_without_every_gold_sentence(
+            self, tmp_path, capsys, kept, missing):
+        gold = tmp_path / "gold.jsonl"
+        triples = [Triple(["a", "b"], "q", [(0, 0)], "C", "d", i) for i in range(4)]
+        write_triples(triples, gold)
+        lines = [json.dumps({"origin": {"doc_id": t.doc_id, "sent_id": t.sent_id},
+                             "entity_type": t.entity_type, "spans": [{"start": 0, "end": 0}]})
+                 for t in triples]
+        full, preds = tmp_path / "full.jsonl", tmp_path / "p.jsonl"
+        full.write_text("".join(line + "\n" for line in lines))
+        preds.write_text("".join(line + "\n" for line in lines[:kept]))
+        assert run_cli("evaluate", "--gold", gold, "--predictions", preds,
+                       "--out", tmp_path / "m.json") == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "CliError", "message": f"{preds} has no prediction for sentence {missing!r}"}
+        assert not (tmp_path / "m.json").exists()
+        assert run_cli("evaluate", "--gold", gold, "--predictions", full,
+                       "--out", tmp_path / "m.json") == 0
+        assert json.loads((tmp_path / "m.json").read_text())["f1"] == 1.0
+
     def test_evaluate_scores_spans_that_end_at_the_last_token(self, tmp_path, capsys):
         gold = tmp_path / "gold.jsonl"
         write_triples([Triple(["a", "b"], "q", [(0, 1)], "C", "d", 0)], gold)

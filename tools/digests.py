@@ -14,7 +14,7 @@ is pinned as in `perfbench/run.py`.
 
 Where `os.sched_setaffinity` exists, each run also trains and predicts a
 second time with this process pinned to one CPU, which keeps `train` from
-forking its helper and `predict` from forking workers, then restores the
+forking its helper and `predict` from forking its own, then restores the
 process's CPUs. If the two checkpoints, the two manifests (without
 `wall_clock_sec`) or the two prediction files differ, the script exits 1.
 

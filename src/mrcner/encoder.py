@@ -330,20 +330,19 @@ def backward(
     cfg: EncoderConfig,
     tape: dict[str, Any],
     grad_h: np.ndarray,
-    grads: dict[str, np.ndarray] | Sequence[dict],
-) -> dict[str, np.ndarray] | Sequence[dict]:
+    sinks: Sequence[dict],
+) -> Sequence[dict]:
     """Exact gradients of a scalar loss with upstream gradient grad_h (with
     respect to the (n_real, model_dim) H of forward) for every parameter,
-    added into each example's gradient sink; `grads` is returned. The tape
-    is that of a pack that keeps every row, and the loss is the sum of its
-    examples' losses.
+    added into each example's gradient sink, one per example in `sinks`,
+    which is returned. The tape is that of a pack that keeps every row, and
+    the loss is the sum of its examples' losses.
 
     A sink is a dict of arrays keyed and shaped like `params`, such as
     `ModelState.zero_grads()`'s views, except that its "tok_emb" may be a
     list: the example's token-embedding gradient is then appended to it as
     (ids, rows), the ids it touches and their summed rows, for someone to
-    add with `grad[ids] += rows`. `grads` is one sink that every example
-    adds into, or a sequence of one sink per example.
+    add with `grad[ids] += rows`. Several examples may share one sink.
 
     Layer-norm input gradients, GELU's derivative, residual adds and dropout
     run once over the pack's stacked rows. Everything else runs per example,
@@ -361,7 +360,6 @@ def backward(
     n, rows = tape["n"], tape["rows"]
     if grad_h.shape != (n, cfg.model_dim):
         raise EncoderError(f"grad shape {grad_h.shape} != H shape {(n, cfg.model_dim)}")
-    sinks = [grads] * len(rows) if isinstance(grads, dict) else grads
     if len(sinks) != len(rows):
         raise EncoderError(f"{len(sinks)} gradient sinks for {len(rows)} examples")
 
@@ -422,7 +420,7 @@ def backward(
         sink["pos_emb"][: r.stop - r.start] += d_emb
         _add_rows(sink["tok_emb"], tape["ids"][r], d_emb)
         _add_rows(sink["seg_emb"], tape["segs"][r], d_emb)
-    return grads
+    return sinks
 
 
 def _add_rows(grad, ids: np.ndarray, dx: np.ndarray) -> None:

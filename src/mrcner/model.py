@@ -16,10 +16,11 @@ encoder's, then the head's as `head.<name>`), and `ModelState.params` maps
 each name to its view, laid out by `flat_store`; the head is built over its
 `head.*` views. `flat_store` takes the vector from an allocator of zeroed
 vectors, so training can build the store in memory it shares with a forked
-helper. `new_model` fills each view with its `encoder.init_tensors` draw (the
-encoder's from `seed`, the head's from `seed + 1`), and `load_checkpoint`
-reads the blob into `flat`. Gradients use the same layout, so training sums
-a batch in one vector. Training cuts a batch's examples into `packs` and runs
+helper (`shared_zeros`, the one allocator of shared memory). `new_model`
+fills each view with its `encoder.init_tensors` draw (the encoder's from
+`seed`, the head's from `seed + 1`), and `load_checkpoint` reads the blob
+into `flat`. Gradients use the same layout, so training sums a batch in
+one vector. Training cuts a batch's examples into `packs` and runs
 `pack_loss_and_grads` on each: one `encoder.forward` of the pack, then
 `example_loss_and_grads(model, example, h_ctx, sink)` for each example, the
 head's step, given h_ctx, the encoder's rows of the example's context, then
@@ -46,9 +47,10 @@ nothing is forked, goes through `predict_in_process`, which encodes each of
 its `packs` with one `encoder.forward` call, keeping each example's context
 rows and the [SEP] after them, then decodes each example from its context
 rows with `predict_example(model, example, h_ctx)`. Train's dev evaluation
-forks no helper of its own: where `train` runs its helper, the helper runs
-`predict_in_process` on a trailing part of the dev examples and the
-training process on the rest (`train.evaluate_model`).
+forks no helper of its own: where `train` runs its helper, the two
+processes share the dev examples' `_Chunks` the same way
+(`train.evaluate_model`); `_Chunks.share` resets the chunk counter on each
+call, so one helper can share them after every epoch.
 
 A checkpoint (format v2) is one UTF-8 JSON header line, then the
 little-endian float64 bytes of `ModelState.flat`. The header holds the mode,
@@ -148,7 +150,7 @@ def _head_class(mode: str):
 def flat_store(shapes: dict[str, tuple], zeros=np.zeros) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """One contiguous float64 vector holding a tensor per name of `shapes`, in
     that order, and a view of it per name. The vector is `zeros(size)`, a
-    zeroed one; `train` passes an allocator of shared memory."""
+    zeroed one; `train` passes `shared_zeros`."""
     flat = zeros(sum(math.prod(shape) for shape in shapes.values()))
     views, offset = {}, 0
     for name, shape in shapes.items():
@@ -211,22 +213,18 @@ def packs(examples: Iterable[MrcExample]) -> Iterator[list[MrcExample]]:
 def pack_loss_and_grads(
     model: ModelState,
     pack: Sequence[MrcExample],
+    sinks: Sequence[dict],
     train_mode: bool = True,
     dropout_seeds: Sequence[int] | None = None,
-    grads: dict[str, np.ndarray] | Sequence[dict] | None = None,
-) -> tuple[list[float], dict[str, np.ndarray] | Sequence[dict]]:
+) -> tuple[list[float], Sequence[dict]]:
     """Forward, each example's head step (`example_loss_and_grads`), then
     backward, for a pack of examples that keeps every row; `dropout_seeds`
     holds one seed per example. Each example's gradients are added into its
-    gradient sink (see `encoder.backward`): `grads` is one sink that every
-    example adds into (views keyed like `model.params`, e.g. from
-    `model.zero_grads()`), zeroed ones when None, or a sequence of one sink
-    per example. Examples add one at a time in pack order, with the bits
-    their gradients have in a pack of their own. Returns (each example's
-    loss, grads)."""
-    if grads is None:
-        grads = model.zero_grads()[1]
-    sinks = [grads] * len(pack) if isinstance(grads, dict) else grads
+    gradient sink of `sinks`, one per example (see `encoder.backward`; views
+    keyed like `model.params`, e.g. from `model.zero_grads()`, which
+    several examples may share). Examples add one at a time in pack order,
+    with the bits their gradients have in a pack of their own. Returns (each
+    example's loss, sinks)."""
     hidden, tape = encoder.forward(
         model.params, model.encoder_cfg, pack, None, train_mode, dropout_seeds
     )
@@ -236,8 +234,7 @@ def pack_loss_and_grads(
         ctx = slice(rows.start + ex.context_range[0], rows.start + ex.context_range[1] + 1)
         loss, grad_h[ctx] = example_loss_and_grads(model, ex, hidden[ctx], sink)
         losses.append(loss)
-    encoder.backward(model.params, model.encoder_cfg, tape, grad_h, sinks)
-    return losses, grads
+    return losses, encoder.backward(model.params, model.encoder_cfg, tape, grad_h, sinks)
 
 
 def example_loss_and_grads(
@@ -286,41 +283,49 @@ def predict_examples(model: ModelState, examples: Sequence[MrcExample]) -> list[
     With at least 2 * MIN_WORKER_EXAMPLES examples where `fork_cpus`
     reports two CPUs or more, this process forks one `Helper`, which
     inherits the model and the sequence (which may build each example when
-    it is indexed). The two processes then take the examples' `_Chunks`,
-    this one from the front and the helper from the back, and run
-    `predict_in_process` on each; the helper sends back only spans.
-    Elsewhere this process predicts them all. The error raised is the one
-    one process raises, the first in input order: this process's own once
-    the helper has stopped, else the helper's, as itself; a helper that dies
-    is a HelperError. No helper outlives the call.
+    it is indexed), and the two processes `share` the examples' `_Chunks`.
+    Elsewhere this process predicts them all. No helper outlives the call.
     """
     if len(examples) < 2 * MIN_WORKER_EXAMPLES or fork_cpus() < 2:
         return predict_in_process(model, examples)
     chunks = _Chunks(model, examples)
     helper = Helper(chunks)
     try:
-        helper.call("predict", False)
-        done = chunks.predict(True)
-        done.update(helper.result())
+        return chunks.share(helper)
     finally:
-        chunks.left[0] = chunks.left[1]  # after an error here, the helper takes no more
         helper.close()
-    return [spans for i in sorted(done) for spans in done[i]]
 
 
 class _Chunks:
-    """The examples in contiguous chunks of CHUNK_EXAMPLES, which the two
-    processes of `predict_examples` take one at a time, the first from the
-    front and the helper from the back, until none is left. `left` holds
-    the index of the first chunk left and one past the last, in an
-    anonymous shared mapping made before the fork. Each process moves only
-    its own end, so they need no lock: where the ends meet, both processes
-    may take the same chunk, and both get the same spans for it."""
+    """The examples in contiguous chunks of CHUNK_EXAMPLES, which two
+    processes take one at a time (`share`), the first from the front and
+    the helper from the back, until none is left. `left` holds the index of
+    the first chunk left and one past the last, in shared memory made
+    before the fork. Each process moves only its own end, so they need no
+    lock: where the ends meet, both processes may take the same chunk, and
+    both get the same spans for it."""
 
     def __init__(self, model: ModelState, examples: Sequence[MrcExample]):
         self.model, self.examples = model, examples
-        self.left = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)
-        self.left[1] = -(-len(examples) // CHUNK_EXAMPLES)
+        self.left = shared_zeros(2, np.int64)
+
+    def share(self, helper: Helper) -> list[list[EntitySpan]]:
+        """The spans of every example, in input order, predicted by this
+        process and `helper`, whose target's `predict(front)` calls this
+        object's. It first resets `left` to every chunk, so one helper may
+        share the examples on every call. The error raised is the one one
+        process raises, the first in input order: this process's own, after
+        which the helper takes no more chunks (its reply is left unread, so
+        close it), else the helper's, as itself; a helper that dies is a
+        HelperError."""
+        self.left[:] = 0, -(-len(self.examples) // CHUNK_EXAMPLES)
+        try:
+            helper.call("predict", False)
+            done = self.predict(True)
+            done.update(helper.result())
+        finally:
+            self.left[0] = self.left[1]  # after an error here, the helper takes no more
+        return [spans for i in sorted(done) for spans in done[i]]
 
     def predict(self, front: bool) -> dict[int, list[list[EntitySpan]]]:
         """The spans of each chunk this process takes from the front (or
@@ -332,6 +337,12 @@ class _Chunks:
             rows = range(len(self.examples))[i * CHUNK_EXAMPLES : (i + 1) * CHUNK_EXAMPLES]
             done[i] = predict_in_process(self.model, (self.examples[j] for j in rows))
         return done
+
+
+def shared_zeros(size: int, dtype=np.float64) -> np.ndarray:
+    """`size` zeros of `dtype` over an anonymous shared mapping, which a
+    process forked from this one shares instead of copying."""
+    return np.frombuffer(mmap.mmap(-1, size * np.dtype(dtype).itemsize), dtype, size)
 
 
 class HelperError(RuntimeError):

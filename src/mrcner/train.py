@@ -29,18 +29,18 @@ that part, block by block. Every tensor receives exactly one addition per
 example and 0 + g = g, so the sum, and every parameter, has the bits it has
 on one CPU. Losses are checked in batch order, so the first non-finite one
 reported is the one one CPU reports, and an error the helper raises is
-raised here as itself. Each epoch's dev evaluation is cut the same way:
-the helper predicts the trailing dev examples and this process the rest.
-The helper exits when `train` returns or raises, and is reaped; a helper
-that dies is a `model.HelperError` naming its exit status. Elsewhere the same
-steps run in this process alone.
+raised here as itself. Each epoch's dev evaluation shares the dev examples
+with the helper as `predict` does: the two processes take their chunks
+(`model._Chunks`) one at a time, this one from the front and the helper
+from the back. The helper exits when `train` returns or raises, and is
+reaped; a helper that dies is a `model.HelperError` naming its exit status.
+Elsewhere the same steps run in this process alone.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import mmap
 import time
 from collections import Counter
 from dataclasses import dataclass, field, asdict
@@ -60,15 +60,14 @@ log = logging.getLogger(__name__)
 
 # The cost, in microseconds, of training an example of n real rows: fixed +
 # per_row * n + per_row_squared * n * n (`_example_cost`). Where a helper
-# process trains, each batch, and each epoch's dev examples, are cut where
-# the two processes' costs, weighed by their measured speeds (`_Steps.ratio`),
-# come out even; the cut changes which process handles an example, never
-# what it computes. Fitted on a 2-vCPU x86-64 host with one BLAS thread,
-# training the default model (2 layers, width 64, feed-forward 256) on
-# examples of 8 to 128 rows in packs of up to 8. Cutting at half the cost,
-# this process waited 0.1-0.34 s of a 2.6-2.9 s train-mrc `train` for the
-# helper's examples: a batch splits only between whole examples, and the
-# two CPUs ran at different speeds.
+# process trains, each batch is cut where the two processes' costs, weighed
+# by their measured speeds (`_Steps.ratio`), come out even; the cut changes
+# which process trains an example, never what it computes. Fitted on a
+# 2-vCPU x86-64 host with one BLAS thread, training the default model (2
+# layers, width 64, feed-forward 256) on examples of 8 to 128 rows in packs
+# of up to 8. Cutting at half the cost, this process waited 0.1-0.34 s of a
+# 2.6-2.9 s train-mrc `train` for the helper's examples: a batch splits only
+# between whole examples, and the two CPUs ran at different speeds.
 SPLIT_COST = (750.0, 26.0, 0.35)
 
 # Most examples of a batch the helper trains. Each takes a gradient slot
@@ -323,27 +322,14 @@ def evaluate_model(model: ModelState, examples: Sequence[MrcExample],
     """Entity-level scores of the model's predictions on `examples` against
     `gold`, made by `model.predict_in_process` in this process, or, given
     `train`'s helper, whose steps hold `examples` as their dev examples, in
-    both processes: the helper predicts a trailing part, cut as a batch is
-    (`_lead_count` over the steps' `dev_costs`), while this process
-    predicts the rest. An example's spans do not depend on the examples
-    packed with it, so the report is the one this process gives alone."""
-    cut = len(examples)
-    if helper is not None:
-        cut = _lead_count(helper.target.dev_costs, helper.target.ratio, min(1, cut))
-        if cut < len(examples):
-            helper.call("predict", cut)
-    spans = model_mod.predict_in_process(model, examples[:cut])
-    if cut < len(examples):
-        spans += helper.result()
+    both processes: they share the steps' chunks of them (`_Chunks.share`).
+    An example's spans do not depend on the examples packed with it, so the
+    report is the one this process gives alone."""
+    spans = (model_mod.predict_in_process(model, examples) if helper is None
+             else helper.target.dev.share(helper))
     predicted = {ex.origin: [(s.start, s.end) for s in example_spans]
                  for ex, example_spans in zip(examples, spans)}
     return score(gold, predicted)
-
-
-def _shared_zeros(size: int) -> np.ndarray:
-    """A zeroed float64 vector over an anonymous shared mapping, which a
-    process forked from this one shares instead of copying."""
-    return np.frombuffer(mmap.mmap(-1, 8 * size), count=size)
 
 
 def _example_cost(n: int) -> float:
@@ -353,23 +339,6 @@ def _example_cost(n: int) -> float:
     return fixed + per_row * n + per_row_squared * n * n
 
 
-def _lead_count(costs: list[float], ratio: float, least: int) -> int:
-    """How many leading items of `costs`, at least `least`, this process
-    takes so that the larger of the two processes' estimated times is
-    least (the fewest such items): the sum of its items' costs, and `ratio`
-    times the sum of the rest's, `ratio` being the helper's seconds per unit
-    of cost over this process's."""
-    total = sum(costs)
-    done = sum(costs[:least])
-    best, lead = max(done, ratio * (total - done)), least
-    for i in range(least, len(costs)):
-        done += costs[i]
-        estimate = max(done, ratio * (total - done))
-        if estimate < best:
-            best, lead = estimate, i + 1
-    return lead
-
-
 class _Steps:
     """Training steps over state in anonymous shared mappings, so that a
     helper forked from this process (`model.Helper`) shares it: the model's
@@ -377,9 +346,10 @@ class _Steps:
     tail example. A slot holds every tensor but `tok_emb`, which leads the
     store (`encoder.param_shapes`), so the slots cover `grad_flat[rest:]`.
     The gradient vector and the slots are zero between steps: `finish`
-    zeroes what it has added and stepped. `dev` holds the dev examples,
-    which the helper predicts a part of (`predict`); `costs` and
-    `dev_costs` hold each training and dev example's `_example_cost`.
+    zeroes what it has added and stepped. `dev` holds the dev examples'
+    `model._Chunks`, whose counter is made before the fork too, so the two
+    processes share them (`predict`); `costs` holds each training example's
+    `_example_cost`.
 
     `ratio` estimates the helper's seconds per unit of `_example_cost` over
     this process's: an exponential average, weighted SPEED_WEIGHT, of what
@@ -388,15 +358,15 @@ class _Steps:
 
     def __init__(self, mdl: ModelState, examples: Sequence[MrcExample], config: TrainConfig,
                  dev: Sequence[MrcExample] = ()):
-        self.mdl, self.examples, self.dev = mdl, examples, dev
+        self.mdl, self.examples = mdl, examples
+        self.dev = model_mod._Chunks(mdl, dev)
         self.ratio = 1.0
         self.costs = [_example_cost(len(ex.input_ids)) for ex in examples]
-        self.dev_costs = [_example_cost(len(ex.input_ids)) for ex in dev]
-        self.grad_flat, self.grads = mdl.zero_grads(_shared_zeros)
-        self.optimizer = Adam(mdl.flat.size, config, _shared_zeros)
+        self.grad_flat, self.grads = mdl.zero_grads(model_mod.shared_zeros)
+        self.optimizer = Adam(mdl.flat.size, config, model_mod.shared_zeros)
         self.rest = self.grads["tok_emb"].size
         shapes = {name: g.shape for name, g in self.grads.items() if name != "tok_emb"}
-        self.slots = [model_mod.flat_store(shapes, _shared_zeros)
+        self.slots = [model_mod.flat_store(shapes, model_mod.shared_zeros)
                       for _ in range(min(config.batch_size, len(examples), MAX_SLOTS + 1) - 1)]
 
     def step(self, epoch: int, batch: list[int], seeds: list[int],
@@ -435,12 +405,20 @@ class _Steps:
         return losses + tail_losses
 
     def lead_count(self, batch: list[int]) -> int:
-        """How many leading examples of `batch` this process trains: the
-        prefix that evens out the two processes' estimated seconds
-        (`_lead_count` at `ratio`), of at least one example, and of all but
-        MAX_SLOTS at most."""
-        return _lead_count([self.costs[j] for j in batch], self.ratio,
-                           max(1, len(batch) - len(self.slots)))
+        """How many leading examples of `batch` this process trains, at
+        least one and all but MAX_SLOTS at most: the fewest that make the
+        larger of the two processes' estimated times least, the sum of this
+        process's examples' costs and `ratio` times the sum of the rest's."""
+        costs = [self.costs[j] for j in batch]
+        least = max(1, len(batch) - len(self.slots))
+        total, done = sum(costs), sum(costs[:least])
+        best, lead = max(done, self.ratio * (total - done)), least
+        for i in range(least, len(costs)):
+            done += costs[i]
+            estimate = max(done, self.ratio * (total - done))
+            if estimate < best:
+                best, lead = estimate, i + 1
+        return lead
 
     def run(self, epoch: int, indexes: list[int], seeds: list[int], sinks: list) -> list[float]:
         """Each example's loss, in order, after adding its gradients into its
@@ -450,7 +428,7 @@ class _Steps:
         for pack in model_mod.packs(examples):
             done = slice(len(losses), len(losses) + len(pack))
             pack_losses, _ = model_mod.pack_loss_and_grads(
-                self.mdl, pack, True, seeds[done], sinks[done])
+                self.mdl, pack, sinks[done], True, seeds[done])
             for ex, loss in zip(pack, pack_losses):
                 if not np.isfinite(loss):
                     raise TrainingError(f"non-finite loss at epoch {epoch}, example "
@@ -467,9 +445,10 @@ class _Steps:
         losses = self.run(epoch, indexes, seeds, sinks)
         return losses, [sink["tok_emb"] for sink in sinks], time.perf_counter() - started
 
-    def predict(self, start: int) -> list:
-        """The spans of the dev examples from `start` on, in order."""
-        return model_mod.predict_in_process(self.mdl, self.dev[start:])
+    def predict(self, front: bool) -> dict:
+        """The spans of each chunk of dev examples this process takes
+        (`model._Chunks.predict`)."""
+        return self.dev.predict(front)
 
     def cut(self, n_slots: int) -> int:
         """Where this process's part of the vector ends when `n_slots` slots
@@ -524,7 +503,7 @@ def train(
 
     mdl = model_mod.new_model(config.mode, config.model_head_variant(),
                               config.encoder_config(vocab.size), seq_cfg, vocab, config.seed,
-                              _shared_zeros)
+                              model_mod.shared_zeros)
     steps = _Steps(mdl, train_examples, config, dev_examples)
 
     hashes = dataset_hashes or {}

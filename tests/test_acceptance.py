@@ -93,10 +93,12 @@ def test_03_model_gradients_match_finite_differences():
             mdl = model_mod.new_model("mrc", variant, cfg, SeqConfig(24), vocab, seed=3)
 
             def scalar_loss():
-                (loss,), _ = model_mod.pack_loss_and_grads(mdl, [example], train_mode=False)
+                (loss,), _ = model_mod.pack_loss_and_grads(mdl, [example], [mdl.zero_grads()[1]],
+                                                            train_mode=False)
                 return loss
 
-            _, grads = model_mod.pack_loss_and_grads(mdl, [example], train_mode=False)
+            _, (grads,) = model_mod.pack_loss_and_grads(mdl, [example], [mdl.zero_grads()[1]],
+                                                         train_mode=False)
             fd_rng = np.random.default_rng(29)
             for name, arr in mdl.params.items():
                 flat = arr.reshape(-1)

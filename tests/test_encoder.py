@@ -165,8 +165,8 @@ class TestForward:
         h1, t1 = forward(params, cfg, [example], train_mode=True, dropout_seeds=[77])
         h2, t2 = forward(params, cfg, [example], train_mode=True, dropout_seeds=[77])
         assert np.array_equal(h1, h2)
-        g1 = backward(params, cfg, t1, np.ones_like(h1), zero_grads(params))
-        g2 = backward(params, cfg, t2, np.ones_like(h2), zero_grads(params))
+        (g1,) = backward(params, cfg, t1, np.ones_like(h1), [zero_grads(params)])
+        (g2,) = backward(params, cfg, t2, np.ones_like(h2), [zero_grads(params)])
         for name in g1:
             assert np.array_equal(g1[name], g2[name])
 
@@ -185,7 +185,7 @@ class TestBackward:
         params = init_params(cfg, seed=5)
         example = build_example()
         hidden, tape = forward(params, cfg, [example])
-        grads = backward(params, cfg, tape, np.zeros_like(hidden), zero_grads(params))
+        (grads,) = backward(params, cfg, tape, np.zeros_like(hidden), [zero_grads(params)])
         for name, g in grads.items():
             assert not g.any(), name
 
@@ -201,7 +201,7 @@ class TestBackward:
             return float((hidden * weights).sum())
 
         hidden, tape = forward(params, cfg, [example])
-        grads = backward(params, cfg, tape, weights, zero_grads(params))
+        (grads,) = backward(params, cfg, tape, weights, [zero_grads(params)])
 
         for name, arr in params.items():
             flat = arr.reshape(-1)
@@ -227,7 +227,7 @@ class TestBackward:
         example = build_example()
         _, tape = forward(params, cfg, [example])
         with pytest.raises(EncoderError):
-            backward(params, cfg, tape, np.zeros((4, cfg.model_dim + 1)), zero_grads(params))
+            backward(params, cfg, tape, np.zeros((4, cfg.model_dim + 1)), [zero_grads(params)])
 
     def test_backward_adds_into_given_buffers(self):
         cfg = tiny_config()
@@ -235,7 +235,7 @@ class TestBackward:
         example = build_example(n_ctx=10)  # the query repeats context words w0 and w1
         hidden, tape = forward(params, cfg, [example])
         upstream = np.random.default_rng(8).normal(size=hidden.shape)
-        fresh = backward(params, cfg, tape, upstream, zero_grads(params))
+        (fresh,) = backward(params, cfg, tape, upstream, [zero_grads(params)])
 
         n = hidden.shape[0]
         ids = example.input_ids[:n]
@@ -246,7 +246,8 @@ class TestBackward:
         # -0.0 + 0.0 is +0.0, so adding a dense zero row would show in the bytes.
         before["tok_emb"][absent] = -0.0
         buffers = {name: arr.copy() for name, arr in before.items()}
-        assert backward(params, cfg, tape, upstream, buffers) is buffers
+        sinks = [buffers]
+        assert backward(params, cfg, tape, upstream, sinks) is sinks
 
         for name in params:
             assert np.array_equal(buffers[name], before[name] + fresh[name]), name

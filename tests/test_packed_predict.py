@@ -150,10 +150,12 @@ class TestPackArguments:
         for examples in ([self.ex], [self.ex, self.ex]):
             hidden, tape = self.forward(examples)
             assert tape["n"] == 9 * len(examples)
-            encoder.backward(self.mdl.params, self.mdl.encoder_cfg, tape, hidden, grads)
+            encoder.backward(self.mdl.params, self.mdl.encoder_cfg, tape, hidden,
+                             [grads] * len(examples))
         for examples, keep in (([self.ex, self.ex], [slice(0, 9), slice(1, 7)]),
                                ([self.ex], [slice(1, 7)])):
             hidden, tape = self.forward(examples, keep)
             assert tape["n"] == 9 * len(examples)
             with pytest.raises(EncoderError, match="pack that keeps every row"):
-                encoder.backward(self.mdl.params, self.mdl.encoder_cfg, tape, hidden, grads)
+                encoder.backward(self.mdl.params, self.mdl.encoder_cfg, tape, hidden,
+                                 [grads] * len(examples))

@@ -3,11 +3,12 @@
 Where `model.fork_cpus()` reports two CPUs (Linux, two usable CPUs, no
 other thread, a BLAS library's included, which `tests/conftest.py` sees to),
 `train` forks one helper per call. The helper trains each batch's trailing
-examples into gradient slots that this process adds in batch order, each
-process steps a part of Adam's vector, block by block, and the helper
-predicts the trailing part of each epoch's dev examples. Batches and dev
-examples are cut by cost, weighed by the two processes' measured speeds.
-These tests train with the helper and again pinned to one CPU, where none
+examples into gradient slots that this process adds in batch order, and
+each process steps a part of Adam's vector, block by block. Batches are cut
+by cost, weighed by the two processes' measured speeds. Each epoch's dev
+examples are shared as `predict` shares its input: the two processes take
+chunks of them (`model._Chunks`), this one from the front and the helper
+from the back. These tests train with the helper and again pinned to one CPU, where none
 is forked, and require the same checkpoint and manifest bytes, at any speed
 ratio, the same error for an example the helper trains or predicts, and no
 process left behind however `train` ends.
@@ -18,6 +19,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
@@ -184,14 +186,15 @@ def test_an_example_longer_than_a_pack_trains_as_on_one_cpu(tmp_path, helpers_fo
 @pytest.mark.parametrize("n_dev", [0, 1, 2, 7])
 @pytest.mark.parametrize("mode", ["mrc", "bio-baseline"])
 def test_dev_evaluation_with_the_helper_matches_one_cpu(mode, n_dev, tmp_path, pinned_ratio,
-                                                        helper_calls):
+                                                        helper_calls, monkeypatch):
     pinned_ratio(1.0)
+    monkeypatch.setattr(model_mod, "CHUNK_EXAMPLES", 1)  # a chunk per dev example
     config = train_mod.TrainConfig(seq_len=32, mode=mode, **TINY)
     train_triples = triples_of(mode, [5, 9, 4, 12, 6, 8, 10, 7, 3, 11])
     dev_triples = triples_of(mode, [8, 14, 5, 20, 3, 9, 11][:n_dev], seed=1)
     forked = trained_bytes(config, train_triples, dev_triples, tmp_path)
-    # Each of the two epochs' dev evaluations splits two or more examples.
-    assert helper_calls.count("predict") == (2 if n_dev >= 2 else 0)
+    # Each of the two epochs' dev evaluations shares its examples' chunks.
+    assert helper_calls.count("predict") == (2 if n_dev else 0)
     alone = on_one_cpu(lambda: trained_bytes(config, train_triples, dev_triples, tmp_path))
     assert forked == alone
 
@@ -204,9 +207,10 @@ def test_a_pinned_speed_ratio_trains_as_on_one_cpu(ratio, tmp_path, pinned_ratio
     train_triples = triples_of(config.mode, [5, 9, 4, 12, 6, 8, 10, 7, 3, 11])
     dev_triples = triples_of(config.mode, [8, 14, 5, 20, 3], seed=1)
     forked = trained_bytes(config, train_triples, dev_triples, tmp_path)
-    # A slow helper gets nothing; a fast one all but the first example.
+    # A slow helper gets no training example; a fast one all but the first.
+    # Dev examples are shared in chunks at any ratio.
     assert leads and all(lead == (n if ratio > 1 else 1) for n, lead in leads)
-    assert helper_calls.count("predict") == (0 if ratio > 1 else 2)
+    assert helper_calls.count("predict") == 2
     alone = on_one_cpu(lambda: trained_bytes(config, train_triples, dev_triples, tmp_path))
     assert forked == alone
 
@@ -260,17 +264,23 @@ def test_an_error_is_raised_as_on_one_cpu(monkeypatch, tmp_path, helpers_forked,
 def test_an_error_predicting_the_helpers_dev_part_is_raised_as_on_one_cpu(
         monkeypatch, tmp_path, pinned_ratio, helper_calls):
     pinned_ratio(1.0)
+    monkeypatch.setattr(model_mod, "CHUNK_EXAMPLES", 1)  # a chunk per dev example
     config = train_mod.TrainConfig(seq_len=32, **TINY)
     train_triples = triples_of(config.mode, [5, 9, 4, 12, 6, 8, 10, 7, 3, 11])
     dev_triples = triples_of(config.mode, [8, 14, 5, 20, 3], seed=1)
     last = dev_triples[-1]
     pid_file = tmp_path / "pid"
-    decode = model_mod.predict_example
+    decode, parent = model_mod.predict_example, os.getpid()
 
     def failing(model, example, h_ctx):
         if example.origin[:2] == (last.doc_id, last.sent_id):
             pid_file.write_text(str(os.getpid()))
             raise ValueError(f"cannot decode {example.origin}")
+        # The helper takes the last chunk first; this process waits for it
+        # there, so that it cannot reach that chunk first.
+        waited = time.monotonic()
+        while os.getpid() == parent and not pid_file.exists() and time.monotonic() - waited < 10:
+            time.sleep(0.001)
         return decode(model, example, h_ctx)
 
     monkeypatch.setattr(model_mod, "predict_example", failing)
@@ -411,7 +421,7 @@ def test_a_blocked_finish_has_the_bits_of_an_unblocked_one(monkeypatch, part):
         monkeypatch.setattr(train_mod, "STEP_BLOCK", block)
         mdl = model_mod.new_model(config.mode, config.model_head_variant(),
                                   config.encoder_config(VOCAB.size), config.seq_config(), VOCAB,
-                                  config.seed, train_mod._shared_zeros)
+                                  config.seed, model_mod.shared_zeros)
         steps = train_mod._Steps(mdl, examples, config)
         size, rest = steps.grad_flat.size, steps.rest
         cut = {"across tok_emb's end": slice(rest - 100, None),

@@ -9,12 +9,16 @@ helper may outlive the command, an error must be the one one process
 raises, a helper's death must fail the command instead of hanging it, and
 small inputs, one-CPU or non-Linux machines and threaded callers must not
 fork at all. Train's dev evaluation forks no helper of its own: it shares
-train's.
+its dev examples' chunks the same way with train's helper, once per epoch,
+so `_Chunks.share` resets its chunk counter on each call. Only `model`
+forks and maps shared memory.
 """
 
+import ast
 import json
 import os
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,8 @@ from mrcner.encoder import EncoderError
 from mrcner.mrc_data import example_from_triple, read_triples, write_triples
 from mrcner.train import _Steps
 from helpers import HEADS, corpus_to_conll, make_separable_corpus, tiny_model, triple
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mrcner"
 
 TINY = ["--seq-len", 48, "--layers", 1, "--model-dim", 8, "--heads", 2, "--ffn-dim", 16,
         "--learning-rate", 1e-2, "--seed", 5]
@@ -298,3 +304,33 @@ def test_predict_examples_on_two_cpus_equals_one_process(head, size, seed):
             mdl, examples)
     assert len(forked) == (size >= 2 * MIN)
     assert_no_child_process()
+
+
+def test_one_helper_shares_the_chunks_on_every_call():
+    mdl = tiny_model("mrc", "conditioned", seq_len=24)
+    rng = np.random.default_rng(0)
+    examples = [example_from_triple(triple(int(n), "w1 w2", i, rng), mdl.vocab, mdl.seq_cfg)
+                for i, n in enumerate(rng.integers(1, 20, 3 * CHUNK + 1))]
+    chunks = model_mod._Chunks(mdl, examples)
+    helper = model_mod.Helper(chunks)
+    try:
+        for _ in range(2):
+            assert chunks.share(helper) == model_mod.predict_in_process(mdl, examples)
+    finally:
+        helper.close()
+    assert_no_child_process()
+
+
+def test_only_model_forks_or_maps_shared_memory():
+    """One fork mechanism and one shared-memory allocator: no module but
+    `model` imports `mmap` or `multiprocessing`, or calls `os.fork`."""
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import) else
+                     [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            forks = (isinstance(node, ast.Attribute) and node.attr == "fork"
+                     and isinstance(node.value, ast.Name) and node.value.id == "os")
+            if forks or any(n.split(".")[0] in ("mmap", "multiprocessing") for n in names):
+                users.add(path.name)
+    assert users == {"model.py"}

@@ -181,7 +181,6 @@ def forward(
     cfg: EncoderConfig,
     examples,
     keep=None,
-    train_mode: bool = False,
     dropout_seeds=None,
 ) -> tuple[np.ndarray, dict[str, Any]]:
     """Run the encoder on a pack of examples; returns (H, tape).
@@ -199,7 +198,8 @@ def forward(
     holds at least two rows (numpy sends a one-row matmul to gemv, which
     may round differently).
 
-    Dropout fires only in train_mode. `dropout_seeds` holds one seed per
+    Dropout fires when `dropout_seeds` is given and cfg.dropout > 0, only
+    on a pack that keeps every row. `dropout_seeds` holds one seed per
     example: each example draws its masks from its own generator, in the
     order they apply (embeddings, then each layer's attention and
     feed-forward outputs), so its masks do not depend on its pack. The masks
@@ -222,6 +222,8 @@ def forward(
     rows = _row_slices(lengths)  # each example's rows in the stack
     kept_rows = None  # the stack's kept rows, when only some are kept
     if keep is not None:
+        if dropout_seeds is not None:
+            raise EncoderError("dropout seeds are for a pack that keeps every row")
         if len(keep) != len(examples):
             raise EncoderError(f"{len(keep)} kept row slices for {len(examples)} examples")
         for k, n in zip(keep, lengths):
@@ -231,7 +233,7 @@ def forward(
                                     for r, k in zip(rows, keep)])
         kept_slices = _row_slices([k.stop - k.start for k in keep])  # in the kept rows
 
-    use_dropout = train_mode and cfg.dropout > 0.0
+    use_dropout = dropout_seeds is not None and cfg.dropout > 0.0
     masks = iter(_dropout_masks(cfg, lengths, dropout_seeds) if use_dropout else ())
 
     tape: dict[str, Any] = {"n": ids.shape[0]}
@@ -275,7 +277,7 @@ def forward(
         rec["ctx"] = ctx = _stack(parts)
         o = ctx @ params[pre + "wo"] + params[pre + "bo"]
         if use_dropout:
-            rec["attn_drop"] = _kept(next(masks), kept_rows if last else None)
+            rec["attn_drop"] = next(masks)
             o = o * rec["attn_drop"]
         x = x + o
 
@@ -287,7 +289,7 @@ def forward(
         rec["g"] = g
         f2 = g @ params[pre + "ffn_w2"] + params[pre + "ffn_b2"]
         if use_dropout:
-            rec["ffn_drop"] = _kept(next(masks), kept_rows if last else None)
+            rec["ffn_drop"] = next(masks)
             f2 = f2 * rec["ffn_drop"]
         x = x + f2
 
@@ -307,9 +309,7 @@ def forward(
 def _dropout_masks(cfg: EncoderConfig, lengths: list[int], seeds) -> list[np.ndarray]:
     """The pack's dropout masks in the order forward applies them, each
     stacking every example's rows. Each example draws its own from
-    `default_rng(seed)`; no seeds draw every example's from fresh entropy."""
-    if seeds is None:
-        seeds = [None] * len(lengths)
+    `default_rng(seed)`."""
     if len(seeds) != len(lengths):
         raise EncoderError(f"{len(seeds)} dropout seeds for {len(lengths)} examples")
     keep_p = 1.0 - cfg.dropout
@@ -319,10 +319,6 @@ def _dropout_masks(cfg: EncoderConfig, lengths: list[int], seeds) -> list[np.nda
         per_example.append([(rng.random((n, cfg.model_dim)) < keep_p).astype(np.float64) / keep_p
                             for _ in range(1 + 2 * cfg.layers)])
     return [_stack(list(use)) for use in zip(*per_example)]
-
-
-def _kept(mask: np.ndarray, kept_rows) -> np.ndarray:
-    return mask if kept_rows is None else mask[kept_rows]
 
 
 def backward(

@@ -36,6 +36,7 @@ class SpanHeadParams:
     variant: str
 
     mode = "mrc"
+    default_variant = CONDITIONED
 
     @staticmethod
     def shapes(model_dim: int, variant: str | None) -> dict[str, tuple[int, ...]]:

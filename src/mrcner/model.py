@@ -2,7 +2,8 @@
 
 The task head is looked up by mode in HEADS: `heads.SpanHeadParams` ("mrc")
 or `baseline.BioHeadParams` ("bio-baseline"). Both implement one protocol of
-five members: class attribute `mode`; field `variant` (None for BIO);
+six members: class attributes `mode` and `default_variant` (the variant a
+config that names none takes); field `variant` (None for BIO);
 `shapes(model_dim, variant)`, the head's tensor names and shapes in
 checkpoint order, which refuses a variant the head does not have;
 `loss_and_grads(h_ctx, example)` returning (loss, dh_ctx, grads by tensor
@@ -214,20 +215,17 @@ def pack_loss_and_grads(
     model: ModelState,
     pack: Sequence[MrcExample],
     sinks: Sequence[dict],
-    train_mode: bool = True,
     dropout_seeds: Sequence[int] | None = None,
 ) -> tuple[list[float], Sequence[dict]]:
     """Forward, each example's head step (`example_loss_and_grads`), then
     backward, for a pack of examples that keeps every row; `dropout_seeds`
-    holds one seed per example. Each example's gradients are added into its
-    gradient sink of `sinks`, one per example (see `encoder.backward`; views
-    keyed like `model.params`, e.g. from `model.zero_grads()`, which
-    several examples may share). Examples add one at a time in pack order,
+    holds one seed per example, and without them no dropout fires. Each
+    example's gradients are added into its gradient sink of `sinks`, one per
+    example (see `encoder.backward`; views keyed like `model.params`, e.g.
+    from `model.zero_grads()`, which several examples may share). Examples add one at a time in pack order,
     with the bits their gradients have in a pack of their own. Returns (each
     example's loss, sinks)."""
-    hidden, tape = encoder.forward(
-        model.params, model.encoder_cfg, pack, None, train_mode, dropout_seeds
-    )
+    hidden, tape = encoder.forward(model.params, model.encoder_cfg, pack, None, dropout_seeds)
     grad_h = np.zeros_like(hidden)
     losses = []
     for ex, rows, sink in zip(pack, tape["rows"], sinks):

@@ -210,6 +210,8 @@ class MrcExample:
 
     y_start / y_end are indexed by context position, which by construction
     equals the sentence token index of the (possibly truncated) context.
+    They are the example's only record of its kept gold spans: the BIO
+    head's targets derive from them (`baseline.bio_targets`).
     """
 
     input_ids: np.ndarray
@@ -217,7 +219,6 @@ class MrcExample:
     context_range: tuple[int, int]
     y_start: np.ndarray
     y_end: np.ndarray
-    gold_spans: list[EntitySpan]
     origin: tuple[str, int, str]
     context_tokens: list[str]
     n_dropped_spans: int = 0
@@ -275,17 +276,12 @@ def example_from_triple(triple: Triple, vocab: Vocab, cfg: SeqConfig) -> MrcExam
     for s, e in kept:
         y_start[s] = 1
         y_end[e] = 1
-
-    gold = [
-        EntitySpan(s, e, triple.entity_type, " ".join(ctx_tokens[s : e + 1])) for s, e in kept
-    ]
     return MrcExample(
         input_ids=np.asarray(ids, dtype=np.int64),
         segment_ids=np.asarray(segments, dtype=np.int64),
         context_range=(ctx_first, ctx_first + n_ctx - 1),
         y_start=y_start,
         y_end=y_end,
-        gold_spans=gold,
         origin=(triple.doc_id, triple.sent_id, triple.entity_type),
         context_tokens=ctx_tokens,
         n_dropped_spans=dropped,

@@ -13,11 +13,11 @@ report is the manifest's final metrics.
 
 Training runs on two CPUs where `model.fork_cpus()` reports at least two:
 on Linux, while this process runs no other thread, a BLAS library's
-included. `train` then forks one helper process (`model.Helper`, which
-`predict` uses too) that runs `_Steps` methods for it and shares the
-model's store, the gradient vector and Adam's moments with it through
-anonymous shared mappings made before the fork. For each batch, this process
-trains the leading examples into the gradient vector, while the helper
+included. Given an epoch to run, `train` then forks one helper process
+(`model.Helper`, which `predict` uses too) that runs `_Steps` methods for it
+and shares the model's store, the gradient vector and Adam's moments with it
+through anonymous shared mappings made before the fork. For each batch, this
+process trains the leading examples into the gradient vector, while the helper
 trains the trailing ones, each into its own zeroed gradient slot that holds
 every tensor but the token embeddings; it sends back their losses, each
 one's token-embedding rows and the seconds it took. The batch is cut where
@@ -50,7 +50,7 @@ import numpy as np
 
 from . import model as model_mod
 from .encoder import EncoderConfig
-from .heads import CONDITIONED
+from .heads import HeadError
 from .metrics import EvalReport, score
 from .mrc_data import (MrcDataError, MrcExample, SeqConfig, Triple, Vocab, check_field,
                        example_from_triple)
@@ -111,7 +111,11 @@ class TrainingError(RuntimeError):
 class TrainConfig:
     """Desk-scale defaults; the reference hyper-parameters the protocol was
     published with (seq_len 256/512, lr 3e-5, batch 8/16 on a pretrained
-    backbone) are documented in the README and reachable via overrides."""
+    backbone) are documented in the README and reachable via overrides.
+
+    `head_variant` None takes the mode's head's `default_variant`
+    ("conditioned" for MRC, None for BIO), so the config and the model it
+    builds record the same variant."""
 
     seq_len: int = 128
     order: str = "context-first"
@@ -123,7 +127,7 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 13
-    head_variant: str = CONDITIONED
+    head_variant: str | None = None
     mode: str = MODE_MRC
     min_count: int = 1
     layers: int = 2
@@ -155,16 +159,16 @@ class TrainConfig:
                     raise TrainingError(f"config field {name} must be {rule}, got {value!r}")
         if not isinstance(self.mode, str) or self.mode not in model_mod.HEADS:
             raise TrainingError(f"unknown mode {self.mode!r}; expected one of {sorted(model_mod.HEADS)}")
-        # The manifest records head_variant as given; the BIO head has no variant,
-        # so only the default, which its manifests have always written, passes.
-        if self.mode != MODE_MRC and self.head_variant != CONDITIONED:
-            raise TrainingError(f"config field head_variant must be {CONDITIONED!r} (the default) "
-                                f"in {self.mode} mode, whose head has no variant; "
-                                f"got {self.head_variant!r}")
+        head = model_mod.HEADS[self.mode]
+        if self.head_variant is None:
+            self.head_variant = head.default_variant
         # The sequence and encoder configs and the head check their own fields.
         self.seq_config()
         self.encoder_config(1)
-        model_mod.HEADS[self.mode].shapes(self.model_dim, self.model_head_variant())
+        try:
+            head.shapes(self.model_dim, self.head_variant)
+        except HeadError as exc:
+            raise HeadError(f"config field head_variant: {exc}") from None
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
@@ -190,10 +194,6 @@ class TrainConfig:
 
     def seq_config(self) -> SeqConfig:
         return SeqConfig(self.seq_len, self.order)
-
-    def model_head_variant(self) -> str | None:
-        """`head_variant` in MRC mode; None for the BIO head, which has no variant."""
-        return self.head_variant if self.mode == MODE_MRC else None
 
 
 # The types each field takes: exactly its annotation's, plus int for a float,
@@ -428,7 +428,7 @@ class _Steps:
         for pack in model_mod.packs(examples):
             done = slice(len(losses), len(losses) + len(pack))
             pack_losses, _ = model_mod.pack_loss_and_grads(
-                self.mdl, pack, sinks[done], True, seeds[done])
+                self.mdl, pack, sinks[done], seeds[done])
             for ex, loss in zip(pack, pack_losses):
                 if not np.isfinite(loss):
                     raise TrainingError(f"non-finite loss at epoch {epoch}, example "
@@ -501,7 +501,7 @@ def train(
     # lost to truncation still count against recall.
     dev_gold = gold_span_index(dev_triples)
 
-    mdl = model_mod.new_model(config.mode, config.model_head_variant(),
+    mdl = model_mod.new_model(config.mode, config.head_variant,
                               config.encoder_config(vocab.size), seq_cfg, vocab, config.seed,
                               model_mod.shared_zeros)
     steps = _Steps(mdl, train_examples, config, dev_examples)
@@ -537,7 +537,7 @@ def train(
         manifest.best_epoch = 0
 
     try:
-        if model_mod.fork_cpus() > 1:
+        if config.epochs and model_mod.fork_cpus() > 1:
             helper = model_mod.Helper(steps)
         for epoch in range(config.epochs):
             order = shuffle_rng.permutation(len(train_examples))

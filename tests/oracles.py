@@ -108,7 +108,7 @@ def dense_reference_training(mdl, batches, cfg):
     for step, batch in enumerate(batches, start=1):
         summed = None
         for example, seed in batch:
-            _, (grads,) = model_mod.pack_loss_and_grads(mdl, [example], [mdl.zero_grads()[1]], True,
+            _, (grads,) = model_mod.pack_loss_and_grads(mdl, [example], [mdl.zero_grads()[1]],
                                                          [seed])
             if summed is None:
                 summed = grads

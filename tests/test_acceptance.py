@@ -13,7 +13,7 @@ import pytest
 
 from mrcner import model as model_mod
 from mrcner.cli import main as cli_main
-from mrcner.corpus import bio_to_spans, spans_to_bio
+from mrcner.corpus import EntitySpan, bio_to_spans, spans_to_bio
 from mrcner.decode import IndexSets, decode_example, nearest_match
 from mrcner.encoder import EncoderConfig
 from mrcner.heads import SpanLogits, span_loss
@@ -93,12 +93,10 @@ def test_03_model_gradients_match_finite_differences():
             mdl = model_mod.new_model("mrc", variant, cfg, SeqConfig(24), vocab, seed=3)
 
             def scalar_loss():
-                (loss,), _ = model_mod.pack_loss_and_grads(mdl, [example], [mdl.zero_grads()[1]],
-                                                            train_mode=False)
+                (loss,), _ = model_mod.pack_loss_and_grads(mdl, [example], [mdl.zero_grads()[1]])
                 return loss
 
-            _, (grads,) = model_mod.pack_loss_and_grads(mdl, [example], [mdl.zero_grads()[1]],
-                                                         train_mode=False)
+            _, (grads,) = model_mod.pack_loss_and_grads(mdl, [example], [mdl.zero_grads()[1]])
             fd_rng = np.random.default_rng(29)
             for name, arr in mdl.params.items():
                 flat = arr.reshape(-1)
@@ -148,7 +146,8 @@ def test_05_gold_target_decode_identity():
             l_start = np.where(example.y_start[:, None] == 1, (-9.0, 9.0), (9.0, -9.0))
             l_end = np.where(example.y_end[:, None] == 1, (-9.0, 9.0), (9.0, -9.0))
             decoded = decode_example(example, SpanLogits(l_start, l_end))
-            assert decoded == example.gold_spans
+            assert decoded == [EntitySpan(s, e, "CHEMICAL", " ".join(tokens[s : e + 1]))
+                               for s, e in answers]
             assert [(s.start, s.end) for s in decoded] == answers
 
 

@@ -125,4 +125,5 @@ class TestDecodeExample:
             )
             decoded = decode_example(example, logits)
             assert [(s.start, s.end) for s in decoded] == answers
-            assert decoded == example.gold_spans
+            assert decoded == [EntitySpan(s, e, "CHEMICAL", " ".join(tokens[s : e + 1]))
+                               for s, e in answers]

@@ -162,21 +162,30 @@ class TestForward:
         cfg = tiny_config(dropout=0.2)
         params = init_params(cfg, seed=3)
         example = build_example()
-        h1, t1 = forward(params, cfg, [example], train_mode=True, dropout_seeds=[77])
-        h2, t2 = forward(params, cfg, [example], train_mode=True, dropout_seeds=[77])
+        h1, t1 = forward(params, cfg, [example], dropout_seeds=[77])
+        h2, t2 = forward(params, cfg, [example], dropout_seeds=[77])
         assert np.array_equal(h1, h2)
         (g1,) = backward(params, cfg, t1, np.ones_like(h1), [zero_grads(params)])
         (g2,) = backward(params, cfg, t2, np.ones_like(h2), [zero_grads(params)])
         for name in g1:
             assert np.array_equal(g1[name], g2[name])
 
-    def test_dropout_off_in_eval_mode(self):
+    def test_dropout_fires_only_given_seeds(self):
         cfg = tiny_config(dropout=0.5)
         params = init_params(cfg, seed=3)
         example = build_example()
-        h1, _ = forward(params, cfg, [example], train_mode=False, dropout_seeds=[1])
-        h2, _ = forward(params, cfg, [example], train_mode=False, dropout_seeds=[2])
-        assert np.array_equal(h1, h2)
+        h1, _ = forward(params, cfg, [example], dropout_seeds=[1])
+        h2, _ = forward(params, cfg, [example], dropout_seeds=[2])
+        assert not np.array_equal(h1, h2)
+        unseeded, tape = forward(params, cfg, [example])
+        without, _ = forward(params, tiny_config(dropout=0.0), [example])
+        assert np.array_equal(unseeded, without) and not tape["dropout"]
+
+    def test_dropout_seeds_are_refused_with_kept_rows(self):
+        cfg = tiny_config(dropout=0.5)
+        example = build_example()
+        with pytest.raises(EncoderError, match="dropout seeds"):
+            forward(init_params(cfg, seed=3), cfg, [example], [slice(0, 2)], [1])
 
 
 class TestBackward:

@@ -76,7 +76,7 @@ class TestMakeExample:
         assert list(ex.segment_ids) == [0] * 8 + [1] * 7
         assert list(ex.y_start) == [1, 0, 0, 0, 0, 0]
         assert list(ex.y_start) == list(ex.y_end)
-        assert ex.gold_spans == [EntitySpan(0, 0, "CHEMICAL", "Meloxicam")]
+        assert ex.origin == (meloxicam_sentence.doc_id, meloxicam_sentence.sent_id, "CHEMICAL")
 
     def test_no_entities_means_zero_targets(self):
         sent = parse_conll(["liver\tO", "toxicity\tO"])[0]
@@ -90,7 +90,7 @@ class TestMakeExample:
         ex = example_from_triple(triple, Vocab(["[PAD]", "[UNK]", "[CLS]", "[SEP]"]), SeqConfig(32))
         assert list(np.flatnonzero(ex.y_start)) == [2, 7]
         assert list(np.flatnonzero(ex.y_end)) == [4, 9]
-        assert int(ex.y_start.sum()) == int(ex.y_end.sum()) == len(ex.gold_spans)
+        assert int(ex.y_start.sum()) == int(ex.y_end.sum()) == 2
 
     def test_no_padding_rows(self, meloxicam_sentence):
         triple = triple_from_sentence(meloxicam_sentence, chem_query())
@@ -107,7 +107,7 @@ class TestMakeExample:
         ex = example_from_triple(triple, Vocab(["[PAD]", "[UNK]", "[CLS]", "[SEP]"]), SeqConfig(13))
         assert ex.n_context == 9
         assert ex.n_dropped_spans == 2  # (8,12) straddles the cut, (15,15) is past it
-        assert [(s.start, s.end) for s in ex.gold_spans] == [(0, 1)]
+        assert list(np.flatnonzero(ex.y_start)) == [0] and list(np.flatnonzero(ex.y_end)) == [1]
 
     def test_query_longer_than_budget_raises(self):
         triple = Triple(["a"], " ".join(["q"] * 30), [], "C", "d", 0)

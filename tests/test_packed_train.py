@@ -31,7 +31,7 @@ def train_in_packs(mdl, packs, seeds):
     losses, done = [], 0
     for pack in packs:
         pack_losses, _ = model_mod.pack_loss_and_grads(
-            mdl, pack, [grads] * len(pack), True, seeds[done : done + len(pack)])
+            mdl, pack, [grads] * len(pack), seeds[done : done + len(pack)])
         losses += pack_losses
         done += len(pack)
     return np.array(losses), flat

@@ -387,9 +387,21 @@ def test_one_cpu_forks_no_helper(helpers_forked):
     assert helpers_forked == []
 
 
+def test_no_epoch_forks_no_helper(monkeypatch):
+    def refused(target):
+        raise AssertionError("a helper forked with no epoch to run")
+
+    monkeypatch.setattr(model_mod, "fork_cpus", lambda: 2)
+    monkeypatch.setattr(model_mod, "Helper", refused)
+    config = train_mod.TrainConfig(seq_len=32, **{**TINY, "epochs": 0})
+    _, manifest = train_mod.train(config, triples_of(config.mode, [5, 9, 4]),
+                                  triples_of(config.mode, [6, 8], seed=1))
+    assert manifest.best_epoch == 0 and len(manifest.dev_f1_curve) == 1
+
+
 def test_each_process_trains_about_half_of_a_batchs_cost():
     config = train_mod.TrainConfig(seq_len=128, batch_size=64, **TINY)
-    mdl = model_mod.new_model(config.mode, config.model_head_variant(),
+    mdl = model_mod.new_model(config.mode, config.head_variant,
                               config.encoder_config(VOCAB.size), config.seq_config(), VOCAB,
                               config.seed)
     rows = [10] * 8 + [100, 4, 4, 4] + [10] * 56
@@ -419,7 +431,7 @@ def test_a_blocked_finish_has_the_bits_of_an_unblocked_one(monkeypatch, part):
         """Parameters, moments, gradient and slots after two steps that
         finish `part` with three slots."""
         monkeypatch.setattr(train_mod, "STEP_BLOCK", block)
-        mdl = model_mod.new_model(config.mode, config.model_head_variant(),
+        mdl = model_mod.new_model(config.mode, config.head_variant,
                                   config.encoder_config(VOCAB.size), config.seq_config(), VOCAB,
                                   config.seed, model_mod.shared_zeros)
         steps = train_mod._Steps(mdl, examples, config)

@@ -113,7 +113,7 @@ def test_training_matches_dense_reference_bit_for_bit(monkeypatch, overrides):
     repeated = [ex for ex in examples
                 if (np.bincount(ex.input_ids) > 1).any()]
     assert repeated, "no context repeats a token id"
-    reference = model_mod.new_model(cfg.mode, cfg.model_head_variant(), cfg.encoder_config(vocab.size),
+    reference = model_mod.new_model(cfg.mode, cfg.head_variant, cfg.encoder_config(vocab.size),
                                     cfg.seq_config(), vocab, cfg.seed)
     initial = model_mod.copy_params(reference)
     shuffle = np.random.default_rng(cfg.seed)

@@ -4,8 +4,8 @@ No span is lost or invented between the corpus file and the F1 number:
 the answers in the triples are exactly the corpus's spans of the target
 type, gold scored against itself is perfect, a sentence key that appears
 twice is refused instead of overwritten, truncating a context to the
-sequence budget counts every answer it drops, and an example holds only
-its real rows. A checkpoint gives back every parameter bit for bit,
+sequence budget counts every answer it drops, an example holds only its
+real rows, and its BIO targets label exactly its kept spans. A checkpoint gives back every parameter bit for bit,
 whatever finite float it holds.
 """
 
@@ -17,10 +17,12 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mrcner import model as model_mod
+from mrcner.baseline import CLASS_IDS, bio_targets
 from mrcner.cli import main
+from mrcner.corpus import EntitySpan, spans_to_bio
 from mrcner.encoder import EncoderConfig
 from mrcner.mrc_data import (
     CLS_ID,
@@ -147,11 +149,26 @@ def test_truncation_drops_are_counted_exactly(triple):
     for seq_len in range(max(4, overhead + 1), overhead + len(triple.context) + 3):
         ex = example_from_triple(triple, vocab, SeqConfig(seq_len))
         assert ex.n_context == min(len(triple.context), seq_len - overhead)
-        kept = [(s.start, s.end) for s in ex.gold_spans]
+        kept = list(zip(np.flatnonzero(ex.y_start).tolist(), np.flatnonzero(ex.y_end).tolist()))
         assert len(triple.answers) == len(kept) + ex.n_dropped_spans
         assert kept == [(s, e) for s, e in triple.answers if e < ex.n_context]
         assert all(0 <= s <= e < ex.n_context for s, e in kept)
         assert int(ex.y_start.sum()) == int(ex.y_end.sum()) == len(kept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(on_disk_triple())
+# Adjacent spans, one-token spans, and one cut by truncation.
+@example(Triple([f"t{i}" for i in range(7)], "q", [(0, 0), (1, 2), (3, 3), (4, 6)], TARGET, "d", 0))
+def test_bio_targets_are_the_kept_spans_labels(triple):
+    vocab = Vocab(list(SPECIALS))
+    overhead = 3 + len(triple.query.split()) if triple.query is not None else 2
+    for order in (CONTEXT_FIRST, QUERY_FIRST):
+        for seq_len in range(max(4, overhead + 1), overhead + len(triple.context) + 3):
+            ex = example_from_triple(triple, vocab, SeqConfig(seq_len, order))
+            kept = [EntitySpan(s, e, TARGET) for s, e in triple.answers if e < ex.n_context]
+            labels = spans_to_bio(kept, ex.n_context)
+            assert bio_targets(ex).tolist() == [CLASS_IDS[label.tag] for label in labels]
 
 
 @settings(max_examples=60, deadline=None)

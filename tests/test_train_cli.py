@@ -113,8 +113,8 @@ class TestTraining:
     @pytest.mark.parametrize("field, value, error, message", [
         ("mode", "bogus", TrainingError, "unknown mode 'bogus'"),
         ("mode", ["mrc"], TrainingError, "unknown mode"),
-        ("head_variant", "bogus", HeadError, "unknown head variant 'bogus'"),
-        ("head_variant", None, HeadError, "unknown head variant None"),
+        ("head_variant", "bogus", HeadError, "config field head_variant: unknown head variant 'bogus'"),
+        ("head_variant", 5, HeadError, "config field head_variant: unknown head variant 5"),
         ("early_stop_f1", "x", TrainingError, "early_stop_f1"),
         ("early_stop_f1", True, TrainingError, "early_stop_f1"),
     ])
@@ -122,6 +122,18 @@ class TestTraining:
             self, field, value, error, message):
         with pytest.raises(error, match=message):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("variant", ["conditioned", "ablation", ""])
+    def test_a_bio_config_refuses_any_head_variant(self, variant):
+        with pytest.raises(HeadError, match="^config field head_variant: the BIO head has no "
+                                            f"variant, got '{variant}'$"):
+            TrainConfig(mode="bio-baseline", head_variant=variant)
+
+    @pytest.mark.parametrize("mode, default", [("mrc", "conditioned"), ("bio-baseline", None)])
+    def test_no_head_variant_takes_the_heads_default(self, mode, default):
+        assert TrainConfig(mode=mode).head_variant == default
+        assert TrainConfig(mode=mode, head_variant=None).head_variant == default
+        assert TrainConfig.from_dict({"mode": mode, "head_variant": None}).head_variant == default
 
     @pytest.mark.parametrize("field, value, rule", [
         ("learning_rate", math.nan, "finite and positive"),
@@ -494,19 +506,23 @@ class TestCli:
         assert run_cli("train", "--train", tmp_path / "missing.jsonl", "--out",
                        tmp_path / "m.ckpt", "--config", config) == 1
         diagnostic = json.loads(capsys.readouterr().err)
-        assert diagnostic == {"error": "HeadError", "message": "unknown head variant 'bogus'"}
+        assert diagnostic == {"error": "HeadError",
+                              "message": "config field head_variant: unknown head variant 'bogus'"}
         assert not (tmp_path / "m.ckpt").exists()
 
-    BIO_ABLATION = {"error": "TrainingError",
-                    "message": "config field head_variant must be 'conditioned' (the default) in "
-                               "bio-baseline mode, whose head has no variant; got 'ablation'"}
+    @staticmethod
+    def bio_refusal(variant):
+        return {"error": "HeadError", "message": "config field head_variant: the BIO head has no "
+                                                 f"variant, got '{variant}'"}
 
-    def test_bio_train_refuses_the_head_variant_flag_before_reading_triples(self, tmp_path, capsys):
+    @pytest.mark.parametrize("variant", ["ablation", "conditioned"])
+    def test_bio_train_refuses_the_head_variant_flag_before_reading_triples(self, tmp_path, capsys,
+                                                                            variant):
         # The triples file does not exist: reading it would fail differently.
         assert run_cli("train", "--train", tmp_path / "missing.jsonl", "--out",
                        tmp_path / "m.ckpt", "--mode", "bio-baseline",
-                       "--head-variant", "ablation") == 1
-        assert json.loads(capsys.readouterr().err) == self.BIO_ABLATION
+                       "--head-variant", variant) == 1
+        assert json.loads(capsys.readouterr().err) == self.bio_refusal(variant)
         assert not (tmp_path / "m.ckpt").exists()
         assert not (tmp_path / "m.ckpt.manifest.json").exists()
 
@@ -515,7 +531,7 @@ class TestCli:
         config.write_text(json.dumps({"mode": "bio-baseline", "head_variant": "ablation"}))
         assert run_cli("train", "--train", tmp_path / "missing.jsonl", "--out",
                        tmp_path / "m.ckpt", "--config", config) == 1
-        assert json.loads(capsys.readouterr().err) == self.BIO_ABLATION
+        assert json.loads(capsys.readouterr().err) == self.bio_refusal("ablation")
         assert not (tmp_path / "m.ckpt").exists()
 
     def test_duplicate_prediction_keys_rejected(self, tmp_path):
@@ -725,6 +741,23 @@ class TestCli:
         assert rc == 1
         diagnostic = json.loads(capsys.readouterr().err)
         assert "mode mismatch" in diagnostic["message"]
+
+    @pytest.mark.parametrize("mode, flags, variant", [
+        ("mrc", (), "conditioned"),
+        ("mrc", ("--head-variant", "ablation"), "ablation"),
+        ("bio-baseline", (), None),
+    ])
+    def test_manifest_and_checkpoint_record_the_same_head_variant(self, tmp_path, mode, flags,
+                                                                   variant):
+        triples = tmp_path / "t.jsonl"
+        write_triples(synth_triples(4, mode=mode), triples)
+        ckpt = tmp_path / "m.ckpt"
+        assert run_cli("train", "--train", triples, "--out", ckpt, "--mode", mode, *flags,
+                       "--epochs", 1, "--seq-len", 64, "--model-dim", 8, "--heads", 2,
+                       "--ffn-dim", 16) == 0
+        manifest = json.loads((tmp_path / "m.ckpt.manifest.json").read_text())
+        header = json.loads(ckpt.read_bytes().partition(b"\n")[0])
+        assert manifest["config"]["head_variant"] == header["head_variant"] == variant
 
     def test_every_train_flag_is_a_config_field_or_a_path(self):
         """cmd_train copies only TrainConfig fields from the parsed flags, so any

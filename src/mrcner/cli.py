@@ -19,8 +19,8 @@ from .corpus import (CorpusError, Sentence, dump_json, entity_inventory, open_ut
                      parse_conll_with_report, read_json, sentence_to_json)
 from .heads import ABLATION, CONDITIONED
 from .metrics import EvalError, aggregate, format_pct, score, t_test
-from .mrc_data import (check_field, example_from_triple, json_spans, read_triples,
-                       triple_from_sentence, write_triples)
+from .mrc_data import (check_field, example_from_triple, example_rows, json_spans,
+                       read_triples, triple_from_sentence, write_triples)
 from .model import MODE_BIO, MODE_MRC
 from .query import QueryStrategy, build_query
 from .train import TrainConfig, check_mode, gold_span_index, train
@@ -136,10 +136,14 @@ def cmd_train(args) -> int:
 class TripleExamples(Sequence):
     """The model inputs of `triples`, each built when it is indexed, so that
     predict holds at most one pack of them at a time in each process (the
-    helper that `model.predict_examples` forks builds its own chunks')."""
+    helper that `model.predict_examples` forks builds its own chunks').
+    `rows` holds each example's real rows, counted from its triple
+    (`example_rows`), by which predict orders the examples without building
+    them."""
 
     def __init__(self, triples, vocab, seq_cfg) -> None:
         self.triples, self.vocab, self.seq_cfg = triples, vocab, seq_cfg
+        self.rows = [example_rows(t, seq_cfg) for t in triples]
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -152,7 +156,8 @@ def cmd_predict(args) -> int:
     mdl = model_mod.load_checkpoint(args.checkpoint)
     triples = read_triples(args.triples)
     check_mode(triples, mdl.head.mode, "input")
-    predicted = model_mod.predict_examples(mdl, TripleExamples(triples, mdl.vocab, mdl.seq_cfg))
+    examples = TripleExamples(triples, mdl.vocab, mdl.seq_cfg)
+    predicted = model_mod.predict_examples(mdl, examples, examples.rows)
     with open(args.out, "w", encoding="utf-8") as fh:
         for t, spans in zip(triples, predicted):
             record = {

@@ -1,15 +1,16 @@
 """A small trainable transformer encoder in plain numpy, float64 throughout.
 
 forward() encodes a pack: a sequence of examples whose rows are stacked
-into one matrix, so every row-wise step runs once per pack,
-while attention runs per example. It returns the rows the caller keeps of
-each example (all of them by default) plus an activation tape. backward()
-takes the tape of a pack that kept every row, and an upstream gradient of
-those rows, and adds exact reverse-mode gradients for every parameter into
-each example's gradient sink, one example at a time, each with the bits it
-has when its example is a pack of its own. The tape keeps each
-feed-forward's GELU input and its normal cdf, so backward computes GELU's
-derivative without a second `erf`.
+into one matrix, so every row-wise step runs once per pack, while attention
+runs once per run: consecutive examples with equal real rows and equal kept
+rows, as one batched matmul over (examples, heads). It returns the rows the
+caller keeps of each example (all of them by default) plus an activation
+tape. backward() takes the tape of a pack that kept every row, and an
+upstream gradient of those rows, and adds exact reverse-mode gradients for
+every parameter into each example's gradient sink, one example at a time,
+each with the bits it has when its example is a pack of its own. The tape
+keeps each feed-forward's GELU input and its normal cdf, so backward
+computes GELU's derivative without a second `erf`.
 Blocks are pre-norm (attention, then GELU feed-forward), with a final layer norm.
 
 Token, position, and segment embeddings are summed at the input. An example
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 from typing import Any, Sequence
 
 import numpy as np
@@ -156,14 +157,16 @@ def softmax_backward(dp: np.ndarray, p: np.ndarray, axis: int = -1) -> np.ndarra
     return p * (dp - (dp * p).sum(axis=axis, keepdims=True))
 
 
-def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+def _per_head(x: np.ndarray, examples: int, heads: int) -> np.ndarray:
+    """A run's stacked rows as a (examples, heads, rows, head_dim) view."""
     n, d = x.shape
-    return x.reshape(n, heads, d // heads).transpose(1, 0, 2)
+    return x.reshape(examples, n // examples, heads, d // heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    h, n, hd = x.shape
-    return x.transpose(1, 0, 2).reshape(n, h * hd)
+def _per_row(x: np.ndarray) -> np.ndarray:
+    """(examples, heads, rows, head_dim) stacked back as (examples * rows, model_dim)."""
+    e, h, n, hd = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(e * n, h * hd)
 
 
 def _stack(parts: list[np.ndarray]) -> np.ndarray:
@@ -174,6 +177,17 @@ def _stack(parts: list[np.ndarray]) -> np.ndarray:
 def _row_slices(lengths: list[int]) -> list[slice]:
     """Each length's rows in an array that stacks them in order."""
     return [slice(end - n, end) for n, end in zip(lengths, accumulate(lengths))]
+
+
+def _runs(lengths: list[int], kept: list[int]) -> list[tuple[int, slice, slice]]:
+    """Each run of consecutive examples with equal real rows and equal kept
+    rows: (its examples, its rows of the stack, its rows of the kept rows)."""
+    runs, row, kept_row = [], 0, 0
+    for (n, k), group in groupby(zip(lengths, kept)):
+        e = len(list(group))
+        runs.append((e, slice(row, row + e * n), slice(kept_row, kept_row + e * k)))
+        row, kept_row = row + e * n, kept_row + e * k
+    return runs
 
 
 def forward(
@@ -190,13 +204,15 @@ def forward(
     example, in pack order, as (kept rows, model_dim).
 
     The embeddings, layer norms, projections, GELU, residual adds and
-    finiteness checks run once over the pack's stacked rows; attention runs
-    per example, so no example sees another's rows. The last layer computes
-    only the kept rows: every row still supplies keys and values, but only
-    kept rows are queried and carried on. Each output row has the bits it
-    would have in a pack of its example alone, as long as every kept slice
-    holds at least two rows (numpy sends a one-row matmul to gemv, which
-    may round differently).
+    finiteness checks run once over the pack's stacked rows. Attention runs
+    once per run of consecutive examples with equal real rows and equal
+    kept rows, as one matmul over (examples, heads), which numpy cuts into
+    the gemm calls each example's heads make alone; no example sees
+    another's rows. The last layer computes only the kept rows: every row
+    still supplies keys and values, but only kept rows are queried and
+    carried on. Each output row has the bits it would have in a pack of its
+    example alone, as long as every kept slice holds at least two rows
+    (numpy sends a one-row matmul to gemv, which may round differently).
 
     Dropout fires when `dropout_seeds` is given and cfg.dropout > 0, only
     on a pack that keeps every row. `dropout_seeds` holds one seed per
@@ -204,9 +220,10 @@ def forward(
     order they apply (embeddings, then each layer's attention and
     feed-forward outputs), so its masks do not depend on its pack. The masks
     are recorded on the tape so backward matches exactly. Every tape holds
-    "n", the pack's real rows; the tape of a pack that keeps every row also
-    holds "rows", each example's slice of the stacked rows, and everything
-    backward needs.
+    "n", the pack's real rows, and "runs", each run's (examples, rows of the
+    stack, rows of the kept rows); the tape of a pack that keeps every row
+    also holds "rows", each example's slice of the stacked rows, and
+    everything backward needs.
     """
     if not examples:
         raise EncoderError("a pack needs at least one example")
@@ -221,6 +238,7 @@ def forward(
         raise EncoderError(f"token id out of range for vocab size {cfg.vocab_size}")
     rows = _row_slices(lengths)  # each example's rows in the stack
     kept_rows = None  # the stack's kept rows, when only some are kept
+    kept_lengths = lengths
     if keep is not None:
         if dropout_seeds is not None:
             raise EncoderError("dropout seeds are for a pack that keeps every row")
@@ -231,12 +249,13 @@ def forward(
                 raise EncoderError(f"kept rows {k} are not a non-empty slice of {n} real rows")
         kept_rows = np.concatenate([np.arange(r.start + k.start, r.start + k.stop)
                                     for r, k in zip(rows, keep)])
-        kept_slices = _row_slices([k.stop - k.start for k in keep])  # in the kept rows
+        kept_lengths = [k.stop - k.start for k in keep]
+    runs = _runs(lengths, kept_lengths)
 
     use_dropout = dropout_seeds is not None and cfg.dropout > 0.0
     masks = iter(_dropout_masks(cfg, lengths, dropout_seeds) if use_dropout else ())
 
-    tape: dict[str, Any] = {"n": ids.shape[0]}
+    tape: dict[str, Any] = {"n": ids.shape[0], "runs": runs}
     for_backward = keep is None
     if for_backward:
         tape.update(rows=rows, ids=ids, segs=segs, layers=[], dropout=use_dropout)
@@ -254,7 +273,6 @@ def forward(
         # Every row is queried and carried on, except in the last layer when
         # only some rows are kept.
         last = l == cfg.layers - 1 and kept_rows is not None
-        queried = kept_slices if last else rows
 
         a, rec["xhat1"], rec["istd1"] = layer_norm(x, params[pre + "ln1_g"], params[pre + "ln1_b"])
         rec["a"] = a
@@ -264,16 +282,16 @@ def forward(
             x, a = x[kept_rows], a[kept_rows]
         q = a @ params[pre + "wq"] + params[pre + "bq"]
         parts = []
-        for qr, r in zip(queried, rows):
-            qh = _split_heads(q[qr], cfg.heads)
-            kh = _split_heads(k[r], cfg.heads)
-            vh = _split_heads(v[r], cfg.heads)
-            scores = qh @ kh.transpose(0, 2, 1)
+        for e, r, kr in runs:
+            qh = _per_head(q[kr if last else r], e, cfg.heads)
+            kh = _per_head(k[r], e, cfg.heads)
+            vh = _per_head(v[r], e, cfg.heads)
+            scores = qh @ kh.mT
             scores *= scale
             probs = softmax(scores, axis=-1, out=scores)
-            if for_backward:  # each example keeps its own attention arrays
+            if for_backward:  # each run keeps its own attention arrays
                 rec["attention"].append((qh, kh, vh, probs))
-            parts.append(_merge_heads(probs @ vh))
+            parts.append(_per_row(probs @ vh))
         rec["ctx"] = ctx = _stack(parts)
         o = ctx @ params[pre + "wo"] + params[pre + "bo"]
         if use_dropout:
@@ -341,15 +359,16 @@ def backward(
     add with `grad[ids] += rows`. Several examples may share one sink.
 
     Layer-norm input gradients, GELU's derivative, residual adds and dropout
-    run once over the pack's stacked rows. Everything else runs per example,
-    in pack order: each parameter gradient, attention, and every product
-    with a transposed weight (`d @ W.T`), whose rows BLAS may round
-    differently when it gets more rows at once. So each array receives one
-    addition per example, with the bits that example's gradient has alone,
-    and accumulating a batch into one buffer sums examples in the same
-    order as summing per-example gradients would. Embedding gradients touch
-    only the rows of the ids seen: repeated ids are first summed within the
-    example, then added to their rows.
+    run once over the pack's stacked rows, and attention once per run, as
+    in forward. Everything else runs per example, in pack order: each
+    parameter gradient, and every product with a transposed weight
+    (`d @ W.T`), whose rows BLAS may round differently when it gets more
+    rows at once. So each array receives one addition per example, with the
+    bits that example's gradient has alone, and accumulating a batch into
+    one buffer sums examples in the same order as summing per-example
+    gradients would. Embedding gradients touch only the rows of the ids
+    seen: repeated ids are first summed within the example, then added to
+    their rows.
     """
     if "layers" not in tape:
         raise EncoderError("backward takes the tape of a pack that keeps every row")
@@ -394,17 +413,17 @@ def backward(
         # residual: x_mid = x_in + dropout(attn(ln1(x_in)))
         do = dx * rec["attn_drop"] if tape["dropout"] else dx
         dctx = affine_grads(pre, "wo", rec["ctx"], do)
-        per_example = []
-        for r, (q, k, v, probs) in zip(rows, rec["attention"]):
-            dctx_h = _split_heads(dctx[r], cfg.heads)
-            dprobs = dctx_h @ v.transpose(0, 2, 1)
-            dv = probs.transpose(0, 2, 1) @ dctx_h
+        per_run = []
+        for (e, r, _), (q, k, v, probs) in zip(tape["runs"], rec["attention"]):
+            dctx_h = _per_head(dctx[r], e, cfg.heads)
+            dprobs = dctx_h @ v.mT
+            dv = probs.mT @ dctx_h
             dscores = softmax_backward(dprobs, probs, axis=-1)
             dq = dscores @ k * scale
-            dk = dscores.transpose(0, 2, 1) @ q * scale
-            per_example.append([_merge_heads(dmat) for dmat in (dq, dk, dv)])
+            dk = dscores.mT @ q * scale
+            per_run.append([_per_row(dmat) for dmat in (dq, dk, dv)])
         da = np.zeros_like(dx)
-        for name, d in zip(("wq", "wk", "wv"), zip(*per_example)):
+        for name, d in zip(("wq", "wk", "wv"), zip(*per_run)):
             da += affine_grads(pre, name, rec["a"], _stack(list(d)))
         dx = dx + layer_norm_grads(pre + "ln1_", da, rec["xhat1"], rec["istd1"])
 

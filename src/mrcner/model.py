@@ -32,24 +32,30 @@ the batch's vector, or of a slot of the helper's (`train`). Adam
 (`train.Adam`) stays dense over that vector, and a parameter snapshot is one
 vector copy.
 
-Prediction shares no state between examples, so `predict_examples` (used
-by `predict`) shares its examples with a `Helper`: a process forked from
-this one, which inherits the model and the examples and runs methods of a
-target object for it (`train` runs its steps on one too). The two processes
-take chunks of CHUNK_EXAMPLES examples one at a time (`_Chunks`), this one
-from the front and the helper from the back, so the faster takes more; the
-helper sends back only spans, and the spans are joined in input order, so
-the output is the same in one process or two. Nothing is forked below
-2 * MIN_WORKER_EXAMPLES examples, or where `fork_cpus` reports one CPU: on a
-one-CPU machine, where the OS does not report usable CPUs (no
-`os.sched_getaffinity` outside Linux), and when the process runs other
-threads, which a fork could deadlock. Each chunk, and the whole input when
-nothing is forked, goes through `predict_in_process`, which encodes each of
-its `packs` with one `encoder.forward` call, keeping each example's context
-rows and the [SEP] after them, then decodes each example from its context
-rows with `predict_example(model, example, h_ctx)`. Train's dev evaluation
-forks no helper of its own: where `train` runs its helper, the two
-processes share the dev examples' `_Chunks` the same way
+Prediction shares no state between examples, so it encodes them in
+encoding order: ascending real rows, ties in input order, which puts
+equal-length examples side by side in a pack, where the encoder runs
+attention once for each run of them. `_Chunks` cuts the examples so
+ordered into `packs`, and the packs into chunks of whole packs, at least
+CHUNK_EXAMPLES examples each. `predict_examples` (used by `predict`)
+shares the chunks with a `Helper`: a process forked from this one, which
+inherits the model and the examples and runs methods of a target object for
+it (`train` runs its steps on one too). The two processes take the chunks
+one at a time, this one from the front and the helper from the back, so the
+faster takes more; the helper sends back only spans, and the spans are put
+back in input order, so the output is the same in one process or two.
+Nothing is forked below 2 * MIN_WORKER_EXAMPLES examples, or where
+`fork_cpus` reports one CPU: on a one-CPU machine, where the OS does not
+report usable CPUs (no `os.sched_getaffinity` outside Linux), and when the
+process runs other threads, which a fork could deadlock; this process then
+takes every chunk, as `predict_in_process` does. Each pack is encoded with
+one `encoder.forward` call, keeping each example's context rows and the
+[SEP] after them, and each example is decoded from its context rows with
+`predict_example(model, example, h_ctx)`. The examples' row counts are
+given, or read from the examples, so a sequence that builds each example
+when it is indexed (`cli.TripleExamples`) is ordered without building it.
+Train's dev evaluation forks no helper of its own: where `train` runs its
+helper, the two processes share the dev examples' `_Chunks` the same way
 (`train.evaluate_model`); `_Chunks.share` resets the chunk counter on each
 call, so one helper can share them after every epoch.
 
@@ -101,14 +107,17 @@ MODE_BIO = baseline.BioHeadParams.mode
 # split.
 MIN_WORKER_EXAMPLES = 75
 
-# Examples in each of the chunks that `predict_examples` and its helper take
-# one at a time (`_Chunks`), so that a process on a CPU the host slows down
-# takes fewer. On the host above, one call on predict-long's 1,200 test
-# examples took a median 1.47 s in chunks of 25 against 1.71 s in two fixed
-# halves (four alternating fresh-process rounds of five calls; 1.61 against
-# 1.94 s and 1.83 against 1.95 s in two earlier series), and chunks of 100
-# took 1.71 s where chunks of 25 took 1.61. On train-bio-short's and
-# train-mrc's examples the two splits ran within 6% of each other.
+# Fewest examples in each of the chunks that `predict_examples` and its
+# helper take one at a time (`_Chunks`), so that a process on a CPU the host
+# slows down takes fewer; a chunk takes whole packs until it holds this
+# many. On the host above, one call on predict-long's 1,200 test examples
+# took a median 1.47 s in chunks of 25 against 1.71 s in two fixed halves
+# (four alternating fresh-process rounds of five calls; 1.61 against 1.94 s
+# and 1.83 against 1.95 s in two earlier series), and chunks of 100 took
+# 1.71 s where chunks of 25 took 1.61. On train-bio-short's and train-mrc's
+# examples the two splits ran within 6% of each other. These figures predate
+# encoding order and pack-aligned chunks: they were taken on chunks of 25
+# examples in input order.
 CHUNK_EXAMPLES = 25
 
 # Most real rows in one pack of examples that predict or training encodes
@@ -194,19 +203,20 @@ def new_model(
     return mdl
 
 
-def packs(examples: Iterable[MrcExample]) -> Iterator[list[MrcExample]]:
-    """Consecutive examples in packs, in order: a pack takes examples one at
-    a time while it holds at most PACK_ROWS rows (`len(input_ids)` each),
-    and an example longer than that makes a pack of its own."""
-    pack: list[MrcExample] = []
-    rows = 0
-    for ex in examples:
-        n = len(ex.input_ids)
-        if pack and rows + n > PACK_ROWS:
+def packs(items: Iterable, rows=lambda ex: len(ex.input_ids)) -> Iterator[list]:
+    """Consecutive items in packs, in order: a pack takes items one at a
+    time while it holds at most PACK_ROWS rows (`rows(item)`, an example's
+    `len(input_ids)` by default), and an item longer than that makes a pack
+    of its own."""
+    pack: list = []
+    filled = 0
+    for item in items:
+        n = rows(item)
+        if pack and filled + n > PACK_ROWS:
             yield pack
-            pack, rows = [], 0
-        pack.append(ex)
-        rows += n
+            pack, filled = [], 0
+        pack.append(item)
+        filled += n
     if pack:
         yield pack
 
@@ -253,19 +263,18 @@ def predict_example(model: ModelState, example: MrcExample, h_ctx: np.ndarray):
     return model.head.decode(h_ctx, example)
 
 
-def predict_in_process(model: ModelState, examples: Iterable[MrcExample]) -> list[list[EntitySpan]]:
-    """The entity spans of every example, in input order, decoded in this
-    process.
-
-    The examples are encoded in `packs`. The encoder's last layer computes
-    each example's context rows and the [SEP] after them; that row keeps
-    every kept slice at two rows or more, so each context row has the bits
-    it has when its example is encoded alone.
-    """
-    return [spans for pack in packs(examples) for spans in _predict_pack(model, pack)]
+def predict_in_process(model: ModelState, examples: Sequence[MrcExample],
+                       rows: Sequence[int] | None = None) -> list[list[EntitySpan]]:
+    """The entity spans of every example, in input order, predicted in this
+    process in encoding order (`_Chunks`); `rows` as for `predict_examples`."""
+    return _Chunks(model, examples, rows).share()
 
 
 def _predict_pack(model: ModelState, pack: list[MrcExample]) -> list[list[EntitySpan]]:
+    """Each example's spans. The encoder's last layer computes each
+    example's context rows and the [SEP] after them; that row keeps every
+    kept slice at two rows or more, so each context row has the bits it has
+    when its example is encoded alone."""
     keep = [slice(ex.context_range[0], ex.context_range[1] + 2) for ex in pack]
     hidden, _ = encoder.forward(model.params, model.encoder_cfg, pack, keep)
     out, first = [], 0
@@ -275,18 +284,23 @@ def _predict_pack(model: ModelState, pack: list[MrcExample]) -> list[list[Entity
     return out
 
 
-def predict_examples(model: ModelState, examples: Sequence[MrcExample]) -> list[list[EntitySpan]]:
-    """The entity spans of every example, in input order.
+def predict_examples(model: ModelState, examples: Sequence[MrcExample],
+                     rows: Sequence[int] | None = None) -> list[list[EntitySpan]]:
+    """The entity spans of every example, in input order, predicted in
+    encoding order (`_Chunks`). `rows` holds each example's real rows,
+    `len(input_ids)`, so that a sequence which builds each example when it
+    is indexed need not build them to order them; by default they are read
+    from the examples.
 
     With at least 2 * MIN_WORKER_EXAMPLES examples where `fork_cpus`
     reports two CPUs or more, this process forks one `Helper`, which
-    inherits the model and the sequence (which may build each example when
-    it is indexed), and the two processes `share` the examples' `_Chunks`.
-    Elsewhere this process predicts them all. No helper outlives the call.
+    inherits the model and the sequence, and the two processes `share` the
+    examples' `_Chunks`. Elsewhere this process predicts them all. No
+    helper outlives the call.
     """
+    chunks = _Chunks(model, examples, rows)
     if len(examples) < 2 * MIN_WORKER_EXAMPLES or fork_cpus() < 2:
-        return predict_in_process(model, examples)
-    chunks = _Chunks(model, examples)
+        return chunks.share()
     helper = Helper(chunks)
     try:
         return chunks.share(helper)
@@ -295,45 +309,62 @@ def predict_examples(model: ModelState, examples: Sequence[MrcExample]) -> list[
 
 
 class _Chunks:
-    """The examples in contiguous chunks of CHUNK_EXAMPLES, which two
-    processes take one at a time (`share`), the first from the front and
-    the helper from the back, until none is left. `left` holds the index of
-    the first chunk left and one past the last, in shared memory made
-    before the fork. Each process moves only its own end, so they need no
-    lock: where the ends meet, both processes may take the same chunk, and
-    both get the same spans for it."""
+    """The examples in encoding order, ascending real rows with ties in
+    input order, cut into `packs` and the packs into chunks of whole packs
+    that hold at least CHUNK_EXAMPLES examples each (the last may hold
+    fewer), so that equal-length examples share a pack and no chunk ends in
+    a part-filled one. One process, or two, take the chunks one at a time
+    (`share`), the first from the front and a helper from the back, until
+    none is left. `left` holds the index of the first chunk left and one
+    past the last, in shared memory made before the fork. Each process
+    moves only its own end, so they need no lock: where the ends meet, both
+    processes may take the same chunk, and both get the same spans for it.
+    An example is built, by indexing `examples`, only when its pack is
+    predicted; `rows` holds each one's real rows (by default read from the
+    examples)."""
 
-    def __init__(self, model: ModelState, examples: Sequence[MrcExample]):
+    def __init__(self, model: ModelState, examples: Sequence[MrcExample],
+                 rows: Sequence[int] | None = None):
         self.model, self.examples = model, examples
+        if rows is None:
+            rows = [len(ex.input_ids) for ex in examples]
+        order = sorted(range(len(examples)), key=rows.__getitem__)  # stable: ties in input order
+        self.chunks: list[list[list[int]]] = []  # each chunk's packs of example indexes
+        for pack in packs(order, rows.__getitem__):
+            if not self.chunks or sum(map(len, self.chunks[-1])) >= CHUNK_EXAMPLES:
+                self.chunks.append([])
+            self.chunks[-1].append(pack)
         self.left = shared_zeros(2, np.int64)
 
-    def share(self, helper: Helper) -> list[list[EntitySpan]]:
+    def share(self, helper: Helper | None = None) -> list[list[EntitySpan]]:
         """The spans of every example, in input order, predicted by this
-        process and `helper`, whose target's `predict(front)` calls this
-        object's. It first resets `left` to every chunk, so one helper may
-        share the examples on every call. The error raised is the one one
-        process raises, the first in input order: this process's own, after
-        which the helper takes no more chunks (its reply is left unread, so
-        close it), else the helper's, as itself; a helper that dies is a
-        HelperError."""
-        self.left[:] = 0, -(-len(self.examples) // CHUNK_EXAMPLES)
+        process and `helper`, if given, whose target's `predict(front)`
+        calls this object's. It first resets `left` to every chunk, so one
+        helper may share the examples on every call. The error raised is
+        the one one process raises, the first in encoding order: this
+        process's own, after which the helper takes no more chunks (its
+        reply is left unread, so close it), else the helper's, as itself; a
+        helper that dies is a HelperError."""
+        self.left[:] = 0, len(self.chunks)
         try:
-            helper.call("predict", False)
+            if helper is not None:
+                helper.call("predict", False)
             done = self.predict(True)
-            done.update(helper.result())
+            if helper is not None:
+                done.update(helper.result())
         finally:
             self.left[0] = self.left[1]  # after an error here, the helper takes no more
-        return [spans for i in sorted(done) for spans in done[i]]
+        return [done[i] for i in range(len(self.examples))]
 
-    def predict(self, front: bool) -> dict[int, list[list[EntitySpan]]]:
-        """The spans of each chunk this process takes from the front (or
-        the back), by chunk index."""
+    def predict(self, front: bool) -> dict[int, list[EntitySpan]]:
+        """The spans of each example of the chunks this process takes from
+        the front (or the back), by example index."""
         done = {}
         while self.left[0] < self.left[1]:
             i = int(self.left[0]) if front else int(self.left[1]) - 1
             self.left[1 - front] = i + front  # this process's end, past chunk i
-            rows = range(len(self.examples))[i * CHUNK_EXAMPLES : (i + 1) * CHUNK_EXAMPLES]
-            done[i] = predict_in_process(self.model, (self.examples[j] for j in rows))
+            for pack in self.chunks[i]:
+                done.update(zip(pack, _predict_pack(self.model, [self.examples[j] for j in pack])))
         return done
 
 

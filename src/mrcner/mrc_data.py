@@ -235,6 +235,21 @@ class MrcExample:
         return np.ones(len(self.input_ids), dtype=np.int64)
 
 
+def example_rows(triple: Triple, cfg: SeqConfig) -> int:
+    """The real rows of `triple`'s example under `cfg` (`example_from_triple`,
+    which reads its context's length from this): [CLS], the context as far
+    as it fits, [SEP], and the query's words and its [SEP] if it has one.
+    MrcDataError if the query leaves no row for context."""
+    q_rows = 0 if triple.query is None else len(triple.query.split()) + 1
+    max_ctx = cfg.seq_len - 2 - q_rows
+    if max_ctx < 1:
+        raise MrcDataError(
+            f"seq_len {cfg.seq_len} leaves no room for context "
+            f"(query has {q_rows - 1} tokens)"
+        )
+    return 2 + min(len(triple.context), max_ctx) + q_rows
+
+
 def example_from_triple(triple: Triple, vocab: Vocab, cfg: SeqConfig) -> MrcExample:
     """Lay out [CLS] context [SEP] query [SEP] or the query-first variant
     [CLS] query [SEP] context [SEP] in at most seq_len rows, with no
@@ -245,18 +260,11 @@ def example_from_triple(triple: Triple, vocab: Vocab, cfg: SeqConfig) -> MrcExam
     Context that does not fit is truncated at the tail; answers falling
     wholly or partly past the truncation point are dropped and counted.
     """
+    rows = example_rows(triple, cfg)
     has_query = triple.query is not None
-    q_tokens = triple.query.split() if has_query else []
-    q_part = [vocab.encode(t) for t in q_tokens] + [SEP_ID] if has_query else []
-    max_ctx = cfg.seq_len - 2 - len(q_part)
-    if max_ctx < 1:
-        raise MrcDataError(
-            f"seq_len {cfg.seq_len} leaves no room for context "
-            f"(query has {len(q_tokens)} tokens)"
-        )
-
-    ctx_tokens = triple.context[:max_ctx]
-    n_ctx = len(ctx_tokens)
+    q_part = [vocab.encode(t) for t in triple.query.split()] + [SEP_ID] if has_query else []
+    n_ctx = rows - 2 - len(q_part)
+    ctx_tokens = triple.context[:n_ctx]
     kept = [(s, e) for s, e in triple.answers if e < n_ctx]
     dropped = len(triple.answers) - len(kept)
 

@@ -320,11 +320,11 @@ def evaluate_model(model: ModelState, examples: Sequence[MrcExample],
                    gold: dict[tuple[str, int, str], list[tuple[int, int]]],
                    helper: model_mod.Helper | None = None) -> EvalReport:
     """Entity-level scores of the model's predictions on `examples` against
-    `gold`, made by `model.predict_in_process` in this process, or, given
-    `train`'s helper, whose steps hold `examples` as their dev examples, in
-    both processes: they share the steps' chunks of them (`_Chunks.share`).
-    An example's spans do not depend on the examples packed with it, so the
-    report is the one this process gives alone."""
+    `gold`, made in encoding order by `model.predict_in_process` in this
+    process, or, given `train`'s helper, whose steps hold `examples` as
+    their dev examples, in both processes: they share the steps' chunks of
+    them (`_Chunks.share`). An example's spans do not depend on the examples
+    packed with it, so the report is the one this process gives alone."""
     spans = (model_mod.predict_in_process(model, examples) if helper is None
              else helper.target.dev.share(helper))
     predicted = {ex.origin: [(s.start, s.end) for s in example_spans]

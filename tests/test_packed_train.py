@@ -3,12 +3,17 @@ come out as they do when it is trained alone.
 
 `train` cuts each batch into `model.packs` of at most `PACK_ROWS` real rows
 and runs `model.pack_loss_and_grads` on each, which adds every example's
-gradients into one buffer, example by example. These tests check, bit for
-bit, that the summed gradients and each example's loss equal those of
-one-example packs, for both heads, both end heads, both orders, the
-no-query layout, with and without dropout, and that packs break at
-`PACK_ROWS`.
+gradients into one buffer, example by example; forward and backward run
+attention once per run of consecutive examples with equal real rows. These
+tests check, bit for bit, that the summed gradients and each example's loss
+equal those of one-example packs, for both heads, both end heads, both
+orders, the no-query layout, runs of equal-length examples beside examples
+of equal context but unequal query length, with and without dropout, that
+packs break at `PACK_ROWS`, and that each pack's runs are its groups of
+equal-length examples.
 """
+
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -40,11 +45,12 @@ def train_in_packs(mdl, packs, seeds):
 def assert_packs_train_as_alone(mdl, examples, seeds):
     """Packs the examples as training does and checks each pack's examples
     pass through backward together; returns the pack sizes."""
-    tapes = []
+    tapes, runs = [], []
     backward = encoder.backward
 
     def recording(params, cfg, tape, *args):
         tapes.append(len(tape["rows"]))
+        runs.append([e for e, _, _ in tape["runs"]])
         return backward(params, cfg, tape, *args)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -52,6 +58,8 @@ def assert_packs_train_as_alone(mdl, examples, seeds):
         packs = list(model_mod.packs(examples))
         losses, flat = train_in_packs(mdl, packs, seeds)
     assert tapes == [len(pack) for pack in packs]
+    assert runs == [[len(list(g)) for _, g in groupby(len(ex.input_ids) for ex in pack)]
+                    for pack in packs]
     alone_losses, alone_flat = train_in_packs(mdl, [[ex] for ex in examples], seeds)
     assert losses.tobytes() == alone_losses.tobytes()
     assert flat.tobytes() == alone_flat.tobytes()
@@ -63,17 +71,22 @@ def assert_packs_train_as_alone(mdl, examples, seeds):
 @given(head=st.sampled_from(HEADS), order=st.sampled_from([CONTEXT_FIRST, QUERY_FIRST]),
        layers=st.integers(1, 2), dropout=st.sampled_from([0.0, 0.1]),
        seq_len=st.integers(8, 140),
-       lengths=st.lists(st.one_of(st.integers(1, 2), st.integers(1, 140)), min_size=1,
-                        max_size=10),
-       query_words=st.integers(0, 3), seed=st.integers(0, 2**16))
+       # Each length repeats one to three times in a row, a run where the
+       # queries are of one length too.
+       repeats=st.lists(st.tuples(st.one_of(st.integers(1, 2), st.integers(1, 140)),
+                                  st.integers(1, 3)), min_size=1, max_size=5),
+       query_words=st.one_of(st.integers(0, 3).map(lambda k: [k] * 15),
+                             st.lists(st.integers(0, 3), min_size=15, max_size=15)),
+       seed=st.integers(0, 2**16))
 def test_packs_train_as_one_example_packs_bit_for_bit(
-        head, order, layers, dropout, seq_len, lengths, query_words, seed):
+        head, order, layers, dropout, seq_len, repeats, query_words, seed):
     mode, variant = head
     mdl = tiny_model(mode, variant, seq_len, order, layers, seed, dropout, MODEL_DIM)
     rng = np.random.default_rng(seed)
+    lengths = [n for n, times in repeats for _ in range(times)]
     # The BIO head reads the no-query layout, [CLS] context [SEP].
-    query = " ".join(WORDS[:query_words]) if mode == "mrc" else None
-    examples = [example_from_triple(triple(n, query, i, rng, [(s, s) for s in range(0, n, 3)]),
+    queries = [" ".join(WORDS[:k]) if mode == "mrc" else None for k in query_words]
+    examples = [example_from_triple(triple(n, queries[i], i, rng, [(s, s) for s in range(0, n, 3)]),
                                     VOCAB, mdl.seq_cfg)
                 for i, n in enumerate(lengths)]
     seeds = [int(s) for s in rng.integers(0, 2**31, len(examples))]

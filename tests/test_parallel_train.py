@@ -188,7 +188,10 @@ def test_an_example_longer_than_a_pack_trains_as_on_one_cpu(tmp_path, helpers_fo
 def test_dev_evaluation_with_the_helper_matches_one_cpu(mode, n_dev, tmp_path, pinned_ratio,
                                                         helper_calls, monkeypatch):
     pinned_ratio(1.0)
-    monkeypatch.setattr(model_mod, "CHUNK_EXAMPLES", 1)  # a chunk per dev example
+    # A pack, and so a chunk, per dev example; training examples then train
+    # in packs of one too, which changes no bit.
+    monkeypatch.setattr(model_mod, "PACK_ROWS", 1)
+    monkeypatch.setattr(model_mod, "CHUNK_EXAMPLES", 1)
     config = train_mod.TrainConfig(seq_len=32, mode=mode, **TINY)
     train_triples = triples_of(mode, [5, 9, 4, 12, 6, 8, 10, 7, 3, 11])
     dev_triples = triples_of(mode, [8, 14, 5, 20, 3, 9, 11][:n_dev], seed=1)
@@ -264,11 +267,14 @@ def test_an_error_is_raised_as_on_one_cpu(monkeypatch, tmp_path, helpers_forked,
 def test_an_error_predicting_the_helpers_dev_part_is_raised_as_on_one_cpu(
         monkeypatch, tmp_path, pinned_ratio, helper_calls):
     pinned_ratio(1.0)
-    monkeypatch.setattr(model_mod, "CHUNK_EXAMPLES", 1)  # a chunk per dev example
+    # A pack, and so a chunk, per dev example; training examples then train
+    # in packs of one too, which changes no bit.
+    monkeypatch.setattr(model_mod, "PACK_ROWS", 1)
+    monkeypatch.setattr(model_mod, "CHUNK_EXAMPLES", 1)
     config = train_mod.TrainConfig(seq_len=32, **TINY)
     train_triples = triples_of(config.mode, [5, 9, 4, 12, 6, 8, 10, 7, 3, 11])
     dev_triples = triples_of(config.mode, [8, 14, 5, 20, 3], seed=1)
-    last = dev_triples[-1]
+    last = dev_triples[3]  # the longest, last in encoding order
     pid_file = tmp_path / "pid"
     decode, parent = model_mod.predict_example, os.getpid()
 

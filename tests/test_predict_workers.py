@@ -2,11 +2,13 @@
 
 Where `model.fork_cpus` reports two CPUs and the input holds at least
 `MIN_WORKER_EXAMPLES` examples per process, predict forks one
-`model.Helper`. The two processes take chunks of `CHUNK_EXAMPLES` examples
-one at a time, the calling process from the front and the helper from the
-back. The output must not depend on the process count, no
-helper may outlive the command, an error must be the one one process
-raises, a helper's death must fail the command instead of hanging it, and
+`model.Helper`. The two processes take chunks of whole packs, at least
+`CHUNK_EXAMPLES` examples each, of the examples in encoding order (ascending
+real rows, ties in input order) one at a time, the calling process from the
+front and the helper from the back. The output must not depend on the
+process count, no helper may outlive the command, an error must be the one
+one process raises, the first in encoding order, a helper's death must fail
+the command instead of hanging it, and
 small inputs, one-CPU or non-Linux machines and threaded callers must not
 fork at all. Train's dev evaluation forks no helper of its own: it shares
 its dev examples' chunks the same way with train's helper, once per epoch,
@@ -25,7 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mrcner import model as model_mod
-from mrcner.cli import main
+from mrcner.cli import TripleExamples, main
 from mrcner.encoder import EncoderError
 from mrcner.mrc_data import example_from_triple, read_triples, write_triples
 from mrcner.train import _Steps
@@ -107,6 +109,16 @@ def corpus(request, tmp_path_factory):
     return tmp_path, mode, train, test, ckpt
 
 
+def chunk_ids(test, ckpt):
+    """The sent_ids of each chunk of the test split that predict cuts, in
+    encoding order."""
+    mdl = model_mod.load_checkpoint(ckpt)
+    triples = read_triples(test)
+    examples = TripleExamples(triples, mdl.vocab, mdl.seq_cfg)
+    return [[triples[i].sent_id for pack in chunk for i in pack]
+            for chunk in model_mod._Chunks(mdl, examples, examples.rows).chunks]
+
+
 def test_predict_output_is_byte_identical_at_one_and_two_workers(corpus, cpus, helpers):
     tmp_path, _, _, test, ckpt = corpus
     outputs = []
@@ -126,7 +138,8 @@ def test_a_short_last_chunk_keeps_input_order(corpus, cpus, helpers):
     _, _, _, test, ckpt = corpus
     mdl = model_mod.load_checkpoint(ckpt)
     examples = [example_from_triple(t, mdl.vocab, mdl.seq_cfg) for t in read_triples(test)[:437]]
-    assert len(examples) % model_mod.CHUNK_EXAMPLES != 0
+    last_chunk = model_mod._Chunks(mdl, examples).chunks[-1]
+    assert sum(map(len, last_chunk)) < model_mod.CHUNK_EXAMPLES
     cpus(2)
     assert model_mod.predict_examples(mdl, examples) == [
         model_mod.predict_in_process(mdl, [ex])[0] for ex in examples]
@@ -158,7 +171,8 @@ def fail_on(monkeypatch, failing):
 def test_a_worker_error_reaches_the_caller_and_no_worker_outlives_it(
         corpus, cpus, helpers, monkeypatch, capsys, tmp_path):
     _, _, _, test, ckpt = corpus
-    fail_on(monkeypatch, {450})  # in the 19th of twenty chunks, the helper's second
+    failing = chunk_ids(test, ckpt)[-2][0]  # in the helper's second chunk
+    fail_on(monkeypatch, {failing})
     cpus(2)
     out = tmp_path / "p.jsonl"
     assert run("predict", "--checkpoint", ckpt, "--triples", test, "--out", out) == 1
@@ -166,36 +180,39 @@ def test_a_worker_error_reaches_the_caller_and_no_worker_outlives_it(
     assert_no_child_process()
     diagnostic = json.loads(capsys.readouterr().err)
     assert diagnostic == {"error": "EncoderError",
-                          "message": "non-finite activations in example 450"}
+                          "message": f"non-finite activations in example {failing}"}
     assert not out.exists()
 
 
-# Example 50 is in the third of the 500 test examples' twenty chunks, which
-# this process takes; the helper takes 450's, the 19th, second.
-@pytest.mark.parametrize("failing", [{50}, {50, 450}])
+# The first example of the third of the test examples' chunks, which this
+# process takes, fails; in the second case so does the first of the
+# second-to-last chunk, which the helper takes second.
+@pytest.mark.parametrize("failing", [[2], [2, -2]])
 def test_an_error_in_this_processs_chunks_is_raised_as_one_process_raises_it(
         corpus, cpus, helpers, monkeypatch, capsys, tmp_path, failing):
     _, _, _, test, ckpt = corpus
-    fail_on(monkeypatch, failing)
+    chunks = chunk_ids(test, ckpt)
+    fail_on(monkeypatch, {chunks[i][0] for i in failing})
     cpus(2)
     out = tmp_path / "p.jsonl"
     assert run("predict", "--checkpoint", ckpt, "--triples", test, "--out", out) == 1
     assert len(helpers) == 1
     assert_no_child_process()
     assert json.loads(capsys.readouterr().err) == {
-        "error": "EncoderError", "message": "non-finite activations in example 50"}
+        "error": "EncoderError", "message": f"non-finite activations in example {chunks[2][0]}"}
     assert not out.exists()
 
 
 def test_an_error_in_this_process_stops_the_helper_taking_chunks(corpus, cpus, helpers,
                                                                    monkeypatch, tmp_path):
     _, _, _, test, ckpt = corpus
+    first = chunk_ids(test, ckpt)[0][0]  # the first in encoding order
     predict_example, parent = model_mod.predict_example, os.getpid()
     by_helper = tmp_path / "by-helper"
 
     def fail_on_first(*args):
-        if args[1].origin[1] == 0:
-            raise EncoderError("non-finite activations in example 0")
+        if args[1].origin[1] == first:
+            raise EncoderError(f"non-finite activations in example {first}")
         if os.getpid() != parent:
             with open(by_helper, "a") as fh:
                 fh.write(f"{args[1].origin[1]}\n")
@@ -207,7 +224,7 @@ def test_an_error_in_this_process_stops_the_helper_taking_chunks(corpus, cpus, h
                "--out", tmp_path / "p.jsonl") == 1
     assert len(helpers) == 1
     assert_no_child_process()
-    # Left to itself, the helper would take the 19 chunks this process
+    # Left to itself, the helper would take every chunk this process
     # leaves; it stops after the chunk it holds, if any, when this one fails.
     assert len(by_helper.read_text().split() if by_helper.exists() else []) <= 250
 
@@ -215,12 +232,13 @@ def test_an_error_in_this_process_stops_the_helper_taking_chunks(corpus, cpus, h
 def test_a_dead_worker_fails_the_command_instead_of_hanging(
         corpus, cpus, helpers, monkeypatch, capsys, tmp_path):
     _, _, _, test, ckpt = corpus
+    dying = chunk_ids(test, ckpt)[-2][0]  # in the helper's second chunk
     predict_example, parent = model_mod.predict_example, os.getpid()
 
     def die_on_one(*args):
-        if args[1].origin[1] == 450:  # in the 19th of twenty chunks, the helper's second
+        if args[1].origin[1] == dying:
             if os.getpid() == parent:
-                raise AssertionError("example 450 was predicted in the parent")
+                raise AssertionError(f"example {dying} was predicted in the parent")
             os._exit(1)
         return predict_example(*args)
 
@@ -280,9 +298,8 @@ def test_train_dev_evaluation_shares_trains_helper(corpus, cpus, helpers, tmp_pa
 
 
 MIN, CHUNK = model_mod.MIN_WORKER_EXAMPLES, model_mod.CHUNK_EXAMPLES
-# Around the fork's minimum and the chunks' edges: nothing, one example,
-# either side of one process's minimum and of two processes', whole chunks
-# and a short last chunk of one example.
+# Around the fork's minimum: nothing, one example, either side of one
+# process's minimum and of two processes', and two sizes a chunk past it.
 SIZES = [0, 1, MIN - 1, MIN, 2 * MIN - 1, 2 * MIN, 2 * MIN + 1,
          CHUNK * (2 * MIN // CHUNK + 1), CHUNK * (2 * MIN // CHUNK + 1) + 1]
 
@@ -304,6 +321,17 @@ def test_predict_examples_on_two_cpus_equals_one_process(head, size, seed):
             mdl, examples)
     assert len(forked) == (size >= 2 * MIN)
     assert_no_child_process()
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.lists(st.integers(1, 2 * model_mod.PACK_ROWS), max_size=300))
+def test_chunks_are_whole_packs_in_encoding_order(rows):
+    chunks = model_mod._Chunks(None, [None] * len(rows), rows).chunks
+    order = sorted(range(len(rows)), key=lambda i: (rows[i], i))
+    assert [pack for chunk in chunks for pack in chunk] == list(
+        model_mod.packs(order, rows.__getitem__))
+    for chunk in chunks[:-1]:  # each fills up to CHUNK_EXAMPLES, and no further
+        assert sum(map(len, chunk[:-1])) < CHUNK <= sum(map(len, chunk))
 
 
 def test_one_helper_shares_the_chunks_on_every_call():

@@ -5,8 +5,9 @@ the answers in the triples are exactly the corpus's spans of the target
 type, gold scored against itself is perfect, a sentence key that appears
 twice is refused instead of overwritten, truncating a context to the
 sequence budget counts every answer it drops, an example holds only its
-real rows, and its BIO targets label exactly its kept spans. A checkpoint gives back every parameter bit for bit,
-whatever finite float it holds.
+real rows, which `example_rows` counts from its triple, and its BIO targets
+label exactly its kept spans. A checkpoint gives back every parameter bit
+for bit, whatever finite float it holds.
 """
 
 import io
@@ -17,6 +18,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mrcner import model as model_mod
@@ -27,6 +29,7 @@ from mrcner.encoder import EncoderConfig
 from mrcner.mrc_data import (
     CLS_ID,
     CONTEXT_FIRST,
+    MrcDataError,
     PAD_ID,
     QUERY_FIRST,
     SPECIALS,
@@ -34,6 +37,7 @@ from mrcner.mrc_data import (
     Triple,
     Vocab,
     example_from_triple,
+    example_rows,
     read_triples,
 )
 
@@ -194,6 +198,28 @@ def test_an_example_holds_only_its_real_rows(triple):
                 first_part = 1 + query_rows  # [CLS] query [SEP]
             assert list(ex.segment_ids) == [0] * first_part + [1] * (n - first_part)
             assert (first_part < n) == (triple.query is not None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(on_disk_triple())
+# With a query and without, each cut by the shorter seq_lens.
+@example(Triple([f"t{i}" for i in range(9)], "q q", [(7, 8)], TARGET, "d", 0))
+@example(Triple([f"t{i}" for i in range(9)], None, [(7, 8)], TARGET, "d", 0))
+def test_example_rows_counts_the_built_examples_rows(triple):
+    vocab = Vocab(list(SPECIALS))
+    for order in (CONTEXT_FIRST, QUERY_FIRST):
+        # From the smallest seq_len, which leaves a long query no room, to
+        # well past the whole context.
+        for seq_len in range(4, len(triple.context) + 12):
+            cfg = SeqConfig(seq_len, order)
+            try:
+                rows = example_rows(triple, cfg)
+            except MrcDataError as exc:
+                with pytest.raises(MrcDataError) as built:
+                    example_from_triple(triple, vocab, cfg)
+                assert str(built.value) == str(exc)
+                continue
+            assert rows == len(example_from_triple(triple, vocab, cfg).input_ids)
 
 
 # Finite floats, with signed zeros and subnormals drawn on purpose.

@@ -286,7 +286,7 @@ def forward(
             qh = _per_head(q[kr if last else r], e, cfg.heads)
             kh = _per_head(k[r], e, cfg.heads)
             vh = _per_head(v[r], e, cfg.heads)
-            scores = qh @ kh.mT
+            scores = qh @ kh.swapaxes(-1, -2)
             scores *= scale
             probs = softmax(scores, axis=-1, out=scores)
             if for_backward:  # each run keeps its own attention arrays
@@ -416,11 +416,11 @@ def backward(
         per_run = []
         for (e, r, _), (q, k, v, probs) in zip(tape["runs"], rec["attention"]):
             dctx_h = _per_head(dctx[r], e, cfg.heads)
-            dprobs = dctx_h @ v.mT
-            dv = probs.mT @ dctx_h
+            dprobs = dctx_h @ v.swapaxes(-1, -2)
+            dv = probs.swapaxes(-1, -2) @ dctx_h
             dscores = softmax_backward(dprobs, probs, axis=-1)
             dq = dscores @ k * scale
-            dk = dscores.mT @ q * scale
+            dk = dscores.swapaxes(-1, -2) @ q * scale
             per_run.append([_per_row(dmat) for dmat in (dq, dk, dv)])
         da = np.zeros_like(dx)
         for name, d in zip(("wq", "wk", "wv"), zip(*per_run)):

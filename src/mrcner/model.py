@@ -263,11 +263,10 @@ def predict_example(model: ModelState, example: MrcExample, h_ctx: np.ndarray):
     return model.head.decode(h_ctx, example)
 
 
-def predict_in_process(model: ModelState, examples: Sequence[MrcExample],
-                       rows: Sequence[int] | None = None) -> list[list[EntitySpan]]:
+def predict_in_process(model: ModelState, examples: Sequence[MrcExample]) -> list[list[EntitySpan]]:
     """The entity spans of every example, in input order, predicted in this
-    process in encoding order (`_Chunks`); `rows` as for `predict_examples`."""
-    return _Chunks(model, examples, rows).share()
+    process in encoding order (`_Chunks`)."""
+    return _Chunks(model, examples).share()
 
 
 def _predict_pack(model: ModelState, pack: list[MrcExample]) -> list[list[EntitySpan]]:

@@ -316,19 +316,16 @@ def gold_span_index(triples: Sequence[Triple]) -> dict[tuple[str, int, str], lis
     return index
 
 
-def evaluate_model(model: ModelState, examples: Sequence[MrcExample],
+def evaluate_model(dev: model_mod._Chunks,
                    gold: dict[tuple[str, int, str], list[tuple[int, int]]],
                    helper: model_mod.Helper | None = None) -> EvalReport:
-    """Entity-level scores of the model's predictions on `examples` against
-    `gold`, made in encoding order by `model.predict_in_process` in this
-    process, or, given `train`'s helper, whose steps hold `examples` as
-    their dev examples, in both processes: they share the steps' chunks of
-    them (`_Chunks.share`). An example's spans do not depend on the examples
+    """Entity-level scores against `gold` of the predictions of `dev`'s
+    model on `dev`'s examples, made in encoding order in this process, or,
+    given `train`'s helper, whose steps hold `dev`, in both processes
+    (`_Chunks.share`). An example's spans do not depend on the examples
     packed with it, so the report is the one this process gives alone."""
-    spans = (model_mod.predict_in_process(model, examples) if helper is None
-             else helper.target.dev.share(helper))
     predicted = {ex.origin: [(s.start, s.end) for s in example_spans]
-                 for ex, example_spans in zip(examples, spans)}
+                 for ex, example_spans in zip(dev.examples, dev.share(helper))}
     return score(gold, predicted)
 
 
@@ -526,7 +523,7 @@ def train(
     def eval_dev(epoch: int) -> EvalReport | None:
         if not dev_examples:
             return None
-        report = evaluate_model(mdl, dev_examples, dev_gold, helper)
+        report = evaluate_model(steps.dev, dev_gold, helper)
         manifest.dev_f1_curve.append(report.f1)
         log.info("epoch %d dev P/R/F1 = %.4f/%.4f/%.4f",
                  epoch, report.precision, report.recall, report.f1)

@@ -177,7 +177,7 @@ def test_evaluate_model_scores_the_per_example_predictions(mode, variant, monkey
         raise AssertionError("dev evaluation forked")
 
     monkeypatch.setattr(model_mod.Helper, "__init__", refuse)
-    assert evaluate_model(mdl, examples, gold) == score(gold, predicted)
+    assert evaluate_model(model_mod._Chunks(mdl, examples), gold) == score(gold, predicted)
 
 
 class TestPackArguments:

@@ -170,7 +170,7 @@ class TestTraining:
                            ffn_dim=32, learning_rate=5e-3, batch_size=4)
         mdl, manifest = train(cfg, train_t, dev_t)
         dev = [example_from_triple(t, mdl.vocab, mdl.seq_cfg) for t in dev_t]
-        fresh = evaluate_model(mdl, dev, gold_span_index(dev_t))
+        fresh = evaluate_model(model_mod._Chunks(mdl, dev), gold_span_index(dev_t))
         assert manifest.final_metrics == asdict(fresh)
         # The run must restore an epoch other than the last one it trained.
         if epochs and early_stop_f1 is None:

@@ -136,7 +136,7 @@ def cmd_train(args) -> int:
 class TripleExamples(Sequence):
     """The model inputs of `triples`, each built when it is indexed, so that
     predict holds at most one pack of them at a time in each process (the
-    helper that `model.predict_examples` forks builds its own chunks').
+    helper that `model.predict_examples` forks builds its own packs').
     `rows` holds each example's real rows, counted from its triple
     (`example_rows`), by which predict orders the examples without building
     them."""

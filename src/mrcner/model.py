@@ -35,28 +35,27 @@ vector copy.
 Prediction shares no state between examples, so it encodes them in
 encoding order: ascending real rows, ties in input order, which puts
 equal-length examples side by side in a pack, where the encoder runs
-attention once for each run of them. `_Chunks` cuts the examples so
-ordered into `packs`, and the packs into chunks of whole packs, at least
-CHUNK_EXAMPLES examples each. `predict_examples` (used by `predict`)
-shares the chunks with a `Helper`: a process forked from this one, which
-inherits the model and the examples and runs methods of a target object for
-it (`train` runs its steps on one too). The two processes take the chunks
-one at a time, this one from the front and the helper from the back, so the
-faster takes more; the helper sends back only spans, and the spans are put
-back in input order, so the output is the same in one process or two.
-Nothing is forked below 2 * MIN_WORKER_EXAMPLES examples, or where
-`fork_cpus` reports one CPU: on a one-CPU machine, where the OS does not
-report usable CPUs (no `os.sched_getaffinity` outside Linux), and when the
-process runs other threads, which a fork could deadlock; this process then
-takes every chunk, as `predict_in_process` does. Each pack is encoded with
-one `encoder.forward` call, keeping each example's context rows and the
-[SEP] after them, and each example is decoded from its context rows with
-`predict_example(model, example, h_ctx)`. The examples' row counts are
-given, or read from the examples, so a sequence that builds each example
-when it is indexed (`cli.TripleExamples`) is ordered without building it.
-Train's dev evaluation forks no helper of its own: where `train` runs its
-helper, the two processes share the dev examples' `_Chunks` the same way
-(`train.evaluate_model`); `_Chunks.share` resets the chunk counter on each
+attention once for each run of them. `_Packs` cuts the examples so ordered
+into `packs`. `predict_examples` (used by `predict`) shares the packs with
+a `Helper`: a process forked from this one, which inherits the model and the
+examples and runs methods of a target object for it (`train` runs its steps
+on one too). The two processes take the packs one at a time, this one from
+the front and the helper from the back, so the faster takes more; the
+helper sends back only spans, and the spans are put back in input order, so
+the output is the same in one process or two. Nothing is forked below
+2 * MIN_WORKER_EXAMPLES examples, or where `fork_cpus` reports one CPU: on
+a one-CPU machine, where the OS does not report usable CPUs (no
+`os.sched_getaffinity` outside Linux), and when the process runs other
+threads, which a fork could deadlock; this process then takes every pack.
+Each pack is encoded with one `encoder.forward` call, keeping each
+example's context rows and the [SEP] after them, and each example is
+decoded from its context rows with `predict_example(model, example,
+h_ctx)`. The examples' row counts are given, or read from the examples, so
+a sequence that builds each example when it is indexed
+(`cli.TripleExamples`) is ordered without building it. Train's dev
+evaluation forks no helper of its own: where `train` runs its helper, the
+two processes share the dev examples' `_Packs` the same way
+(`train.evaluate_model`); `_Packs.share` resets the pack counter on each
 call, so one helper can share them after every epoch.
 
 A checkpoint (format v2) is one UTF-8 JSON header line, then the
@@ -65,9 +64,10 @@ the head variant, the configs, the vocabulary and `tensors`, the
 `[name, shape]` pairs in store order, so `head -n1` shows everything but the
 numbers. Loading builds the head class, configs, vocabulary and shapes from
 the header (a value they refuse is a ModelError naming its key), checks the
-header against them and the blob's length against the store, then reads the
-blob from the file into a new store, with no other copy of it in memory.
-A ModelError about a file names it. Files are byte-stable for a fixed seed.
+header against them and the blob's length against the store's size before
+it allocates the store, then reads the blob from the file into the new
+store, with no other copy of it in memory. A ModelError about a file names
+it. Files are byte-stable for a fixed seed.
 """
 
 from __future__ import annotations
@@ -94,10 +94,9 @@ HEADS = {cls.mode: cls for cls in (heads.SpanHeadParams, baseline.BioHeadParams)
 MODE_MRC = heads.SpanHeadParams.mode
 MODE_BIO = baseline.BioHeadParams.mode
 
-# Fewest examples per process for `predict_examples` to fork its helper:
-# three chunks each. Forking, joining and reaping the helper costs ~1.4 ms,
-# and below about six chunks the chunks share the work unevenly. On a shared
-# 2-vCPU x86-64 host with one BLAS thread, on the cheapest examples here
+# Fewest examples per process for `predict_examples` to fork its helper.
+# Forking, joining and reaping the helper costs ~1.4 ms. On a shared 2-vCPU
+# x86-64 host with one BLAS thread, on the cheapest examples here
 # (train-bio-short's first n, about 12 real rows, BIO head, 0.23 ms each in
 # process), n = 64 ran 0.62-0.86x as fast forked as in process, 96
 # 0.72-1.08x, 128 0.77-1.13x, 144 1.23-1.38x, 160 1.25-1.28x, 200
@@ -106,19 +105,6 @@ MODE_BIO = baseline.BioHeadParams.mode
 # training helper that is already running, so any number of dev examples is
 # split.
 MIN_WORKER_EXAMPLES = 75
-
-# Fewest examples in each of the chunks that `predict_examples` and its
-# helper take one at a time (`_Chunks`), so that a process on a CPU the host
-# slows down takes fewer; a chunk takes whole packs until it holds this
-# many. On the host above, one call on predict-long's 1,200 test examples
-# took a median 1.47 s in chunks of 25 against 1.71 s in two fixed halves
-# (four alternating fresh-process rounds of five calls; 1.61 against 1.94 s
-# and 1.83 against 1.95 s in two earlier series), and chunks of 100 took
-# 1.71 s where chunks of 25 took 1.61. On train-bio-short's and train-mrc's
-# examples the two splits ran within 6% of each other. These figures predate
-# encoding order and pack-aligned chunks: they were taken on chunks of 25
-# examples in input order.
-CHUNK_EXAMPLES = 25
 
 # Most real rows in one pack of examples that predict or training encodes
 # together (an example with more makes a pack of its own). On a 2-vCPU x86-64
@@ -170,15 +156,21 @@ def flat_store(shapes: dict[str, tuple], zeros=np.zeros) -> tuple[np.ndarray, di
     return flat, views
 
 
-def _empty_model(encoder_cfg, seq_cfg, vocab, head_cls, variant, zeros=np.zeros) -> ModelState:
-    """A model over a zeroed store from `zeros(size)` of every tensor in
-    checkpoint order, head tensors as `head.<name>`; the head is built over
-    those views. Refuses a variant the head does not have."""
+def _store_shapes(encoder_cfg, head_cls, variant) -> dict[str, tuple]:
+    """The shape of every tensor in checkpoint order, head tensors as
+    `head.<name>`. Refuses a variant the head does not have."""
     shapes = encoder.param_shapes(encoder_cfg)
     head_shapes = head_cls.shapes(encoder_cfg.model_dim, variant)
     shapes.update((f"head.{name}", shape) for name, shape in head_shapes.items())
-    flat, params = flat_store(shapes, zeros)
-    head = head_cls(**{name: params[f"head.{name}"] for name in head_shapes}, variant=variant)
+    return shapes
+
+
+def _empty_model(encoder_cfg, seq_cfg, vocab, head_cls, variant, zeros=np.zeros) -> ModelState:
+    """A model over a zeroed store from `zeros(size)` of `_store_shapes`;
+    the head is built over its views."""
+    flat, params = flat_store(_store_shapes(encoder_cfg, head_cls, variant), zeros)
+    head = head_cls(**{name.removeprefix("head."): view for name, view in params.items()
+                       if name.startswith("head.")}, variant=variant)
     return ModelState(encoder_cfg, seq_cfg, vocab, flat, params, head)
 
 
@@ -263,12 +255,6 @@ def predict_example(model: ModelState, example: MrcExample, h_ctx: np.ndarray):
     return model.head.decode(h_ctx, example)
 
 
-def predict_in_process(model: ModelState, examples: Sequence[MrcExample]) -> list[list[EntitySpan]]:
-    """The entity spans of every example, in input order, predicted in this
-    process in encoding order (`_Chunks`)."""
-    return _Chunks(model, examples).share()
-
-
 def _predict_pack(model: ModelState, pack: list[MrcExample]) -> list[list[EntitySpan]]:
     """Each example's spans. The encoder's last layer computes each
     example's context rows and the [SEP] after them; that row keeps every
@@ -286,7 +272,7 @@ def _predict_pack(model: ModelState, pack: list[MrcExample]) -> list[list[Entity
 def predict_examples(model: ModelState, examples: Sequence[MrcExample],
                      rows: Sequence[int] | None = None) -> list[list[EntitySpan]]:
     """The entity spans of every example, in input order, predicted in
-    encoding order (`_Chunks`). `rows` holds each example's real rows,
+    encoding order (`_Packs`). `rows` holds each example's real rows,
     `len(input_ids)`, so that a sequence which builds each example when it
     is indexed need not build them to order them; by default they are read
     from the examples.
@@ -294,33 +280,30 @@ def predict_examples(model: ModelState, examples: Sequence[MrcExample],
     With at least 2 * MIN_WORKER_EXAMPLES examples where `fork_cpus`
     reports two CPUs or more, this process forks one `Helper`, which
     inherits the model and the sequence, and the two processes `share` the
-    examples' `_Chunks`. Elsewhere this process predicts them all. No
+    examples' `_Packs`. Elsewhere this process predicts them all. No
     helper outlives the call.
     """
-    chunks = _Chunks(model, examples, rows)
+    packed = _Packs(model, examples, rows)
     if len(examples) < 2 * MIN_WORKER_EXAMPLES or fork_cpus() < 2:
-        return chunks.share()
-    helper = Helper(chunks)
+        return packed.share()
+    helper = Helper(packed)
     try:
-        return chunks.share(helper)
+        return packed.share(helper)
     finally:
         helper.close()
 
 
-class _Chunks:
+class _Packs:
     """The examples in encoding order, ascending real rows with ties in
-    input order, cut into `packs` and the packs into chunks of whole packs
-    that hold at least CHUNK_EXAMPLES examples each (the last may hold
-    fewer), so that equal-length examples share a pack and no chunk ends in
-    a part-filled one. One process, or two, take the chunks one at a time
-    (`share`), the first from the front and a helper from the back, until
-    none is left. `left` holds the index of the first chunk left and one
-    past the last, in shared memory made before the fork. Each process
-    moves only its own end, so they need no lock: where the ends meet, both
-    processes may take the same chunk, and both get the same spans for it.
-    An example is built, by indexing `examples`, only when its pack is
-    predicted; `rows` holds each one's real rows (by default read from the
-    examples)."""
+    input order, cut into `packs`, so that equal-length examples share a
+    pack. One process, or two, take the packs one at a time (`share`), the
+    first from the front and a helper from the back, until none is left.
+    `left` holds the index of the first pack left and one past the last, in
+    shared memory made before the fork. Each process moves only its own
+    end, so they need no lock: where the ends meet, both processes may take
+    the same pack, and both get the same spans for it. An example is built,
+    by indexing `examples`, only when its pack is predicted; `rows` holds
+    each one's real rows (by default read from the examples)."""
 
     def __init__(self, model: ModelState, examples: Sequence[MrcExample],
                  rows: Sequence[int] | None = None):
@@ -328,23 +311,19 @@ class _Chunks:
         if rows is None:
             rows = [len(ex.input_ids) for ex in examples]
         order = sorted(range(len(examples)), key=rows.__getitem__)  # stable: ties in input order
-        self.chunks: list[list[list[int]]] = []  # each chunk's packs of example indexes
-        for pack in packs(order, rows.__getitem__):
-            if not self.chunks or sum(map(len, self.chunks[-1])) >= CHUNK_EXAMPLES:
-                self.chunks.append([])
-            self.chunks[-1].append(pack)
+        self.packs = list(packs(order, rows.__getitem__))  # each pack's example indexes
         self.left = shared_zeros(2, np.int64)
 
     def share(self, helper: Helper | None = None) -> list[list[EntitySpan]]:
         """The spans of every example, in input order, predicted by this
         process and `helper`, if given, whose target's `predict(front)`
-        calls this object's. It first resets `left` to every chunk, so one
+        calls this object's. It first resets `left` to every pack, so one
         helper may share the examples on every call. The error raised is
         the one one process raises, the first in encoding order: this
-        process's own, after which the helper takes no more chunks (its
+        process's own, after which the helper takes no more packs (its
         reply is left unread, so close it), else the helper's, as itself; a
         helper that dies is a HelperError."""
-        self.left[:] = 0, len(self.chunks)
+        self.left[:] = 0, len(self.packs)
         try:
             if helper is not None:
                 helper.call("predict", False)
@@ -356,14 +335,14 @@ class _Chunks:
         return [done[i] for i in range(len(self.examples))]
 
     def predict(self, front: bool) -> dict[int, list[EntitySpan]]:
-        """The spans of each example of the chunks this process takes from
+        """The spans of each example of the packs this process takes from
         the front (or the back), by example index."""
         done = {}
         while self.left[0] < self.left[1]:
             i = int(self.left[0]) if front else int(self.left[1]) - 1
-            self.left[1 - front] = i + front  # this process's end, past chunk i
-            for pack in self.chunks[i]:
-                done.update(zip(pack, _predict_pack(self.model, [self.examples[j] for j in pack])))
+            self.left[1 - front] = i + front  # this process's end, past pack i
+            pack = self.packs[i]
+            done.update(zip(pack, _predict_pack(self.model, [self.examples[j] for j in pack])))
         return done
 
 
@@ -527,8 +506,9 @@ def _from_header(header: dict, key: str, build):
 
 def load_checkpoint(path) -> ModelState:
     """Read a checkpoint, checking its header against the shapes its configs
-    and vocabulary imply and its blob against the store's size, then read
-    the blob into a new parameter store and check that every parameter is
+    and vocabulary imply and its blob against the store's size, so that a
+    header cannot ask for more memory than the file holds, then read the
+    blob into a new parameter store and check that every parameter is
     finite. A finite dot product of the store with itself shows that; only
     when it is not (a NaN, an infinity, or values above ~1e154 in magnitude,
     whose squares overflow) is each parameter checked."""
@@ -536,14 +516,15 @@ def load_checkpoint(path) -> ModelState:
         line = fh.readline()
         if not line.endswith(b"\n"):
             raise ModelError(f"{path} does not start with a header line")
-        mdl = parse_json(f"{path}, header line", line, _empty_model_of_header, ModelError)
-        n_bytes = 8 * mdl.flat.size
+        n_values, empty_model = parse_json(f"{path}, header line", line, _model_of_header,
+                                           ModelError)
         blob_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
-        if blob_bytes == n_bytes:
+        if blob_bytes == 8 * n_values:
+            mdl = empty_model()
             blob_bytes = fh.readinto(memoryview(mdl.flat).cast("B"))
-        if blob_bytes != n_bytes:
+        if blob_bytes != 8 * n_values:
             raise ModelError(f"{path} holds {blob_bytes} parameter bytes, "
-                             f"the model's {mdl.flat.size} float64 values need {n_bytes}")
+                             f"the model's {n_values} float64 values need {8 * n_values}")
     if not np.little_endian:
         mdl.flat.byteswap(inplace=True)  # the blob is little-endian
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow falls to the exact check
@@ -553,8 +534,9 @@ def load_checkpoint(path) -> ModelState:
     return mdl
 
 
-def _empty_model_of_header(header: dict) -> ModelState:
-    """The zeroed model a checkpoint's header object describes, or ModelError."""
+def _model_of_header(header: dict):
+    """The store size a checkpoint's header object describes, in float64
+    values, and a function that allocates its zeroed model; or ModelError."""
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise ModelError(f"unsupported checkpoint version {header.get('format_version')!r}")
 
@@ -568,9 +550,9 @@ def _empty_model_of_header(header: dict) -> ModelState:
     if vocab.size != encoder_cfg.vocab_size:
         raise ModelError(f"checkpoint vocabulary has {vocab.size} tokens but "
                          f"encoder_config.vocab_size is {encoder_cfg.vocab_size}")
-    mdl = _from_header(header, "head_variant",
-                       lambda variant: _empty_model(encoder_cfg, seq_cfg, vocab, head_cls, variant))
-    expected = [[name, list(arr.shape)] for name, arr in mdl.params.items()]
+    shapes = _from_header(header, "head_variant",
+                          lambda variant: _store_shapes(encoder_cfg, head_cls, variant))
+    expected = [[name, list(shape)] for name, shape in shapes.items()]
     stored = header.get("tensors")
     if stored != expected:
         pairs = zip_longest(stored if isinstance(stored, list) else [], expected,
@@ -578,7 +560,8 @@ def _empty_model_of_header(header: dict) -> ModelState:
         i, (got, want) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
         raise ModelError(f"checkpoint tensors differ from the model's at position {i}: "
                          f"stored {got}, expected {want}")
-    return mdl
+    return sum(map(math.prod, shapes.values())), lambda: _empty_model(
+        encoder_cfg, seq_cfg, vocab, head_cls, header["head_variant"])
 
 
 def copy_params(model: ModelState) -> np.ndarray:

@@ -30,8 +30,8 @@ example and 0 + g = g, so the sum, and every parameter, has the bits it has
 on one CPU. Losses are checked in batch order, so the first non-finite one
 reported is the one one CPU reports, and an error the helper raises is
 raised here as itself. Each epoch's dev evaluation shares the dev examples
-with the helper as `predict` does: the two processes take their chunks
-(`model._Chunks`) one at a time, this one from the front and the helper
+with the helper as `predict` does: the two processes take their packs
+(`model._Packs`) one at a time, this one from the front and the helper
 from the back. The helper exits when `train` returns or raises, and is
 reaped; a helper that dies is a `model.HelperError` naming its exit status.
 Elsewhere the same steps run in this process alone.
@@ -316,13 +316,13 @@ def gold_span_index(triples: Sequence[Triple]) -> dict[tuple[str, int, str], lis
     return index
 
 
-def evaluate_model(dev: model_mod._Chunks,
+def evaluate_model(dev: model_mod._Packs,
                    gold: dict[tuple[str, int, str], list[tuple[int, int]]],
                    helper: model_mod.Helper | None = None) -> EvalReport:
     """Entity-level scores against `gold` of the predictions of `dev`'s
     model on `dev`'s examples, made in encoding order in this process, or,
     given `train`'s helper, whose steps hold `dev`, in both processes
-    (`_Chunks.share`). An example's spans do not depend on the examples
+    (`_Packs.share`). An example's spans do not depend on the examples
     packed with it, so the report is the one this process gives alone."""
     predicted = {ex.origin: [(s.start, s.end) for s in example_spans]
                  for ex, example_spans in zip(dev.examples, dev.share(helper))}
@@ -344,7 +344,7 @@ class _Steps:
     store (`encoder.param_shapes`), so the slots cover `grad_flat[rest:]`.
     The gradient vector and the slots are zero between steps: `finish`
     zeroes what it has added and stepped. `dev` holds the dev examples'
-    `model._Chunks`, whose counter is made before the fork too, so the two
+    `model._Packs`, whose counter is made before the fork too, so the two
     processes share them (`predict`); `costs` holds each training example's
     `_example_cost`.
 
@@ -356,7 +356,7 @@ class _Steps:
     def __init__(self, mdl: ModelState, examples: Sequence[MrcExample], config: TrainConfig,
                  dev: Sequence[MrcExample] = ()):
         self.mdl, self.examples = mdl, examples
-        self.dev = model_mod._Chunks(mdl, dev)
+        self.dev = model_mod._Packs(mdl, dev)
         self.ratio = 1.0
         self.costs = [_example_cost(len(ex.input_ids)) for ex in examples]
         self.grad_flat, self.grads = mdl.zero_grads(model_mod.shared_zeros)
@@ -443,8 +443,8 @@ class _Steps:
         return losses, [sink["tok_emb"] for sink in sinks], time.perf_counter() - started
 
     def predict(self, front: bool) -> dict:
-        """The spans of each chunk of dev examples this process takes
-        (`model._Chunks.predict`)."""
+        """The spans of each pack of dev examples this process takes
+        (`model._Packs.predict`)."""
         return self.dev.predict(front)
 
     def cut(self, n_slots: int) -> int:

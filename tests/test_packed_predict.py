@@ -1,7 +1,7 @@
 """Predict encodes packs of examples; each example must come out as it
 does when it is encoded alone.
 
-`model.predict_in_process` orders its input by real rows, ties in input
+`model._Packs` orders its input by real rows, ties in input
 order, and cuts it into packs of at most `PACK_ROWS` real rows; the encoder
 runs attention once per run of consecutive examples with equal real and
 kept rows, and its last layer computes only each example's context rows and
@@ -95,7 +95,7 @@ def test_packs_predict_as_one_example_packs_bit_for_bit(
         calls = record_packs(patch)
         predicted = model_mod.predict_examples(mdl, examples)
     check_packs(mdl, examples, calls)
-    assert predicted == [model_mod.predict_in_process(mdl, [ex])[0] for ex in examples]
+    assert predicted == [model_mod.predict_examples(mdl, [ex])[0] for ex in examples]
 
 
 @pytest.mark.parametrize("mode, variant", HEADS)
@@ -119,11 +119,11 @@ def test_packs_break_at_pack_rows(mode, variant):
     assert [len(ex.input_ids) for ex in examples] == rows
     with pytest.MonkeyPatch.context() as patch:
         calls = record_packs(patch)
-        predicted = model_mod.predict_in_process(mdl, examples)
+        predicted = model_mod._Packs(mdl, examples).share()
     assert [sum(len(ex.input_ids) for ex in pack) for pack, *_ in calls] == [
         cap, cap - 3, third + 5, cap + 44]
     check_packs(mdl, examples, calls)
-    assert predicted == [model_mod.predict_in_process(mdl, [ex])[0] for ex in examples]
+    assert predicted == [model_mod.predict_examples(mdl, [ex])[0] for ex in examples]
 
 
 @pytest.mark.parametrize("mode, variant", HEADS)
@@ -148,12 +148,12 @@ def test_a_run_takes_one_attention_call_per_layer(mode, variant, monkeypatch):
 
     monkeypatch.setattr(encoder, "softmax", counting)
     calls = record_packs(monkeypatch)
-    predicted = model_mod.predict_in_process(mdl, examples)
+    predicted = model_mod._Packs(mdl, examples).share()
     assert [[e for e, _, _ in tape["runs"]] for *_, tape in calls] == [runs]
     assert len(attention_calls) == len(runs) * mdl.encoder_cfg.layers
     monkeypatch.undo()
     check_packs(mdl, examples, calls)
-    assert predicted == [model_mod.predict_in_process(mdl, [ex])[0] for ex in examples]
+    assert predicted == [model_mod.predict_examples(mdl, [ex])[0] for ex in examples]
 
 
 @pytest.mark.parametrize("mode, variant", HEADS)
@@ -169,7 +169,7 @@ def test_evaluate_model_scores_the_per_example_predictions(mode, variant, monkey
                               [(start, start)], "C", "d", i))
     examples = [example_from_triple(t, VOCAB, mdl.seq_cfg) for t in triples]
     gold = gold_span_index(triples)
-    predicted = {ex.origin: [(s.start, s.end) for s in model_mod.predict_in_process(mdl, [ex])[0]]
+    predicted = {ex.origin: [(s.start, s.end) for s in model_mod.predict_examples(mdl, [ex])[0]]
                  for ex in examples}
     assert any(predicted.values())
 
@@ -177,7 +177,7 @@ def test_evaluate_model_scores_the_per_example_predictions(mode, variant, monkey
         raise AssertionError("dev evaluation forked")
 
     monkeypatch.setattr(model_mod.Helper, "__init__", refuse)
-    assert evaluate_model(model_mod._Chunks(mdl, examples), gold) == score(gold, predicted)
+    assert evaluate_model(model_mod._Packs(mdl, examples), gold) == score(gold, predicted)
 
 
 class TestPackArguments:

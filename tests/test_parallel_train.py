@@ -7,7 +7,7 @@ examples into gradient slots that this process adds in batch order, and
 each process steps a part of Adam's vector, block by block. Batches are cut
 by cost, weighed by the two processes' measured speeds. Each epoch's dev
 examples are shared as `predict` shares its input: the two processes take
-chunks of them (`model._Chunks`), this one from the front and the helper
+packs of them (`model._Packs`), this one from the front and the helper
 from the back. These tests train with the helper and again pinned to one CPU, where none
 is forked, and require the same checkpoint and manifest bytes, at any speed
 ratio, the same error for an example the helper trains or predicts, and no
@@ -188,15 +188,14 @@ def test_an_example_longer_than_a_pack_trains_as_on_one_cpu(tmp_path, helpers_fo
 def test_dev_evaluation_with_the_helper_matches_one_cpu(mode, n_dev, tmp_path, pinned_ratio,
                                                         helper_calls, monkeypatch):
     pinned_ratio(1.0)
-    # A pack, and so a chunk, per dev example; training examples then train
-    # in packs of one too, which changes no bit.
+    # A pack per dev example; training examples then train in packs of one
+    # too, which changes no bit.
     monkeypatch.setattr(model_mod, "PACK_ROWS", 1)
-    monkeypatch.setattr(model_mod, "CHUNK_EXAMPLES", 1)
     config = train_mod.TrainConfig(seq_len=32, mode=mode, **TINY)
     train_triples = triples_of(mode, [5, 9, 4, 12, 6, 8, 10, 7, 3, 11])
     dev_triples = triples_of(mode, [8, 14, 5, 20, 3, 9, 11][:n_dev], seed=1)
     forked = trained_bytes(config, train_triples, dev_triples, tmp_path)
-    # Each of the two epochs' dev evaluations shares its examples' chunks.
+    # Each of the two epochs' dev evaluations shares its examples' packs.
     assert helper_calls.count("predict") == (2 if n_dev else 0)
     alone = on_one_cpu(lambda: trained_bytes(config, train_triples, dev_triples, tmp_path))
     assert forked == alone
@@ -211,7 +210,7 @@ def test_a_pinned_speed_ratio_trains_as_on_one_cpu(ratio, tmp_path, pinned_ratio
     dev_triples = triples_of(config.mode, [8, 14, 5, 20, 3], seed=1)
     forked = trained_bytes(config, train_triples, dev_triples, tmp_path)
     # A slow helper gets no training example; a fast one all but the first.
-    # Dev examples are shared in chunks at any ratio.
+    # Dev examples are shared in packs at any ratio.
     assert leads and all(lead == (n if ratio > 1 else 1) for n, lead in leads)
     assert helper_calls.count("predict") == 2
     alone = on_one_cpu(lambda: trained_bytes(config, train_triples, dev_triples, tmp_path))
@@ -267,10 +266,9 @@ def test_an_error_is_raised_as_on_one_cpu(monkeypatch, tmp_path, helpers_forked,
 def test_an_error_predicting_the_helpers_dev_part_is_raised_as_on_one_cpu(
         monkeypatch, tmp_path, pinned_ratio, helper_calls):
     pinned_ratio(1.0)
-    # A pack, and so a chunk, per dev example; training examples then train
-    # in packs of one too, which changes no bit.
+    # A pack per dev example; training examples then train in packs of one
+    # too, which changes no bit.
     monkeypatch.setattr(model_mod, "PACK_ROWS", 1)
-    monkeypatch.setattr(model_mod, "CHUNK_EXAMPLES", 1)
     config = train_mod.TrainConfig(seq_len=32, **TINY)
     train_triples = triples_of(config.mode, [5, 9, 4, 12, 6, 8, 10, 7, 3, 11])
     dev_triples = triples_of(config.mode, [8, 14, 5, 20, 3], seed=1)
@@ -282,8 +280,8 @@ def test_an_error_predicting_the_helpers_dev_part_is_raised_as_on_one_cpu(
         if example.origin[:2] == (last.doc_id, last.sent_id):
             pid_file.write_text(str(os.getpid()))
             raise ValueError(f"cannot decode {example.origin}")
-        # The helper takes the last chunk first; this process waits for it
-        # there, so that it cannot reach that chunk first.
+        # The helper takes the last pack first; this process waits for it
+        # there, so that it cannot reach that pack first.
         waited = time.monotonic()
         while os.getpid() == parent and not pid_file.exists() and time.monotonic() - waited < 10:
             time.sleep(0.001)

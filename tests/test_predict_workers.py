@@ -2,17 +2,16 @@
 
 Where `model.fork_cpus` reports two CPUs and the input holds at least
 `MIN_WORKER_EXAMPLES` examples per process, predict forks one
-`model.Helper`. The two processes take chunks of whole packs, at least
-`CHUNK_EXAMPLES` examples each, of the examples in encoding order (ascending
-real rows, ties in input order) one at a time, the calling process from the
-front and the helper from the back. The output must not depend on the
+`model.Helper`. The two processes take the packs of the examples in encoding
+order (ascending real rows, ties in input order) one at a time, the calling
+process from the front and the helper from the back. The output must not depend on the
 process count, no helper may outlive the command, an error must be the one
 one process raises, the first in encoding order, a helper's death must fail
 the command instead of hanging it, and
 small inputs, one-CPU or non-Linux machines and threaded callers must not
 fork at all. Train's dev evaluation forks no helper of its own: it shares
-its dev examples' chunks the same way with train's helper, once per epoch,
-so `_Chunks.share` resets its chunk counter on each call. Only `model`
+its dev examples' packs the same way with train's helper, once per epoch,
+so `_Packs.share` resets its pack counter on each call. Only `model`
 forks and maps shared memory.
 """
 
@@ -109,14 +108,14 @@ def corpus(request, tmp_path_factory):
     return tmp_path, mode, train, test, ckpt
 
 
-def chunk_ids(test, ckpt):
-    """The sent_ids of each chunk of the test split that predict cuts, in
+def pack_ids(test, ckpt):
+    """The sent_ids of each pack of the test split that predict cuts, in
     encoding order."""
     mdl = model_mod.load_checkpoint(ckpt)
     triples = read_triples(test)
     examples = TripleExamples(triples, mdl.vocab, mdl.seq_cfg)
-    return [[triples[i].sent_id for pack in chunk for i in pack]
-            for chunk in model_mod._Chunks(mdl, examples, examples.rows).chunks]
+    return [[triples[i].sent_id for i in pack]
+            for pack in model_mod._Packs(mdl, examples, examples.rows).packs]
 
 
 def test_predict_output_is_byte_identical_at_one_and_two_workers(corpus, cpus, helpers):
@@ -134,15 +133,15 @@ def test_predict_output_is_byte_identical_at_one_and_two_workers(corpus, cpus, h
     assert any(r["spans"] for r in records)
 
 
-def test_a_short_last_chunk_keeps_input_order(corpus, cpus, helpers):
+def test_a_part_filled_last_pack_keeps_input_order(corpus, cpus, helpers):
     _, _, _, test, ckpt = corpus
     mdl = model_mod.load_checkpoint(ckpt)
-    examples = [example_from_triple(t, mdl.vocab, mdl.seq_cfg) for t in read_triples(test)[:437]]
-    last_chunk = model_mod._Chunks(mdl, examples).chunks[-1]
-    assert sum(map(len, last_chunk)) < model_mod.CHUNK_EXAMPLES
+    examples = [example_from_triple(t, mdl.vocab, mdl.seq_cfg) for t in read_triples(test)[:436]]
+    rows = [len(examples[i].input_ids) for i in model_mod._Packs(mdl, examples).packs[-1]]
+    assert sum(rows) + max(rows) <= model_mod.PACK_ROWS  # the input ends before the pack fills
     cpus(2)
     assert model_mod.predict_examples(mdl, examples) == [
-        model_mod.predict_in_process(mdl, [ex])[0] for ex in examples]
+        model_mod.predict_examples(mdl, [ex])[0] for ex in examples]
     assert len(helpers) == 1
 
 
@@ -171,7 +170,7 @@ def fail_on(monkeypatch, failing):
 def test_a_worker_error_reaches_the_caller_and_no_worker_outlives_it(
         corpus, cpus, helpers, monkeypatch, capsys, tmp_path):
     _, _, _, test, ckpt = corpus
-    failing = chunk_ids(test, ckpt)[-2][0]  # in the helper's second chunk
+    failing = pack_ids(test, ckpt)[-2][0]  # in the helper's second pack
     fail_on(monkeypatch, {failing})
     cpus(2)
     out = tmp_path / "p.jsonl"
@@ -184,29 +183,29 @@ def test_a_worker_error_reaches_the_caller_and_no_worker_outlives_it(
     assert not out.exists()
 
 
-# The first example of the third of the test examples' chunks, which this
+# The first example of the third of the test examples' packs, which this
 # process takes, fails; in the second case so does the first of the
-# second-to-last chunk, which the helper takes second.
+# second-to-last pack, which the helper takes second.
 @pytest.mark.parametrize("failing", [[2], [2, -2]])
-def test_an_error_in_this_processs_chunks_is_raised_as_one_process_raises_it(
+def test_an_error_in_this_processs_packs_is_raised_as_one_process_raises_it(
         corpus, cpus, helpers, monkeypatch, capsys, tmp_path, failing):
     _, _, _, test, ckpt = corpus
-    chunks = chunk_ids(test, ckpt)
-    fail_on(monkeypatch, {chunks[i][0] for i in failing})
+    packs = pack_ids(test, ckpt)
+    fail_on(monkeypatch, {packs[i][0] for i in failing})
     cpus(2)
     out = tmp_path / "p.jsonl"
     assert run("predict", "--checkpoint", ckpt, "--triples", test, "--out", out) == 1
     assert len(helpers) == 1
     assert_no_child_process()
     assert json.loads(capsys.readouterr().err) == {
-        "error": "EncoderError", "message": f"non-finite activations in example {chunks[2][0]}"}
+        "error": "EncoderError", "message": f"non-finite activations in example {packs[2][0]}"}
     assert not out.exists()
 
 
-def test_an_error_in_this_process_stops_the_helper_taking_chunks(corpus, cpus, helpers,
-                                                                   monkeypatch, tmp_path):
+def test_an_error_in_this_process_stops_the_helper_taking_packs(corpus, cpus, helpers,
+                                                                  monkeypatch, tmp_path):
     _, _, _, test, ckpt = corpus
-    first = chunk_ids(test, ckpt)[0][0]  # the first in encoding order
+    first = pack_ids(test, ckpt)[0][0]  # the first in encoding order
     predict_example, parent = model_mod.predict_example, os.getpid()
     by_helper = tmp_path / "by-helper"
 
@@ -224,15 +223,15 @@ def test_an_error_in_this_process_stops_the_helper_taking_chunks(corpus, cpus, h
                "--out", tmp_path / "p.jsonl") == 1
     assert len(helpers) == 1
     assert_no_child_process()
-    # Left to itself, the helper would take every chunk this process
-    # leaves; it stops after the chunk it holds, if any, when this one fails.
+    # Left to itself, the helper would take every pack this process
+    # leaves; it stops after the pack it holds, if any, when this one fails.
     assert len(by_helper.read_text().split() if by_helper.exists() else []) <= 250
 
 
 def test_a_dead_worker_fails_the_command_instead_of_hanging(
         corpus, cpus, helpers, monkeypatch, capsys, tmp_path):
     _, _, _, test, ckpt = corpus
-    dying = chunk_ids(test, ckpt)[-2][0]  # in the helper's second chunk
+    dying = pack_ids(test, ckpt)[-2][0]  # in the helper's second pack
     predict_example, parent = model_mod.predict_example, os.getpid()
 
     def die_on_one(*args):
@@ -297,15 +296,14 @@ def test_train_dev_evaluation_shares_trains_helper(corpus, cpus, helpers, tmp_pa
     assert [type(target) for target in helpers] == [_Steps]
 
 
-MIN, CHUNK = model_mod.MIN_WORKER_EXAMPLES, model_mod.CHUNK_EXAMPLES
+MIN = model_mod.MIN_WORKER_EXAMPLES
 # Around the fork's minimum: nothing, one example, either side of one
-# process's minimum and of two processes', and two sizes a chunk past it.
-SIZES = [0, 1, MIN - 1, MIN, 2 * MIN - 1, 2 * MIN, 2 * MIN + 1,
-         CHUNK * (2 * MIN // CHUNK + 1), CHUNK * (2 * MIN // CHUNK + 1) + 1]
+# process's minimum and of two processes', and two sizes some packs past it.
+SIZES = [0, 1, MIN - 1, MIN, 2 * MIN - 1, 2 * MIN, 2 * MIN + 1, 2 * MIN + 25, 2 * MIN + 26]
 
 
 @settings(max_examples=30, deadline=None)
-@given(head=st.sampled_from(HEADS), size=st.sampled_from(SIZES) | st.integers(0, 2 * MIN + CHUNK),
+@given(head=st.sampled_from(HEADS), size=st.sampled_from(SIZES) | st.integers(0, max(SIZES)),
        seed=st.integers(0, 2**16))
 def test_predict_examples_on_two_cpus_equals_one_process(head, size, seed):
     mode, variant = head
@@ -317,33 +315,30 @@ def test_predict_examples_on_two_cpus_equals_one_process(head, size, seed):
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         forked = spy_on_helpers(monkeypatch)
-        assert model_mod.predict_examples(mdl, examples) == model_mod.predict_in_process(
-            mdl, examples)
+        assert model_mod.predict_examples(mdl, examples) == model_mod._Packs(
+            mdl, examples).share()
     assert len(forked) == (size >= 2 * MIN)
     assert_no_child_process()
 
 
 @settings(max_examples=50, deadline=None)
 @given(rows=st.lists(st.integers(1, 2 * model_mod.PACK_ROWS), max_size=300))
-def test_chunks_are_whole_packs_in_encoding_order(rows):
-    chunks = model_mod._Chunks(None, [None] * len(rows), rows).chunks
+def test_packs_are_cut_in_encoding_order(rows):
     order = sorted(range(len(rows)), key=lambda i: (rows[i], i))
-    assert [pack for chunk in chunks for pack in chunk] == list(
+    assert model_mod._Packs(None, [None] * len(rows), rows).packs == list(
         model_mod.packs(order, rows.__getitem__))
-    for chunk in chunks[:-1]:  # each fills up to CHUNK_EXAMPLES, and no further
-        assert sum(map(len, chunk[:-1])) < CHUNK <= sum(map(len, chunk))
 
 
-def test_one_helper_shares_the_chunks_on_every_call():
+def test_one_helper_shares_the_packs_on_every_call():
     mdl = tiny_model("mrc", "conditioned", seq_len=24)
     rng = np.random.default_rng(0)
     examples = [example_from_triple(triple(int(n), "w1 w2", i, rng), mdl.vocab, mdl.seq_cfg)
-                for i, n in enumerate(rng.integers(1, 20, 3 * CHUNK + 1))]
-    chunks = model_mod._Chunks(mdl, examples)
-    helper = model_mod.Helper(chunks)
+                for i, n in enumerate(rng.integers(1, 20, MIN + 1))]
+    packed = model_mod._Packs(mdl, examples)
+    helper = model_mod.Helper(packed)
     try:
         for _ in range(2):
-            assert chunks.share(helper) == model_mod.predict_in_process(mdl, examples)
+            assert packed.share(helper) == model_mod._Packs(mdl, examples).share()
     finally:
         helper.close()
     assert_no_child_process()

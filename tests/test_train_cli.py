@@ -170,7 +170,7 @@ class TestTraining:
                            ffn_dim=32, learning_rate=5e-3, batch_size=4)
         mdl, manifest = train(cfg, train_t, dev_t)
         dev = [example_from_triple(t, mdl.vocab, mdl.seq_cfg) for t in dev_t]
-        fresh = evaluate_model(model_mod._Chunks(mdl, dev), gold_span_index(dev_t))
+        fresh = evaluate_model(model_mod._Packs(mdl, dev), gold_span_index(dev_t))
         assert manifest.final_metrics == asdict(fresh)
         # The run must restore an epoch other than the last one it trained.
         if epochs and early_stop_f1 is None:
@@ -346,6 +346,27 @@ class TestCheckpoint:
         diagnostic = json.loads(capsys.readouterr().err)
         assert diagnostic["error"] == "ModelError"
         assert "parameter bytes" in diagnostic["message"]
+        assert not (tmp_path / "p.jsonl").exists()
+
+    @pytest.mark.parametrize("positions", [10**9, 10**12])
+    def test_predict_refuses_a_header_larger_than_its_blob(self, tmp_path, capsys, positions):
+        # A consistent header whose store would take 64 GB or 64 TB: the
+        # file's blob is compared with it before anything is allocated.
+        path, header, blob = self.saved_tiny_model(tmp_path)
+        index, _ = self.tensor_bytes(header, "pos_emb")
+        old_positions, width = header["tensors"][index][1]
+        header["encoder_config"]["max_positions"] = positions
+        header["tensors"][index][1] = [positions, width]
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(blob))
+        triples_path = tmp_path / "t.jsonl"
+        write_triples(synth_triples(3), triples_path)
+        assert run_cli("predict", "--checkpoint", path, "--triples", triples_path,
+                       "--out", tmp_path / "p.jsonl") == 1
+        n_values = len(blob) // 8 + (positions - old_positions) * width
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ModelError",
+            "message": f"{path} holds {len(blob)} parameter bytes, "
+                       f"the model's {n_values} float64 values need {8 * n_values}"}
         assert not (tmp_path / "p.jsonl").exists()
 
     @pytest.mark.parametrize("name, value", [

@@ -10,7 +10,7 @@ from .corpus import BioLabel, EntitySpan, Sentence, bio_to_spans, parse_conll, r
 from .query import QuerySpec, QueryStrategy, build_query, render_query
 from .mrc_data import MrcExample, SeqConfig, Triple, Vocab, example_from_triple, triple_from_sentence
 from .encoder import EncoderConfig
-from .heads import LossReport, SpanHeadParams, SpanLogits, span_loss
+from .heads import LossReport, SpanHeadParams, span_loss
 from .decode import IndexSets, decode_example, extract_indexes, nearest_match
 from .metrics import EvalReport, RunStats, SignificanceResult, aggregate, score, t_test
 from .train import TrainConfig, train
@@ -21,8 +21,8 @@ __all__ = [
     "BioLabel", "EntitySpan", "Sentence", "bio_to_spans", "parse_conll", "repair_bio",
     "spans_to_bio", "QuerySpec", "QueryStrategy", "build_query", "render_query",
     "MrcExample", "SeqConfig", "Triple", "Vocab", "example_from_triple",
-    "triple_from_sentence", "EncoderConfig", "LossReport", "SpanHeadParams", "SpanLogits",
-    "span_loss", "IndexSets", "decode_example", "extract_indexes", "nearest_match",
+    "triple_from_sentence", "EncoderConfig", "LossReport", "SpanHeadParams", "span_loss",
+    "IndexSets", "decode_example", "extract_indexes", "nearest_match",
     "EvalReport", "RunStats", "SignificanceResult", "aggregate", "score", "t_test",
     "TrainConfig", "train",
 ]

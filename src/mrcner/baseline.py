@@ -11,13 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import DEFAULT_ENTITY_TYPE, BioLabel, EntitySpan, bio_to_spans
+from .corpus import DEFAULT_ENTITY_TYPE, BioLabel, bio_to_spans
 from .heads import HeadError, cross_entropy
-from .mrc_data import MrcExample, project_predictions
+from .mrc_data import MrcExample
 
 BIO_CLASSES = ("B", "I", "O")
 CLASS_IDS = {tag: i for i, tag in enumerate(BIO_CLASSES)}
-# The label of each class id; decoded spans take their type from the example.
+# The label of each class id; `bio_to_spans` reads only its tag and type.
 CLASS_LABELS = tuple(BioLabel(tag, None if tag == "O" else DEFAULT_ENTITY_TYPE)
                      for tag in BIO_CLASSES)
 
@@ -40,8 +40,8 @@ class BioHeadParams:
     def loss_and_grads(self, h_ctx: np.ndarray, example: MrcExample):
         return bio_head_grads(h_ctx, self, bio_targets(example))
 
-    def decode(self, h_ctx: np.ndarray, example: MrcExample) -> list[EntitySpan]:
-        return bio_decode(bio_logits(h_ctx, self), example)
+    def decode(self, h_ctx: np.ndarray) -> list[tuple[int, int]]:
+        return bio_decode(bio_logits(h_ctx, self))
 
 
 def bio_logits(h_ctx: np.ndarray, params: BioHeadParams) -> np.ndarray:
@@ -70,10 +70,9 @@ def bio_head_grads(
     return loss, dlogits @ params.w_bio.T, grads
 
 
-def bio_decode(logits: np.ndarray, example: MrcExample) -> list[EntitySpan]:
-    """Per-token argmax, then span extraction, where an I after an O or at
-    the start opens a span as a B would; the spans take their entity type
-    from `example.origin`."""
+def bio_decode(logits: np.ndarray) -> list[tuple[int, int]]:
+    """The (start, end) context offsets of the spans of per-token argmax
+    tags, where an I after an O or at the start opens a span as a B would."""
     spans = bio_to_spans([CLASS_LABELS[i] for i in logits.argmax(axis=1).tolist()])
-    return project_predictions(example, [(s.start, s.end) for s in spans])
+    return [(s.start, s.end) for s in spans]
 

@@ -163,9 +163,8 @@ def cmd_predict(args) -> int:
             record = {
                 "origin": {"doc_id": t.doc_id, "sent_id": t.sent_id},
                 "entity_type": t.entity_type,
-                "spans": [
-                    {"start": s.start, "end": s.end, "surface": s.surface} for s in spans
-                ],
+                "spans": [{"start": s, "end": e, "surface": " ".join(t.context[s : e + 1])}
+                          for s, e in spans],
             }
             fh.write(dump_json(record) + "\n")
     return 0
@@ -175,9 +174,10 @@ def read_predictions(path, context_lengths: dict) -> dict:
     """Predicted (start, end) spans by sentence key. `context_lengths` holds
     the token count of every gold sentence, and a span must end inside its
     sentence. A line that is not a prediction record, a key the gold lacks,
-    a repeated key, a bad span or a byte that is not UTF-8 is a CliError
-    that names the file and the line; a file without a line for every gold
-    sentence is a CliError that names it and the first sentence missing."""
+    a repeated key, a bad span, a span listed twice in one record or a byte
+    that is not UTF-8 is a CliError that names the file and the line; a file
+    without a line for every gold sentence is a CliError that names it and
+    the first sentence missing."""
     predicted = {}
 
     def add(rec: dict) -> None:
@@ -191,6 +191,7 @@ def read_predictions(path, context_lengths: dict) -> dict:
         n_tokens = context_lengths.get(key)
         if n_tokens is None:
             raise CliError(f"prediction references unknown sentence {key!r}")
+        seen = set()
         for start, end in spans:
             # bool is an int subclass, but JSON true/false is no index
             if not (type(start) is int and type(end) is int and 0 <= start <= end):
@@ -199,6 +200,10 @@ def read_predictions(path, context_lengths: dict) -> dict:
             if end >= n_tokens:
                 raise CliError(f"sentence {key!r} has span ({start}, {end}), "
                                f"past the end of its {n_tokens}-token context")
+            # `score` takes sets, so a repeat would count once
+            if (start, end) in seen:
+                raise CliError(f"sentence {key!r} lists span ({start}, {end}) twice")
+            seen.add((start, end))
         predicted[key] = spans
 
     read_json(path, add, CliError, lines=True)

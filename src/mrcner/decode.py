@@ -5,6 +5,9 @@ start (end) logit row; ties go to class 0 so untrained heads stay silent.
 Ends are then processed in ascending order and each end claims the largest
 start at or before it; starts at or before the last emitted end are
 unavailable, which keeps the output flat and uses each start at most once.
+A span is its (start, end) pair of context offsets, which are its
+sentence's token indexes; only `predict`, writing its file, adds the
+entity type and surface.
 """
 
 from __future__ import annotations
@@ -13,15 +16,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-
-from .corpus import EntitySpan
-from .mrc_data import MrcExample, project_predictions
-
-
-@dataclass
-class SpanLogits:
-    l_start: np.ndarray  # (N, 2), context rows only
-    l_end: np.ndarray    # (N, 2)
 
 
 @dataclass
@@ -49,7 +43,8 @@ def nearest_match(sets: IndexSets) -> list[tuple[int, int]]:
     return pairs
 
 
-def decode_example(example: MrcExample, logits: SpanLogits) -> list[EntitySpan]:
-    """extract_indexes + nearest_match + projection back to sentence spans."""
-    pairs = nearest_match(extract_indexes(logits.l_start, logits.l_end))
-    return project_predictions(example, pairs)
+def decode_example(l_start: np.ndarray, l_end: np.ndarray) -> list[tuple[int, int]]:
+    """The (start, end) context offsets of an example's spans, given its
+    (N, 2) start and end logits over its N context rows: extract_indexes,
+    then nearest_match."""
+    return nearest_match(extract_indexes(l_start, l_end))

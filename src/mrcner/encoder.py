@@ -47,13 +47,18 @@ class EncoderConfig:
     dropout: float = 0.0
 
     def __post_init__(self) -> None:
+        # A bool is no size and no rate, and a float no size.
         for name in ("vocab_size", "layers", "model_dim", "heads", "ffn_dim", "max_positions"):
-            if getattr(self, name) < 1:
-                raise EncoderError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+            if type(value := getattr(self, name)) is not int:
+                raise EncoderError(f"{name} must be int, got {value!r}")
+            if value < 1:
+                raise EncoderError(f"{name} must be at least 1, got {value!r}")
         if self.model_dim % self.heads != 0:
             raise EncoderError(
                 f"model_dim {self.model_dim} not divisible by {self.heads} heads"
             )
+        if type(self.dropout) not in (float, int):
+            raise EncoderError(f"dropout must be float or int, got {self.dropout!r}")
         if not (0.0 <= self.dropout < 1.0):
             raise EncoderError(f"dropout must be in [0, 1), got {self.dropout!r}")
 

@@ -4,7 +4,8 @@ Each context token gets two binary classifications: "is a start index" and
 "is an end index". The end head comes in two variants: the conditioned one
 consumes the softmaxed start logits alongside the hidden row, the ablation
 one sees the hidden row alone. Total loss is the mean of the two per-head
-token-averaged cross-entropies.
+token-averaged cross-entropies. Decoding (`decode.decode_example`) turns
+the two logit matrices into (start, end) context offsets.
 
 SpanHeadParams implements the head protocol of `model.py` (mode "mrc").
 """
@@ -15,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import EntitySpan
-from .decode import SpanLogits, decode_example
+from .decode import decode_example
 from .encoder import softmax, softmax_backward
 
 CONDITIONED = "conditioned"
@@ -49,9 +49,9 @@ class SpanHeadParams:
         report, _, dh_ctx, grads = span_head_grads(h_ctx, self, example.y_start, example.y_end)
         return report.loss, dh_ctx, grads
 
-    def decode(self, h_ctx: np.ndarray, example) -> list[EntitySpan]:
+    def decode(self, h_ctx: np.ndarray) -> list[tuple[int, int]]:
         l_start = start_logits(h_ctx, self)
-        return decode_example(example, SpanLogits(l_start, end_logits(h_ctx, self, l_start)))
+        return decode_example(l_start, end_logits(h_ctx, self, l_start))
 
 
 @dataclass
@@ -122,10 +122,11 @@ def span_head_grads(
     params: SpanHeadParams,
     y_start: np.ndarray,
     y_end: np.ndarray,
-) -> tuple[LossReport, SpanLogits, np.ndarray, dict[str, np.ndarray]]:
+) -> tuple[LossReport, tuple[np.ndarray, np.ndarray], np.ndarray, dict[str, np.ndarray]]:
     """Full head forward/backward for one example.
 
-    Returns (loss report, logits, d loss/d h_ctx, head parameter grads).
+    Returns (loss report, (l_start, l_end), d loss/d h_ctx, head parameter
+    grads).
     With the conditioned variant the start logits receive gradient both
     from their own cross-entropy and through the end head's conditioning.
     """
@@ -144,5 +145,5 @@ def span_head_grads(
     grads["w_start"] = h_ctx.T @ dls
     grads["b_start"] = dls.sum(axis=0)
     dh += dls @ params.w_start.T
-    return report, SpanLogits(l_start, l_end), dh, grads
+    return report, (l_start, l_end), dh, grads
 

@@ -7,9 +7,10 @@ config that names none takes); field `variant` (None for BIO);
 `shapes(model_dim, variant)`, the head's tensor names and shapes in
 checkpoint order, which refuses a variant the head does not have;
 `loss_and_grads(h_ctx, example)` returning (loss, dh_ctx, grads by tensor
-name); and `decode(h_ctx, example)` returning entity spans. h_ctx is the
-encoder output at the example's context rows. A head is built from its
-tensors as keyword arguments plus `variant`.
+name); and `decode(h_ctx)` returning the (start, end) context offsets of
+the example's spans. h_ctx is the encoder output at the example's context
+rows. A head is built from its tensors as keyword arguments plus
+`variant`.
 
 Parameters live in one store: `ModelState.flat` is a single contiguous
 float64 vector holding every trainable tensor in checkpoint order (the
@@ -41,12 +42,13 @@ a `Helper`: a process forked from this one, which inherits the model and the
 examples and runs methods of a target object for it (`train` runs its steps
 on one too). The two processes take the packs one at a time, this one from
 the front and the helper from the back, so the faster takes more; the
-helper sends back only spans, and the spans are put back in input order, so
-the output is the same in one process or two. Nothing is forked below
-2 * MIN_WORKER_EXAMPLES examples, or where `fork_cpus` reports one CPU: on
-a one-CPU machine, where the OS does not report usable CPUs (no
-`os.sched_getaffinity` outside Linux), and when the process runs other
-threads, which a fork could deadlock; this process then takes every pack.
+helper sends back only each example's (start, end) pairs, which are put
+back in input order, so the output is the same in one process or two.
+Nothing is forked below 2 * MIN_WORKER_EXAMPLES examples, or where
+`fork_cpus` reports one CPU: on a one-CPU machine, where the OS does not
+report usable CPUs (no `os.sched_getaffinity` outside Linux), and when the
+process runs other threads, which a fork could deadlock; this process then
+takes every pack.
 Each pack is encoded with one `encoder.forward` call, keeping each
 example's context rows and the [SEP] after them, and each example is
 decoded from its context rows with `predict_example(model, example,
@@ -84,7 +86,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import baseline, encoder, heads
-from .corpus import EntitySpan, dump_json, parse_json
+from .corpus import dump_json, parse_json
 from .encoder import EncoderConfig
 from .mrc_data import MrcExample, SeqConfig, Vocab
 
@@ -250,16 +252,16 @@ def example_loss_and_grads(
 
 
 def predict_example(model: ModelState, example: MrcExample, h_ctx: np.ndarray):
-    """Decode one example into entity spans with the model's head, given
-    h_ctx, the encoder's rows of its context."""
-    return model.head.decode(h_ctx, example)
+    """The (start, end) context offsets of one example's spans, decoded by
+    the model's head from h_ctx, the encoder's rows of its context."""
+    return model.head.decode(h_ctx)
 
 
-def _predict_pack(model: ModelState, pack: list[MrcExample]) -> list[list[EntitySpan]]:
-    """Each example's spans. The encoder's last layer computes each
-    example's context rows and the [SEP] after them; that row keeps every
-    kept slice at two rows or more, so each context row has the bits it has
-    when its example is encoded alone."""
+def _predict_pack(model: ModelState, pack: list[MrcExample]) -> list[list[tuple[int, int]]]:
+    """Each example's (start, end) spans. The encoder's last layer computes
+    each example's context rows and the [SEP] after them; that row keeps
+    every kept slice at two rows or more, so each context row has the bits
+    it has when its example is encoded alone."""
     keep = [slice(ex.context_range[0], ex.context_range[1] + 2) for ex in pack]
     hidden, _ = encoder.forward(model.params, model.encoder_cfg, pack, keep)
     out, first = [], 0
@@ -270,8 +272,8 @@ def _predict_pack(model: ModelState, pack: list[MrcExample]) -> list[list[Entity
 
 
 def predict_examples(model: ModelState, examples: Sequence[MrcExample],
-                     rows: Sequence[int] | None = None) -> list[list[EntitySpan]]:
-    """The entity spans of every example, in input order, predicted in
+                     rows: Sequence[int] | None = None) -> list[list[tuple[int, int]]]:
+    """The (start, end) spans of every example, in input order, predicted in
     encoding order (`_Packs`). `rows` holds each example's real rows,
     `len(input_ids)`, so that a sequence which builds each example when it
     is indexed need not build them to order them; by default they are read
@@ -314,7 +316,7 @@ class _Packs:
         self.packs = list(packs(order, rows.__getitem__))  # each pack's example indexes
         self.left = shared_zeros(2, np.int64)
 
-    def share(self, helper: Helper | None = None) -> list[list[EntitySpan]]:
+    def share(self, helper: Helper | None = None) -> list[list[tuple[int, int]]]:
         """The spans of every example, in input order, predicted by this
         process and `helper`, if given, whose target's `predict(front)`
         calls this object's. It first resets `left` to every pack, so one
@@ -334,7 +336,7 @@ class _Packs:
             self.left[0] = self.left[1]  # after an error here, the helper takes no more
         return [done[i] for i in range(len(self.examples))]
 
-    def predict(self, front: bool) -> dict[int, list[EntitySpan]]:
+    def predict(self, front: bool) -> dict[int, list[tuple[int, int]]]:
         """The spans of each example of the packs this process takes from
         the front (or the back), by example index."""
         done = {}

@@ -12,11 +12,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from types import NoneType
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .corpus import EntitySpan, Sentence, are_words, bio_to_spans, dump_json, read_json
+from .corpus import Sentence, are_words, bio_to_spans, dump_json, read_json
 from .query import QuerySpec
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
@@ -77,7 +77,7 @@ class SeqConfig:
     order: str = CONTEXT_FIRST
 
     def __post_init__(self) -> None:
-        if self.seq_len < 4:
+        if check_field("seq_len", self.seq_len, int) < 4:
             raise MrcDataError("seq_len must be at least 4")
         if self.order not in (CONTEXT_FIRST, QUERY_FIRST):
             raise MrcDataError(f"unknown segment order {self.order!r}")
@@ -220,7 +220,6 @@ class MrcExample:
     y_start: np.ndarray
     y_end: np.ndarray
     origin: tuple[str, int, str]
-    context_tokens: list[str]
     n_dropped_spans: int = 0
 
     @property
@@ -264,11 +263,10 @@ def example_from_triple(triple: Triple, vocab: Vocab, cfg: SeqConfig) -> MrcExam
     has_query = triple.query is not None
     q_part = [vocab.encode(t) for t in triple.query.split()] + [SEP_ID] if has_query else []
     n_ctx = rows - 2 - len(q_part)
-    ctx_tokens = triple.context[:n_ctx]
     kept = [(s, e) for s, e in triple.answers if e < n_ctx]
     dropped = len(triple.answers) - len(kept)
 
-    ctx_ids = [vocab.encode(t) for t in ctx_tokens]
+    ctx_ids = [vocab.encode(t) for t in triple.context[:n_ctx]]
     if cfg.order == CONTEXT_FIRST or not has_query:
         ids = [CLS_ID] + ctx_ids + [SEP_ID] + q_part
         ctx_first = 1
@@ -291,27 +289,8 @@ def example_from_triple(triple: Triple, vocab: Vocab, cfg: SeqConfig) -> MrcExam
         y_start=y_start,
         y_end=y_end,
         origin=(triple.doc_id, triple.sent_id, triple.entity_type),
-        context_tokens=ctx_tokens,
         n_dropped_spans=dropped,
     )
-
-
-def project_predictions(
-    example: MrcExample, spans_in_context_coords: Sequence[tuple[int, int]]
-) -> list[EntitySpan]:
-    """Re-express context-coordinate (start, end) pairs as typed entity spans.
-
-    Context coordinates are already sentence token indices, so only the
-    entity type and surface are attached; out-of-range coordinates raise.
-    """
-    n_ctx = example.n_context
-    etype = example.origin[2]
-    out = []
-    for s, e in spans_in_context_coords:
-        if not (0 <= s <= e < n_ctx):
-            raise MrcDataError(f"span ({s}, {e}) outside context of length {n_ctx}")
-        out.append(EntitySpan(s, e, etype, " ".join(example.context_tokens[s : e + 1])))
-    return out
 
 
 def read_triples(path) -> list[Triple]:

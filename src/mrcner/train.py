@@ -113,9 +113,12 @@ class TrainConfig:
     published with (seq_len 256/512, lr 3e-5, batch 8/16 on a pretrained
     backbone) are documented in the README and reachable via overrides.
 
-    `head_variant` None takes the mode's head's `default_variant`
-    ("conditioned" for MRC, None for BIO), so the config and the model it
-    builds record the same variant."""
+    Every field is checked when the config is made, by `from_dict` or in
+    code: its value's type must be exactly its annotation's (an int passes
+    for a float), then its number must be in range; a TrainingError names
+    the first field refused. `head_variant` None takes the mode's head's
+    `default_variant` ("conditioned" for MRC, None for BIO), so the config
+    and the model it builds record the same variant."""
 
     seq_len: int = 128
     order: str = "context-first"
@@ -138,7 +141,7 @@ class TrainConfig:
     early_stop_f1: float | None = None
 
     def __post_init__(self) -> None:
-        _check_types({"early_stop_f1": self.early_stop_f1})
+        _check_types(vars(self))
         # An int passes for a float; one too large for a float is refused here,
         # not by an OverflowError in Adam's first step.
         for name in _FLOAT_FIELDS:
@@ -151,13 +154,13 @@ class TrainConfig:
         for rule, ok, names in (
                 ("finite and positive", lambda v: 0 < v < math.inf,
                  ("batch_size", "learning_rate", "min_count", "adam_eps")),
-                ("non-negative", lambda v: v >= 0, ("epochs", "warmup_steps")),
+                ("non-negative", lambda v: v >= 0, ("epochs", "warmup_steps", "seed")),
                 ("in [0, 1)", lambda v: 0 <= v < 1, ("beta1", "beta2")),
                 ("in [0, 1] or null", lambda v: v is None or 0 <= v <= 1, ("early_stop_f1",))):
             for name in names:
                 if not ok(value := getattr(self, name)):
                     raise TrainingError(f"config field {name} must be {rule}, got {value!r}")
-        if not isinstance(self.mode, str) or self.mode not in model_mod.HEADS:
+        if self.mode not in model_mod.HEADS:
             raise TrainingError(f"unknown mode {self.mode!r}; expected one of {sorted(model_mod.HEADS)}")
         head = model_mod.HEADS[self.mode]
         if self.head_variant is None:
@@ -178,7 +181,6 @@ class TrainConfig:
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise TrainingError(f"unknown config fields: {sorted(unknown)}")
-        _check_types(data)
         return cls(**data)
 
     def encoder_config(self, vocab_size: int) -> EncoderConfig:
@@ -324,9 +326,7 @@ def evaluate_model(dev: model_mod._Packs,
     given `train`'s helper, whose steps hold `dev`, in both processes
     (`_Packs.share`). An example's spans do not depend on the examples
     packed with it, so the report is the one this process gives alone."""
-    predicted = {ex.origin: [(s.start, s.end) for s in example_spans]
-                 for ex, example_spans in zip(dev.examples, dev.share(helper))}
-    return score(gold, predicted)
+    return score(gold, {ex.origin: spans for ex, spans in zip(dev.examples, dev.share(helper))})
 
 
 def _example_cost(n: int) -> float:

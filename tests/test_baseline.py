@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from mrcner.baseline import (
 )
 from mrcner.corpus import bio_to_spans, repair_bio
 from mrcner.heads import HeadError, cross_entropy
-from mrcner.mrc_data import SeqConfig, Triple, Vocab, example_from_triple, project_predictions
+from mrcner.mrc_data import SeqConfig, Triple, Vocab, example_from_triple
 from oracles import central_difference, relative_error
 
 D = 8
@@ -84,45 +83,34 @@ class TestBioHead:
 
 class TestBioDecode:
     def test_b_then_outside(self):
-        ex = bio_example(["Meloxicam", "-", "induced", "liver", "toxicity", "."], [(0, 0)])
-        spans = bio_decode(saturated_bio_logits(["B", "O", "O", "O", "O", "O"]), ex)
-        assert [(s.start, s.end, s.entity_type) for s in spans] == [(0, 0, "CHEMICAL")]
-        assert spans[0].surface == "Meloxicam"
+        assert bio_decode(saturated_bio_logits(["B", "O", "O", "O", "O", "O"])) == [(0, 0)]
 
     def test_all_outside(self):
-        ex = bio_example(["a", "b", "c"], [])
-        assert bio_decode(saturated_bio_logits(["O", "O", "O"]), ex) == []
+        assert bio_decode(saturated_bio_logits(["O", "O", "O"])) == []
 
     def test_dangling_i_opens_a_span(self):
-        ex = bio_example(["a", "b", "c"], [])
-        spans = bio_decode(saturated_bio_logits(["O", "I", "I"]), ex)
-        assert [(s.start, s.end) for s in spans] == [(1, 2)]
+        assert bio_decode(saturated_bio_logits(["O", "I", "I"])) == [(1, 2)]
 
     def test_same_spans_as_repairing_first_on_every_short_row(self):
         # Every B/I/O row of length 0-9: an I after an O or at the start opens
         # a span where repair_bio would have made it a B.
         rows = 0
         for n in range(10):
-            if n:
-                ex = bio_example([f"t{i}" for i in range(n)], [])
-            else:  # a triple refuses an empty context, so empty a 1-token example's
-                ex = replace(bio_example(["t0"], []), context_range=(1, 0), context_tokens=[])
             for tags in itertools.product(BIO_CLASSES, repeat=n):
                 repaired = bio_to_spans(repair_bio(tags)[0])
-                want = project_predictions(ex, [(s.start, s.end) for s in repaired])
-                assert bio_decode(saturated_bio_logits(tags), ex) == want, tags
+                want = [(s.start, s.end) for s in repaired]
+                assert bio_decode(saturated_bio_logits(tags)) == want, tags
                 rows += 1
         assert rows == 29_524
 
     def test_output_valid_for_random_logits(self):
         rng = np.random.default_rng(3)
-        ex = bio_example([f"t{i}" for i in range(10)], [])
         for _ in range(200):
-            spans = bio_decode(rng.normal(size=(10, 3)), ex)
-            for a, b in zip(spans, spans[1:]):
-                assert a.end < b.start
-            for s in spans:
-                assert 0 <= s.start <= s.end < 10
+            spans = bio_decode(rng.normal(size=(10, 3)))
+            for (_, a_end), (b_start, _) in zip(spans, spans[1:]):
+                assert a_end < b_start
+            for start, end in spans:
+                assert 0 <= start <= end < 10
 
 
 class TestBioTargets:

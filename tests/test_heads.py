@@ -239,6 +239,6 @@ class TestHeadGrads:
         head = random_head(CONDITIONED, seed=12)
         ys = np.array([1, 0, 1, 0])
         ye = np.array([0, 1, 0, 1])
-        _, logits, _, grads = span_head_grads(h, head, ys, ye)
-        _, dls_direct, _ = span_loss(logits.l_start, logits.l_end, ys, ye)
+        _, (l_start, l_end), _, grads = span_head_grads(h, head, ys, ye)
+        _, dls_direct, _ = span_loss(l_start, l_end, ys, ye)
         assert not np.allclose(grads["w_start"], h.T @ dls_direct)

@@ -4,7 +4,6 @@ import re
 import numpy as np
 import pytest
 
-from mrcner.corpus import EntitySpan
 from mrcner.mrc_data import (
     CLS_ID,
     PAD_ID,
@@ -15,7 +14,6 @@ from mrcner.mrc_data import (
     Triple,
     Vocab,
     example_from_triple,
-    project_predictions,
     read_triples,
     triple_from_sentence,
 )
@@ -132,34 +130,6 @@ class TestMakeExample:
         ex = example_from_triple(triple, vocab, SeqConfig(16))
         assert len(ex.input_ids) == 8  # [CLS] + 6 + [SEP]
         assert not ex.segment_ids.any()
-
-
-class TestProjection:
-    def test_identity_projection(self, meloxicam_sentence):
-        triple = triple_from_sentence(meloxicam_sentence, chem_query())
-        vocab = build_vocab_from_triples([triple], 1)
-        ex = example_from_triple(triple, vocab, SeqConfig(32))
-        assert project_predictions(ex, [(0, 0)]) == [EntitySpan(0, 0, "CHEMICAL", "Meloxicam")]
-
-    def test_empty_projection(self, meloxicam_sentence):
-        vocab = build_vocab_from_triples(
-            [triple_from_sentence(meloxicam_sentence, None, entity_type="CHEMICAL")], 1)
-        triple = triple_from_sentence(meloxicam_sentence, chem_query())
-        ex = example_from_triple(triple, vocab, SeqConfig(32))
-        assert project_predictions(ex, []) == []
-
-    def test_out_of_range_raises(self, meloxicam_sentence):
-        vocab = build_vocab_from_triples(
-            [triple_from_sentence(meloxicam_sentence, None, entity_type="CHEMICAL")], 1)
-        triple = triple_from_sentence(meloxicam_sentence, chem_query())
-        ex = example_from_triple(triple, vocab, SeqConfig(32))
-        with pytest.raises(MrcDataError):
-            project_predictions(ex, [(5, 6)])
-
-    def test_multi_token_surface(self):
-        triple = Triple(["liver", "cell", "damage"], "none", [(0, 2)], "DISEASE", "d", 0)
-        ex = example_from_triple(triple, Vocab(["[PAD]", "[UNK]", "[CLS]", "[SEP]"]), SeqConfig(16))
-        assert project_predictions(ex, [(0, 2)])[0].surface == "liver cell damage"
 
 
 class TestTripleJson:

@@ -112,15 +112,24 @@ class TestTraining:
 
     @pytest.mark.parametrize("field, value, error, message", [
         ("mode", "bogus", TrainingError, "unknown mode 'bogus'"),
-        ("mode", ["mrc"], TrainingError, "unknown mode"),
+        ("mode", ["mrc"], TrainingError, r"config field mode must be str, got \['mrc'\]"),
         ("head_variant", "bogus", HeadError, "config field head_variant: unknown head variant 'bogus'"),
-        ("head_variant", 5, HeadError, "config field head_variant: unknown head variant 5"),
+        ("head_variant", 5, TrainingError, "config field head_variant must be str or null, got 5"),
         ("early_stop_f1", "x", TrainingError, "early_stop_f1"),
         ("early_stop_f1", True, TrainingError, "early_stop_f1"),
     ])
     def test_mode_head_variant_and_stop_target_checked_when_the_config_is_made(
             self, field, value, error, message):
         with pytest.raises(error, match=message):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value, types", [
+        ("batch_size", 2.5, "int"), ("layers", 2.5, "int"), ("seq_len", 64.0, "int"),
+        ("heads", True, "int"), ("epochs", "3", "int"), ("dropout", False, "float or int"),
+    ])
+    def test_a_value_of_another_type_is_refused_when_built_in_code(self, field, value, types):
+        with pytest.raises(TrainingError,
+                           match=re.escape(f"config field {field} must be {types}, got {value!r}")):
             TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("variant", ["conditioned", "ablation", ""])
@@ -145,6 +154,7 @@ class TestTraining:
         ("adam_eps", math.inf, "finite and positive"),
         ("epochs", -1, "non-negative"),
         ("warmup_steps", -1, "non-negative"),
+        ("seed", -1, "non-negative"),
         ("beta1", 1.0, r"in \[0, 1\)"),
         ("beta1", -0.1, r"in \[0, 1\)"),
         ("beta2", math.nan, r"in \[0, 1\)"),
@@ -413,6 +423,24 @@ class TestCheckpoint:
         pytest.param(lambda h: h["encoder_config"].update(heads=0),
                      "encoder_config: heads must be at least 1", ("mrc", "conditioned"),
                      id="zero-heads"),
+        pytest.param(lambda h: h["encoder_config"].update(max_positions=32.0),
+                     r"encoder_config: max_positions must be int, got 32\.0",
+                     ("mrc", "conditioned"), id="float-max-positions"),
+        pytest.param(lambda h: h["encoder_config"].update(heads=2.0),
+                     r"encoder_config: heads must be int, got 2\.0", ("mrc", "conditioned"),
+                     id="float-heads"),
+        pytest.param(lambda h: h["encoder_config"].update(layers=2.5),
+                     r"encoder_config: layers must be int, got 2\.5", ("mrc", "conditioned"),
+                     id="fractional-layers"),
+        pytest.param(lambda h: h["encoder_config"].update(layers=True),
+                     "encoder_config: layers must be int, got True", ("mrc", "conditioned"),
+                     id="boolean-layers"),
+        pytest.param(lambda h: h["encoder_config"].update(dropout=False),
+                     "encoder_config: dropout must be float or int, got False",
+                     ("mrc", "conditioned"), id="boolean-dropout"),
+        pytest.param(lambda h: h["seq_config"].update(seq_len=32.0),
+                     r"seq_config: seq_len must be int, got 32\.0", ("mrc", "conditioned"),
+                     id="float-seq-len"),
         pytest.param(lambda h: h.update(head_variant="bogus"),
                      "head_variant: unknown head variant 'bogus'", ("mrc", "ablation"),
                      id="unknown-span-variant"),
@@ -562,6 +590,21 @@ class TestCli:
         preds.write_text(record + "\n" + record + "\n")
         with pytest.raises(CliError, match=r"line 2: duplicate .* \('d', 3, 'C'\)"):
             read_predictions(preds, {("d", 3, "C"): 4})
+
+    def test_evaluate_refuses_a_span_listed_twice_naming_file_and_line(self, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        write_triples([Triple(["a", "b"], "q", [(0, 0)], "C", "d", i) for i in range(2)], gold)
+        preds = tmp_path / "p.jsonl"
+        preds.write_text("".join(
+            json.dumps({"origin": {"doc_id": "d", "sent_id": i}, "entity_type": "C",
+                        "spans": [{"start": 0, "end": 0}, {"start": 1, "end": 1}] + twice}) + "\n"
+            for i, twice in enumerate(([], [{"start": 0, "end": 0}]))))
+        assert run_cli("evaluate", "--gold", gold, "--predictions", preds,
+                       "--out", tmp_path / "m.json") == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "CliError",
+            "message": f"{preds}, line 2: sentence ('d', 1, 'C') lists span (0, 0) twice"}
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("span", [{"start": "3", "end": 5}, {"start": -1, "end": 2},
                                       {"start": 4, "end": 3}, {"start": 1.0, "end": 2},
@@ -763,6 +806,34 @@ class TestCli:
         diagnostic = json.loads(capsys.readouterr().err)
         assert "mode mismatch" in diagnostic["message"]
 
+    @pytest.mark.parametrize("order", ["context-first", "query-first"])
+    @pytest.mark.parametrize("mode, variant", [("mrc", "conditioned"), ("mrc", "ablation"),
+                                               ("bio-baseline", None)])
+    def test_predict_writes_each_spans_surface_and_type_from_its_triple(self, tmp_path, mode,
+                                                                         variant, order):
+        triples = synth_triples(12, mode=mode)
+        triples_path, config, ckpt = tmp_path / "t.jsonl", tmp_path / "c.json", tmp_path / "m.ckpt"
+        write_triples(triples, triples_path)
+        config.write_text(json.dumps({"order": order, "head_variant": variant}))
+        assert run_cli("train", "--train", triples_path, "--out", ckpt, "--mode", mode,
+                       "--config", config, "--epochs", 10, "--seq-len", 32, "--layers", 1,
+                       "--model-dim", 16, "--heads", 2, "--ffn-dim", 32,
+                       "--learning-rate", 0.01, "--batch-size", 4) == 0
+        preds = tmp_path / "p.jsonl"
+        assert run_cli("predict", "--checkpoint", ckpt, "--triples", triples_path,
+                       "--out", preds) == 0
+        records = [json.loads(line) for line in preds.read_text().splitlines()]
+        assert len(records) == len(triples)
+        multi_token = 0
+        for t, rec in zip(triples, records):
+            assert rec["origin"] == {"doc_id": t.doc_id, "sent_id": t.sent_id}
+            assert rec["entity_type"] == t.entity_type
+            for span in rec["spans"]:
+                s, e = span["start"], span["end"]
+                assert span["surface"] == " ".join(t.context[s : e + 1])
+                multi_token += e > s
+        assert multi_token
+
     @pytest.mark.parametrize("mode, flags, variant", [
         ("mrc", (), "conditioned"),
         ("mrc", ("--head-variant", "ablation"), "ablation"),
@@ -821,6 +892,7 @@ class TestCli:
          "config field early_stop_f1 must be in [0, 1] or null, got 2"),
         ({"learning_rate": 10**400}, "TrainingError",
          "config field learning_rate is too large for a float"),
+        ({"seed": -5}, "TrainingError", "config field seed must be non-negative, got -5"),
     ])
     def test_train_refuses_a_config_value_of_another_type_naming_the_field(
             self, tmp_path, capsys, config, error, message):
@@ -840,6 +912,7 @@ class TestCli:
         ("--learning-rate", "inf", "TrainingError",
          "config field learning_rate must be finite and positive, got inf"),
         ("--dropout", "nan", "EncoderError", "dropout must be in [0, 1), got nan"),
+        ("--seed", "-1", "TrainingError", "config field seed must be non-negative, got -1"),
     ])
     def test_train_refuses_a_flag_out_of_range_before_reading_a_file(
             self, tmp_path, capsys, flag, value, error, message):
